@@ -51,13 +51,17 @@ class Volume:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 3 or len(set(self.data.shape)) != 1:
             raise GeometryMismatch(f"volume data must be N^3, got shape {self.data.shape}")
+        if not np.isfinite(self.data).all():
+            raise ValueError("volume data must be finite")
         self.spacing = float(self.spacing)
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
+        if not (np.isfinite(self.spacing) and self.spacing > 0.0):
+            raise ValueError("spacing must be positive and finite")
         if self.origin is None:
             self.origin = np.full(3, -(self.n // 2) * self.spacing)
         else:
             self.origin = np.asarray(self.origin, dtype=float).reshape(3)
+            if not np.isfinite(self.origin).all():
+                raise ValueError("origin must be finite")
 
     @property
     def n(self) -> int:

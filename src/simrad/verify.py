@@ -9,6 +9,7 @@ that are required to break their nominal identity.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -472,6 +473,9 @@ def run_all(
     With ``volume`` the built-in phantoms are replaced by the given field
     everywhere a check consumes one; reach violations for expanding group
     elements then surface as failed ``*_error`` entries rather than aborts.
+    A phantom that does not fit the configured grid, or a reference
+    transform that cannot be taken, fails the checks that need it the same
+    way.
     """
     config = config or VerifyConfig()
     report = ResidualReport()
@@ -491,17 +495,22 @@ def run_all(
         else:
             report.add(result)
 
+    # Built on first use inside the guarded calls and shared between checks.
+    @functools.cache
+    def phantom(build) -> Volume:
+        return volume if volume is not None else build(config)
+
+    @functools.cache
+    def forward(build, geom):
+        f = phantom(build)
+        return radon_plane(f, geom) if isinstance(geom, PlaneGeometry) else xray(f, geom)
+
     needs_mix = {"fourier_slice", "isometry"} & set(config.checks)
     if needs_mix:
-        mix = volume if volume is not None else mixture_phantom(config)
         mix_sinos = {}
         for geom in (plane_geom, line_geom):
             try:
-                mix_sinos[id(geom)] = (
-                    radon_plane(mix, geom)
-                    if isinstance(geom, PlaneGeometry)
-                    else xray(mix, geom)
-                )
+                mix_sinos[geom] = forward(mixture_phantom, geom)
             except SimradError as exc:
                 report.add(
                     make_entry("forward_error", np.inf, 0.0, f"{type(exc).__name__}: {exc}")
@@ -511,7 +520,7 @@ def run_all(
                 guarded(
                     "fourier_slice",
                     lambda geom=geom: check_fourier_slice(
-                        geom, mix, sinogram=mix_sinos.get(id(geom))
+                        geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom)
                     ),
                 )
         if "isometry" in config.checks:
@@ -519,32 +528,25 @@ def run_all(
                 guarded(
                     "isometry",
                     lambda geom=geom: check_isometry(
-                        geom, mix, sinogram=mix_sinos.get(id(geom))
+                        geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom)
                     ),
                 )
     if "intertwining" in config.checks:
-        compact = volume if volume is not None else compact_phantom(config)
         for geom in (plane_geom, line_geom):
-            reference = (
-                radon_plane(compact, geom)
-                if isinstance(geom, PlaneGeometry)
-                else xray(compact, geom)
-            )
             for idx, g in enumerate(standard_intertwining_sweep()):
                 guarded(
                     f"intertwining_{idx:02d}",
-                    lambda g=g, geom=geom, reference=reference: check_intertwining(
+                    lambda g=g, geom=geom: check_intertwining(
                         geom,
                         g,
-                        compact,
+                        phantom(compact_phantom),
                         ablate_character=config.ablate_character,
                         label=f"{idx:02d}",
-                        reference=reference,
+                        reference=forward(compact_phantom, geom),
                     ),
                 )
     if "fiber" in config.checks:
-        mix = volume if volume is not None else mixture_phantom(config)
-        guarded("fiber_constancy", lambda: check_fiber_constancy(mix))
+        guarded("fiber_constancy", lambda: check_fiber_constancy(phantom(mixture_phantom)))
     if "evenness" in config.checks:
         F = smooth_doubled_field(plane_geom, config.seed)
         g = GroupElement(
@@ -554,7 +556,6 @@ def run_all(
         )
         guarded("evenness", lambda: check_evenness_subspace(F, plane_geom, g))
     if "controls" in config.checks and not config.ablate_character:
-        compact = volume if volume is not None else compact_phantom(config)
         dilation = GroupElement(np.zeros(3), np.eye(3), 1.25)
 
         def ablation_control() -> ReportEntry:
@@ -562,7 +563,13 @@ def run_all(
             # by 25% at a = 1.25, the line character sqrt(a) only by 12%, so
             # the pooled maximum carries the control.
             results = [
-                check_intertwining(geom, dilation, compact, ablate_character=True)
+                check_intertwining(
+                    geom,
+                    dilation,
+                    phantom(compact_phantom),
+                    ablate_character=True,
+                    reference=forward(compact_phantom, geom),
+                )
                 for geom in (plane_geom, line_geom)
             ]
             best = min(results, key=lambda e: e.residual)

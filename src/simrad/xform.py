@@ -13,14 +13,23 @@ du dv / pi``, where the ``1 / pi`` is the constant that makes the fiber
 measure over the half-sphere of directions match the ambient frequency-domain
 measure (each frequency is hit by a full circle of line directions).
 
-The forward projectors are voxel-driven: every voxel deposits its value into
-the one or two nearest detector bins with linear weights, which computes the
-exact transform of the grid field convolved with a triangular kernel; a
-Fourier-domain division by the kernel response (with a smooth low-pass guard
-below the voxel Nyquist rate) removes that blur.  For smooth, grid-resolved
-fields this is accurate to well below the quadrature bias of sample-the-plane
-schemes, because the only remaining errors are spectral truncation and
-aliasing, both controlled by the sampling margins.
+The forward projectors are voxel-driven: every voxel deposits its value with
+cubic B-spline weights on a detector grid refined ``SPLAT_REFINE`` times,
+which computes the exact transform of the grid field convolved with a kernel
+of response ``sinc^4``; a Fourier-domain division by that response (with a
+smooth low-pass guard below the voxel Nyquist rate) removes the blur.  For
+smooth, grid-resolved fields this is accurate to well below the quadrature
+bias of sample-the-plane schemes, because the only remaining errors are
+spectral truncation and aliasing, both controlled by the sampling margins.
+
+The division is a circulant operator on each refined detector axis, and only
+every ``SPLAT_REFINE``-th output sample is kept, so each axis's deconvolution
+is one small real matrix: the kept rows of ``ifft(lowpass / sinc^4 * fft)``,
+of shape (n, SPLAT_REFINE * (n - 1) + 1).  Directions are projected in chunks
+sized by ``SPLAT_CHUNK_BYTES``; each chunk is splatted and at once multiplied
+by the matrices (``blk @ D_t.T`` for planes, ``D_u @ blk @ D_v.T`` for
+lines), so the refined grid never exists for more than one chunk.  Taps that
+fall off the detector land in guard cells that the matrices ignore.
 
 ``sample_plane_sinogram`` and ``sample_line_sinogram`` evaluate a sinogram at
 arbitrary (direction, offset) queries by reducing the direction to the chart
@@ -33,8 +42,9 @@ antipodal bookkeeping lives in exactly one place.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy import ndimage
@@ -56,9 +66,13 @@ CUTOFF_FRACTION = 0.9
 # The low-pass rolls off smoothly (raised cosine) over this fraction of the
 # cutoff to avoid ringing for fields with slow spectral decay.
 ROLLOFF_FRACTION = 0.15
-# Directions handled per vectorized pass in projectors/backprojectors; bounds
-# the transient memory at n_chunk * N^3 doubles.
-DIRECTION_CHUNK = 16
+# Scratch budget of the projectors' direction chunks: a chunk holds as many
+# directions as fit one float64 per active voxel and per accumulator cell
+# within this many bytes (at least one); about twenty arrays of the per-voxel
+# size are live while a line chunk is splatted.  Small chunks run faster
+# because those arrays stay in cache: at N=48 (17k active voxels) chunks of
+# one direction beat chunks of four by ~15% and chunks of sixteen by ~2x.
+SPLAT_CHUNK_BYTES = 256 << 10
 # Internal refinement of projector detector grids.  Splatted samples taken at
 # the output rate alias voxel-lattice harmonics (at radii |m| / voxel, where
 # the projected comb carries O(1) energy for directions nearly aligned with a
@@ -68,6 +82,9 @@ DIRECTION_CHUNK = 16
 # ~1e-5 for unit-bandwidth fields; a triangular kernel (sinc^2) at the output
 # rate would leave ~1e-2.
 SPLAT_REFINE = 3
+# Cells past each end of a refined detector axis that collect the cubic taps
+# falling off it (offsets -1..2 around a floor cell clamped to [-3, n + 1]).
+SPLAT_GUARD = 4
 # Voxels with |f| below this fraction of the field's maximum are skipped by
 # the projectors; the dropped mass is below double rounding noise.
 PROJECTOR_DROP = 1e-16
@@ -87,8 +104,8 @@ class PlaneGeometry:
             raise GeometryMismatch("need at least 2 samples per direction axis")
         if self.n_t < 3:
             raise GeometryMismatch("need at least 3 offset samples")
-        if self.t_max <= 0.0:
-            raise GeometryMismatch("t_max must be positive")
+        if not (np.isfinite(self.t_max) and self.t_max > 0.0):
+            raise GeometryMismatch("t_max must be positive and finite")
 
     @property
     def dtheta(self) -> float:
@@ -143,8 +160,8 @@ class LineGeometry:
             raise GeometryMismatch("need at least 2 samples per direction axis")
         if self.n_u < 2 or self.n_v < 2:
             raise GeometryMismatch("need at least 2 detector samples per axis")
-        if self.u_max <= 0.0:
-            raise GeometryMismatch("u_max must be positive")
+        if not (np.isfinite(self.u_max) and self.u_max > 0.0):
+            raise GeometryMismatch("u_max must be positive and finite")
 
     @property
     def dtheta(self) -> float:
@@ -253,17 +270,24 @@ def _lowpass(freq_abs: np.ndarray, cutoff: float) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * ramp))
 
 
-def _deconvolve_axis(
-    profiles: np.ndarray, step: float, cutoff: float, axis: int
-) -> np.ndarray:
-    """Divide out one axis of cubic-spline splat blur below the cutoff band."""
-    n = profiles.shape[axis]
-    freq = np.fft.fftfreq(n, step)
-    kernel = np.sinc(freq * step) ** 4
-    shape = [1] * profiles.ndim
-    shape[axis] = n
-    factor = (_lowpass(np.abs(freq), cutoff) / kernel).reshape(shape)
-    return np.fft.ifft(np.fft.fft(profiles, axis=axis) * factor, axis=axis).real
+def _deconvolution_matrix(n_out: int, step: float, cutoff: float) -> np.ndarray:
+    """Deconvolve one refined detector axis and keep every ``SPLAT_REFINE``-th sample.
+
+    On the ``n_f = SPLAT_REFINE * (n_out - 1) + 1`` refined samples of spacing
+    ``step`` the deconvolution is the circulant ``ifft(lowpass / sinc^4 *
+    fft)``; the result holds its rows ``[::SPLAT_REFINE]``, padded with
+    ``SPLAT_GUARD`` zero columns on each side, which drop the taps that fell
+    off the detector.
+    """
+    n_f = SPLAT_REFINE * (n_out - 1) + 1
+    freq = np.fft.fftfreq(n_f, step)
+    kernel = np.fft.ifft(_lowpass(np.abs(freq), cutoff) / np.sinc(freq * step) ** 4).real
+    rows = SPLAT_REFINE * np.arange(n_out)
+    out = np.zeros((n_out, n_f + 2 * SPLAT_GUARD))
+    out[:, SPLAT_GUARD : SPLAT_GUARD + n_f] = kernel[
+        (rows[:, None] - np.arange(n_f)[None, :]) % n_f
+    ]
+    return out
 
 
 def _cubic_taps(w: np.ndarray):
@@ -273,11 +297,13 @@ def _cubic_taps(w: np.ndarray):
     realize has Fourier response ``sinc^4``.
     """
     w2 = w * w
-    w3 = w2 * w
-    yield -1, (1.0 - 3.0 * w + 3.0 * w2 - w3) / 6.0
-    yield 0, (4.0 - 6.0 * w2 + 3.0 * w3) / 6.0
-    yield 1, (1.0 + 3.0 * w + 3.0 * w2 - 3.0 * w3) / 6.0
-    yield 2, w3 / 6.0
+    t3 = w2 * w / 6.0
+    t0 = 0.5 * (w2 - w) + (1.0 / 6.0 - t3)  # (1 - w)^3 / 6
+    t1 = (2.0 / 3.0 - w2) + 3.0 * t3  # (4 - 6 w^2 + 3 w^3) / 6
+    yield -1, t0
+    yield 0, t1
+    yield 1, 1.0 - t0 - t1 - t3  # the four taps sum to 1
+    yield 2, t3
 
 
 def _active_voxels(v: Volume) -> tuple[np.ndarray, np.ndarray]:
@@ -290,90 +316,102 @@ def _active_voxels(v: Volume) -> tuple[np.ndarray, np.ndarray]:
     return v.coordinate_grid().reshape(-1, 3)[mask], f[mask]
 
 
+def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np.ndarray:
+    """Deposit ``f`` with cubic B-spline taps on per-direction detector grids.
+
+    ``positions[a]`` has shape (n_points, n_directions) and holds each point's
+    position along detector axis ``a`` in cells of a grid of ``lengths[a]``
+    samples.  Returns shape (n_directions, *(n + 2 * SPLAT_GUARD for n in
+    lengths)): the grid with ``SPLAT_GUARD`` cells on each side that collect
+    the taps falling off it.  The flat index of each point's lowest tap is
+    computed once, and every tap combination is a constant offset from it.
+    """
+    m = positions[0].shape[1]
+    shape = [n + 2 * SPLAT_GUARD for n in lengths]
+    strides = [int(np.prod(shape[a + 1 :])) for a in range(len(shape))]
+    size = m * int(np.prod(shape))
+    k = np.arange(m)[None, :] * (size // m)
+    taps = []
+    for pos, n, stride in zip(positions, lengths, strides):
+        cell = np.floor(pos)
+        taps.append([((off + 1) * stride, tap) for off, tap in _cubic_taps(pos - cell)])
+        # A point whose floor cell lies outside [-3, n + 1] deposits only off
+        # the grid; moving it to that range keeps its taps off the grid and
+        # inside the guard.
+        k = k + (np.clip(cell, -3, n + 1).astype(np.int64) + SPLAT_GUARD - 1) * stride
+    # The value rides on the last axis's taps, so each combination costs one
+    # product in 2-D and none in 1-D.
+    taps[-1] = [(off, f[:, None] * tap) for off, tap in taps[-1]]
+    k = k.ravel()
+    acc = np.zeros(size)
+    for combo in itertools.product(*taps):
+        off = sum(o for o, _ in combo)
+        weight = reduce(np.multiply, (tap for _, tap in combo))
+        np.add.at(acc[off:], k, weight.ravel())
+    return acc.reshape(m, *shape)
+
+
+def _project(
+    v: Volume, axes: list[tuple[np.ndarray, float, float, int]]
+) -> np.ndarray:
+    """Splat-and-deconvolve projection shared by the plane and line transforms.
+
+    Each detector axis is ``(directions, origin, step, n)``: ``directions``
+    holds one unit vector per direction, shape (n_dir, 3), and the detector
+    samples along that axis sit at ``origin + k * step`` for ``k < n``.
+    Returns shape (n_dir, n_0[, n_1]).
+    """
+    pts, f = _active_voxels(v)
+    lengths = [SPLAT_REFINE * (n - 1) + 1 for *_, n in axes]
+    mats = [
+        _deconvolution_matrix(
+            n, step / SPLAT_REFINE, CUTOFF_FRACTION * min(0.5 / v.spacing, 0.5 / step)
+        )
+        for _, _, step, n in axes
+    ]
+    mats[0] *= v.spacing**3 / np.prod([step / SPLAT_REFINE for _, _, step, _ in axes])
+
+    n_dir = axes[0][0].shape[0]
+    out = np.empty((n_dir, *(n for *_, n in axes)))
+    cells = int(np.prod([n + 2 * SPLAT_GUARD for n in lengths]))
+    chunk = max(1, SPLAT_CHUNK_BYTES // (8 * (len(f) + cells)))
+    for c0 in range(0, n_dir, chunk):
+        positions = [
+            (pts @ dirs[c0 : c0 + chunk].T - origin) / (step / SPLAT_REFINE)
+            for dirs, origin, step, _ in axes
+        ]
+        block = _splat(f, positions, lengths) @ mats[-1].T
+        if len(mats) == 2:
+            block = mats[0] @ block
+        out[c0 : c0 + chunk] = block
+    return out
+
+
 def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
     """Plane-integral transform of a volume.
 
     Raises :class:`GeometryMismatch` when the offset range cannot cover the
     field's support.
     """
-    _check_reach(v, geometry.t_max, "offset grid")
-    pts, f = _active_voxels(v)
-    normals = geometry.normals.reshape(-1, 3)
-    n_dir, n_t = normals.shape[0], geometry.n_t
-    n_f = SPLAT_REFINE * (n_t - 1) + 1
-    dt_f = geometry.dt / SPLAT_REFINE
-    t0 = -geometry.t_max
-    n_bins = n_f + 4  # two discard cells per side for clipped out-of-range taps
-
-    out = np.empty((n_dir, n_f))
-    for c0 in range(0, n_dir, DIRECTION_CHUNK):
-        nn = normals[c0 : c0 + DIRECTION_CHUNK]
-        m = nn.shape[0]
-        pos = (pts @ nn.T - t0) / dt_f
-        k0 = np.floor(pos).astype(np.int64)
-        frac = pos - k0
-        base = np.arange(m)[None, :] * n_bins
-        acc = np.zeros(m * n_bins)
-        for offset, tap in _cubic_taps(frac):
-            idx = base + np.clip(k0 + offset, -2, n_f + 1) + 2
-            acc += np.bincount(idx.ravel(), (f[:, None] * tap).ravel(), minlength=m * n_bins)
-        out[c0 : c0 + m] = acc.reshape(m, n_bins)[:, 2 : 2 + n_f]
-
-    out *= v.spacing**3 / dt_f
-    cutoff = CUTOFF_FRACTION * min(0.5 / v.spacing, 0.5 / geometry.dt)
-    out = _deconvolve_axis(out, dt_f, cutoff, axis=-1)
-    out = out[:, :: SPLAT_REFINE]
-    return PlaneSinogram(out.reshape(geometry.n_theta, geometry.n_phi, n_t), geometry)
+    g = geometry
+    _check_reach(v, g.t_max, "offset grid")
+    out = _project(v, [(g.normals.reshape(-1, 3), -g.t_max, g.dt, g.n_t)])
+    return PlaneSinogram(out.reshape(g.n_theta, g.n_phi, g.n_t), g)
 
 
 def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
     """Line-integral (X-ray) transform of a volume."""
-    _check_reach(v, geometry.u_max, "detector grid")
-    pts, f = _active_voxels(v)
-    frames = geometry.frames.reshape(-1, 3, 3)
-    n_dir = frames.shape[0]
-    n_u, n_v = geometry.n_u, geometry.n_v
-    n_uf = SPLAT_REFINE * (n_u - 1) + 1
-    n_vf = SPLAT_REFINE * (n_v - 1) + 1
-    du_f = geometry.du / SPLAT_REFINE
-    dv_f = geometry.dv / SPLAT_REFINE
-    u0, v0 = geometry.us[0], geometry.vs[0]
-    bu, bv = n_uf + 4, n_vf + 4
-
-    out = np.empty((n_dir, n_uf, n_vf))
-    for c0 in range(0, n_dir, DIRECTION_CHUNK):
-        fr = frames[c0 : c0 + DIRECTION_CHUNK]
-        m = fr.shape[0]
-        pu = (pts @ fr[:, :, 0].T - u0) / du_f
-        pv = (pts @ fr[:, :, 1].T - v0) / dv_f
-        iu = np.floor(pu).astype(np.int64)
-        iv = np.floor(pv).astype(np.int64)
-        base = np.arange(m)[None, :] * (bu * bv)
-        acc = np.zeros(m * bu * bv)
-        u_taps = [
-            (base + (np.clip(iu + off, -2, n_uf + 1) + 2) * bv, tap)
-            for off, tap in _cubic_taps(pu - iu)
-        ]
-        v_taps = [
-            (np.clip(iv + off, -2, n_vf + 1) + 2, f[:, None] * tap)
-            for off, tap in _cubic_taps(pv - iv)
-        ]
-        for row_idx, tap_u in u_taps:
-            for col_idx, f_tap_v in v_taps:
-                acc += np.bincount(
-                    (row_idx + col_idx).ravel(),
-                    (tap_u * f_tap_v).ravel(),
-                    minlength=m * bu * bv,
-                )
-        out[c0 : c0 + m] = acc.reshape(m, bu, bv)[:, 2 : 2 + n_uf, 2 : 2 + n_vf]
-
-    out *= v.spacing**3 / (du_f * dv_f)
-    cut_u = CUTOFF_FRACTION * min(0.5 / v.spacing, 0.5 / geometry.du)
-    cut_v = CUTOFF_FRACTION * min(0.5 / v.spacing, 0.5 / geometry.dv)
-    out = _deconvolve_axis(out, du_f, cut_u, axis=-2)
-    out = _deconvolve_axis(out, dv_f, cut_v, axis=-1)
-    out = out[:, :: SPLAT_REFINE, :: SPLAT_REFINE]
-    return LineSinogram(out.reshape(geometry.n_theta, geometry.n_phi, n_u, n_v), geometry)
+    g = geometry
+    _check_reach(v, g.u_max, "detector grid")
+    frames = g.frames.reshape(-1, 3, 3)
+    out = _project(
+        v,
+        [
+            (frames[:, :, 0], g.us[0], g.du, g.n_u),
+            (frames[:, :, 1], g.vs[0], g.dv, g.n_v),
+        ],
+    )
+    return LineSinogram(out.reshape(g.n_theta, g.n_phi, g.n_u, g.n_v), g)
 
 
 def plane_integral(v: Volume, label: PlaneLabel, step: float | None = None) -> float:

@@ -52,6 +52,17 @@ def test_volume_validation():
         Volume(np.zeros((4, 4)), 0.1)
     with pytest.raises(ValueError):
         Volume(np.zeros((4, 4, 4)), -0.1)
+    nan_voxel = np.zeros((4, 4, 4))
+    nan_voxel[2, 2, 2] = np.nan
+    for bad in (
+        lambda: Volume(nan_voxel, 0.1),
+        lambda: Volume(np.full((4, 4, 4), np.inf), 0.1),
+        lambda: Volume(np.zeros((4, 4, 4)), np.nan),
+        lambda: Volume(np.zeros((4, 4, 4)), np.inf),
+        lambda: Volume(np.zeros((4, 4, 4)), 0.1, origin=[0.0, np.nan, 0.0]),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_volume_centering_puts_middle_index_at_origin():

@@ -308,6 +308,20 @@ def test_cli_missing_input_reports_bare_name(workdir, capsys):
     assert capsys.readouterr().err.strip() == "FileNotFound"
 
 
+def test_cli_radon_rejects_non_finite_volume(workdir, vol_path, capsys):
+    # One NaN voxel in the payload: the reader must refuse the field rather
+    # than project it to an all-zero sinogram.
+    bad = workdir / "nan.svol"
+    raw = bytearray(vol_path.read_bytes())
+    raw[VOL_HEADER_BYTES : VOL_HEADER_BYTES + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    bad.write_bytes(bytes(raw))
+    out = workdir / "nan.sgm"
+    rc = cli.main(["radon", "--in", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "ValueError\n"
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_2(workdir, vol_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

@@ -344,6 +344,26 @@ def test_run_all_volume_override_surfaces_reach_errors():
     assert all(np.isinf(e.residual) and not e.passed for e in report.entries)
 
 
+def test_run_all_reports_phantom_and_reference_failures():
+    # At n=40 the built-in mixture does not fit the h=0.15 grid
+    # (SupportOverflow), and an oversized override cannot be projected for
+    # the intertwining reference (GeometryMismatch); both must come back as
+    # failed entries, not as exceptions.
+    report = run_all(VerifyConfig(n=40, checks=("fiber",)))
+    assert [e.name for e in report.entries] == ["fiber_constancy_error"]
+    assert "SupportOverflow" in report.entries[0].context
+    config = VerifyConfig(
+        n=32, spacing=0.3, n_theta=16, n_phi=16, n_t=65, t_max=4.0,
+        n_u=40, u_max=4.0, checks=("intertwining",),
+    )
+    report = run_all(config, volume=gaussian_phantom(32, 0.3, scale=1.2))
+    names = [e.name for e in report.entries]
+    assert len(names) == 2 * len(standard_intertwining_sweep())
+    assert all(name.startswith("intertwining_") and name.endswith("_error") for name in names)
+    assert all("GeometryMismatch" in e.context for e in report.entries)
+    assert all(np.isinf(e.residual) and not e.passed for e in report.entries)
+
+
 def test_run_all_volume_override_feeds_checks():
     config = VerifyConfig(
         n=32, spacing=0.3, n_theta=16, n_phi=16, n_t=65, t_max=4.8,
