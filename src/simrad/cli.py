@@ -20,6 +20,7 @@ through the environment before numpy first loads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -71,8 +72,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 

@@ -18,7 +18,10 @@ Three independent paths recover a volume from its plane or line sinogram:
   scale character is the volume pairing with one lattice atom.  Coefficients
   against all translates of one (rotation, scale) node are a per-direction
   correlation, so they are evaluated with one FFT per direction grid instead
-  of one sinogram resampling per lattice node.  The lattice is not a tight
+  of one sinogram resampling per lattice node.  The template spectrum is
+  dilated once per scale, and one fixed sparse matrix reads every shift off
+  the correlations, so per (rotation, scale) node only a four-corner chart
+  gather, a product and the inverse FFTs remain.  The lattice is not a tight
   frame, so the volume is recovered as the least-squares fit to its
   coefficients, by conjugate gradients on FFT convolutions with the atoms.
 
@@ -33,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from .errors import InsufficientCoverage, LatticeTooCoarse
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
@@ -42,6 +45,7 @@ from .group import CharacterSet, GroupElement, icosahedral_rotations
 from .xform import (
     LineSinogram,
     PlaneSinogram,
+    _chart_stencil,
     backproject_plane,
     radon_plane,
     sample_line_images,
@@ -435,41 +439,42 @@ class WaveletMetrics:
         return self.coefficient_energy / self.reconstruction_norm**2
 
 
-def _direction_index_grids(shape: tuple[int, ...], ndim: int):
-    ii = np.arange(shape[0]).reshape((shape[0],) + (1,) * (ndim - 1))
-    jj = np.arange(shape[1]).reshape((1, shape[1]) + (1,) * (ndim - 2))
-    return ii, jj
+def _interp_matrix(
+    positions: list[np.ndarray],
+    shape: tuple[int, ...],
+    periodic: bool,
+    block_weights: np.ndarray | float = 1.0,
+) -> sparse.csr_matrix:
+    """Multilinear interpolation on ``n_blocks`` stacked grids of ``shape``.
 
-
-def _interp_periodic_profiles(profiles: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Linear interp along the last axis with periodic wrap; pos in index units."""
-    n = profiles.shape[-1]
-    k0 = np.floor(pos).astype(np.int64)
-    w = pos - k0
-    ii, jj = _direction_index_grids(profiles.shape, pos.ndim)
-    v0 = profiles[ii, jj, np.mod(k0, n)]
-    v1 = profiles[ii, jj, np.mod(k0 + 1, n)]
-    return v0 * (1.0 - w) + v1 * w
-
-
-def _interp_periodic_images(
-    images: np.ndarray, pu: np.ndarray, pv: np.ndarray
-) -> np.ndarray:
-    """Bilinear interp in the detector axes with periodic wrap."""
-    n_u, n_v = images.shape[-2], images.shape[-1]
-    iu = np.floor(pu).astype(np.int64)
-    iv = np.floor(pv).astype(np.int64)
-    wu, wv = pu - iu, pv - iv
-    ii, jj = _direction_index_grids(images.shape, pu.ndim)
-    acc = np.zeros(pu.shape, dtype=images.dtype)
-    for su, sv, w in (
-        (0, 0, (1 - wu) * (1 - wv)),
-        (1, 0, wu * (1 - wv)),
-        (0, 1, (1 - wu) * wv),
-        (1, 1, wu * wv),
-    ):
-        acc = acc + w * images[ii, jj, np.mod(iu + su, n_u), np.mod(iv + sv, n_v)]
-    return acc
+    ``positions[k]`` (n_out, n_blocks) is where, in index units of grid axis
+    ``k``, output ``r`` reads block ``j``; output ``r`` sums the readings
+    times ``block_weights[j]``.  Indices wrap when ``periodic``, otherwise
+    off-grid corners weigh zero.  Assembled in CSR order with int32 indices,
+    so the transient index arrays stay small.
+    """
+    n_out, n_blocks = positions[0].shape
+    size = int(np.prod(shape))
+    strides = [int(np.prod(shape[k + 1 :])) for k in range(len(shape))]
+    corners = [(np.arange(n_blocks, dtype=np.int32) * size, block_weights)]
+    for pos, n, stride in zip(positions, shape, strides):
+        k0 = np.floor(pos).astype(np.int64)
+        w = pos - k0
+        taps = []
+        for k, wk in ((k0, 1.0 - w), (k0 + 1, w)):
+            if periodic:
+                k = np.mod(k, n)
+            else:
+                wk = np.where((k >= 0) & (k < n), wk, 0.0)
+                k = np.clip(k, 0, n - 1)
+            taps.append(((k * stride).astype(np.int32), wk))
+        corners = [(col + k, val * wk) for col, val in corners for k, wk in taps]
+    cols = np.stack([col for col, _ in corners], axis=-1)
+    vals = np.stack([val for _, val in corners], axis=-1)
+    indptr = np.arange(n_out + 1, dtype=np.int32) * (n_blocks * len(corners))
+    return sparse.csr_matrix(
+        (vals.ravel(), cols.ravel(), indptr), shape=(n_out, n_blocks * size)
+    )
 
 
 def _plane_coefficients(
@@ -480,38 +485,64 @@ def _plane_coefficients(
     For fixed rotation and scale the coefficient is a correlation along the
     offset axis, so all shifts are read off one inverse FFT per direction:
     the per-direction product of the data spectrum with the conjugated,
-    dilated template spectrum, evaluated at offset ``n . b``.
+    dilated template spectrum, evaluated at offset ``n . b``.  Work that does
+    not depend on both rotation and scale is done once: the dilation reads
+    the same points of every profile (one sparse matrix per scale and chart
+    sign), the chart stencil of the rotated normals depends on the rotation
+    alone (one sparse gather per rotation), and sampling at ``n . b`` with
+    the direction quadrature is one fixed sparse matrix.
     """
     geom = s.geometry
+    n_dir = geom.n_theta * geom.n_phi
     shat, dtau, t0 = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
     psihat, _, _ = _padded_t_spectra(template, PLANE_CORRELATION_PAD)
     n_pad = shat.shape[-1]
-    taus = (np.arange(n_pad) - n_pad // 2) * dtau
-    phase0 = np.exp(2j * np.pi * taus * t0)
-    m_dir = geom.direction_weights
-    shifts = lattice.shifts
-    proj = geom.normals.reshape(-1, 3) @ shifts.T  # (n_dir, n_b)
-    proj = proj.reshape(geom.n_theta, geom.n_phi, -1)
-    pos = (proj - t0) / geom.dt
-    out = np.empty((len(lattice.scales), len(lattice.rotations), len(shifts)))
-    for ir, R in enumerate(lattice.rotations):
-        dirs = (geom.normals @ R)[:, :, None, :]
-        for ia, a in enumerate(lattice.scales):
-            temp_spec = sample_plane_profiles(
-                psihat, geom.n_theta, geom.n_phi, dirs, a * taus[None, None, :],
-                taus[0], dtau,
+    # frequencies in FFT order, so no correlation needs a shift of its own
+    taus = np.fft.ifftshift((np.arange(n_pad) - n_pad // 2) * dtau)
+    tau0 = -(n_pad // 2) * dtau
+    shat = np.fft.ifftshift(shat, axes=-1) * np.exp(2j * np.pi * taus * t0)
+    shat = shat.reshape(n_dir, n_pad)
+    psihat_conj = np.conj(psihat.reshape(n_dir, n_pad)).T  # dilated from the left
+    proj = lattice.shifts @ geom.normals.reshape(-1, 3).T  # (n_b, n_dir)
+    sample = _interp_matrix(
+        [(proj - t0) / geom.dt], (n_pad,), True, geom.direction_weights.ravel() / geom.dt
+    )
+    # per rotation, (n_dir, 2 n_dir): each rotated normal's four chart corners,
+    # reading row k (sign -1, the stored normal is the antipode) or n_dir + k
+    stencils = []
+    for R in lattice.rotations:
+        corners = _chart_stencil(geom.normals @ R, geom.n_theta, geom.n_phi)
+        cols = np.stack(
+            [(sign > 0) * n_dir + ii * geom.n_phi + jj for ii, jj, sign, _ in corners], axis=-1
+        )
+        vals = np.stack([w for *_, w in corners], axis=-1)
+        stencils.append(
+            sparse.csr_matrix(
+                (vals.ravel(), cols.ravel(), 4 * np.arange(n_dir + 1)), shape=(n_dir, 2 * n_dir)
             )
-            prod = shat * np.conj(temp_spec) * phase0
-            corr = np.fft.ifft(np.fft.ifftshift(prod, axes=-1), axis=-1) / geom.dt
-            vals = _interp_periodic_profiles(corr.real, pos)
-            out[ia, ir] = np.sqrt(a) * np.tensordot(m_dir, vals, axes=([0, 1], [0, 1]))
+        )
+    out = np.empty((len(lattice.scales), len(lattice.rotations), len(proj)))
+    for ia, a in enumerate(lattice.scales):
+        pos = (np.concatenate([-(a * taus), a * taus]) - tau0) / dtau  # signs -1, +1
+        dilated = _interp_matrix([pos[:, None]], (n_pad,), False) @ psihat_conj
+        # as (2 n_dir, 2 n_pad) reals: the stencils' real weights act on the
+        # real and imaginary parts alike
+        dilated = dilated.reshape(2, n_pad, n_dir).transpose(0, 2, 1)
+        dilated = np.ascontiguousarray(dilated).reshape(2 * n_dir, n_pad).view(float)
+        for ir, stencil in enumerate(stencils):
+            corr = np.fft.ifft(shat * (stencil @ dilated).view(complex), axis=-1)
+            out[ia, ir] = np.sqrt(a) * (sample @ corr.real.ravel())
     return out
 
 
 def _line_coefficients(
     s: LineSinogram, template: LineSinogram, lattice: GroupLattice
 ) -> np.ndarray:
-    """Frame coefficients for line data; 2-D analog of the plane path."""
+    """Frame coefficients for line data; 2-D analog of the plane path.
+
+    The dilated template is resampled per node, because each stencil corner
+    reads it in its own detector frame; the shift sampling is one matrix.
+    """
     geom = s.geometry
     shat, dnu, dnv, u0, v0 = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
     psihat, _, _, _, _ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
@@ -519,17 +550,21 @@ def _line_coefficients(
     nu_u = (np.arange(nu_pad) - nu_pad // 2) * dnu
     nu_v = (np.arange(nv_pad) - nv_pad // 2) * dnv
     phase0 = np.exp(2j * np.pi * nu_u * u0)[:, None] * np.exp(2j * np.pi * nu_v * v0)
-    # The line-space inner product carries a 1/pi direction factor (see
-    # sinogram_inner); the coefficients must use the same measure or the
-    # synthesis comes out a factor of pi too large.
-    m_dir = geom.direction_weights / np.pi
     e1 = geom.frames[:, :, :, 0]
     e2 = geom.frames[:, :, :, 1]
     shifts = lattice.shifts
-    pu = (e1.reshape(-1, 3) @ shifts.T).reshape(geom.n_theta, geom.n_phi, -1)
-    pv = (e2.reshape(-1, 3) @ shifts.T).reshape(geom.n_theta, geom.n_phi, -1)
-    pos_u = (pu - u0) / geom.du
-    pos_v = (pv - v0) / geom.dv
+    # The line-space inner product carries a 1/pi direction factor (see
+    # sinogram_inner); the coefficients must use the same measure or the
+    # synthesis comes out a factor of pi too large.
+    sample = _interp_matrix(
+        [
+            (shifts @ e1.reshape(-1, 3).T - u0) / geom.du,
+            (shifts @ e2.reshape(-1, 3).T - v0) / geom.dv,
+        ],
+        (nu_pad, nv_pad),
+        True,
+        geom.direction_weights.ravel() / np.pi,
+    )
     out = np.empty((len(lattice.scales), len(lattice.rotations), len(shifts)))
     for ir, R in enumerate(lattice.rotations):
         dirs = (geom.normals @ R)[:, :, None, None, :]
@@ -548,11 +583,8 @@ def _line_coefficients(
                 np.fft.ifft2(np.fft.ifftshift(prod, axes=(-2, -1)), axes=(-2, -1))
                 / (geom.du * geom.dv)
             )
-            vals = _interp_periodic_images(corr.real, pos_u, pos_v)
-            out[ia, ir] = a * np.tensordot(m_dir, vals, axes=([0, 1], [0, 1]))
+            out[ia, ir] = a * (sample @ corr.real.ravel())
     return out
-
-
 
 
 class _LatticeFrame:

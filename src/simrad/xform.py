@@ -36,8 +36,9 @@ arbitrary (direction, offset) queries by reducing the direction to the chart
 and interpolating bilinearly across the gluing: interpolation cells that stick
 out of the chart square wrap to the matching rows/columns on the far side,
 flipping the signed plane offset whenever the represented normal flips sign.
-All spectral and backprojection code funnels through these samplers, so the
-antipodal bookkeeping lives in exactly one place.
+All spectral and backprojection code funnels through these samplers or the
+stencil they share (``_chart_stencil``, which the wavelet coefficients read
+directly), so the antipodal bookkeeping lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ class PlaneSinogram:
                 f"sinogram shape {self.data.shape} does not match geometry "
                 f"({g.n_theta}, {g.n_phi}, {g.n_t})"
             )
+        if not np.isfinite(self.data).all():
+            raise ValueError("sinogram data must be finite")
 
 
 @dataclass
@@ -248,6 +251,8 @@ class LineSinogram:
                 f"sinogram shape {self.data.shape} does not match geometry "
                 f"({g.n_theta}, {g.n_phi}, {g.n_u}, {g.n_v})"
             )
+        if not np.isfinite(self.data).all():
+            raise ValueError("sinogram data must be finite")
 
 
 def _required_radius(v: Volume) -> float:
@@ -463,29 +468,24 @@ def _planar_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def _chart_corners(
-    theta: np.ndarray,
-    phi: np.ndarray,
-    n_theta: int,
-    n_phi: int,
-    dtheta: float,
-    dphi: float,
-):
-    """Bilinear stencil on the glued chart grid.
+def _chart_stencil(directions: np.ndarray, n_theta: int, n_phi: int) -> list[tuple]:
+    """Bilinear stencil of (..., 3) direction queries on the glued chart grid.
 
-    Yields four corners as ``(col, row, sign, weight)`` arrays.  Cells that
-    stick out of the chart square wrap according to the antipodal gluing:
-    crossing an azimuth edge reflects the polar row and flips the represented
-    normal; crossing a polar edge (through a pole) keeps the column but flips
-    the normal.  ``sign`` is +1 where the stored normal equals the queried
-    cover direction and -1 where it is the antipode.
+    Returns four corners as ``(row, col, sign, weight)`` arrays of the
+    queries' shape.  Cells that stick out of the chart square wrap according
+    to the antipodal gluing: crossing an azimuth edge reflects the polar row
+    and flips the represented normal; crossing a polar edge (through a pole)
+    keeps the column but flips the normal.  ``sign`` is +1 where the stored
+    normal equals the queried direction and -1 where it is the antipode.
     """
-    ci = theta / dtheta - 0.5
-    cj = phi / dphi - 0.5
+    theta, phi, query_sign = canonicalize_directions(directions)
+    ci = theta / (np.pi / n_theta) - 0.5
+    cj = phi / (np.pi / n_phi) - 0.5
     i0 = np.floor(ci).astype(np.int64)
     j0 = np.floor(cj).astype(np.int64)
     wi = ci - i0
     wj = cj - j0
+    corners = []
     for di, dj, w in (
         (0, 0, (1 - wi) * (1 - wj)),
         (1, 0, wi * (1 - wj)),
@@ -494,7 +494,7 @@ def _chart_corners(
     ):
         ii = i0 + di
         jj = j0 + dj
-        sign = np.ones_like(wi)
+        sign = query_sign
         wrap_theta = (ii < 0) | (ii >= n_theta)
         jj = np.where(wrap_theta, n_phi - 1 - jj, jj)
         sign = np.where(wrap_theta, -sign, sign)
@@ -502,7 +502,8 @@ def _chart_corners(
         wrap_phi = (jj < 0) | (jj >= n_phi)
         sign = np.where(wrap_phi, -sign, sign)
         jj = np.mod(jj, n_phi)
-        yield ii, jj, sign, w
+        corners.append((ii, jj, sign, w))
+    return corners
 
 
 def _interp_profiles(
@@ -535,13 +536,9 @@ def sample_plane_profiles(
     Queries are (direction, signed radial value) pairs; directions are reduced
     to the chart and the radial value flips sign together with the normal.
     """
-    dtheta = np.pi / n_theta
-    dphi = np.pi / n_phi
-    theta, phi, sign = canonicalize_directions(directions)
-    rq = sign * radial
-    acc = np.zeros(np.broadcast(theta, rq).shape, dtype=profiles.dtype)
-    for ii, jj, corner_sign, w in _chart_corners(theta, phi, n_theta, n_phi, dtheta, dphi):
-        pos = (corner_sign * rq - radial_origin) / radial_step
+    acc = 0.0
+    for ii, jj, sign, w in _chart_stencil(directions, n_theta, n_phi):
+        pos = (sign * radial - radial_origin) / radial_step
         acc = acc + w * _interp_profiles(profiles, ii, jj, pos)
     return acc
 
@@ -601,11 +598,10 @@ def sample_line_images(
     insensitive to the normal's sign, so no sign flips apply.
     """
     g = geometry
-    theta, phi, _ = canonicalize_directions(directions)
     vectors = np.asarray(vectors, dtype=float)
-    acc = np.zeros(theta.shape, dtype=images.dtype)
+    acc = 0.0
     frames = g.frames
-    for ii, jj, _sign, w in _chart_corners(theta, phi, g.n_theta, g.n_phi, g.dtheta, g.dphi):
+    for ii, jj, _sign, w in _chart_stencil(directions, g.n_theta, g.n_phi):
         e1 = frames[ii, jj, :, 0]
         e2 = frames[ii, jj, :, 1]
         pu = (np.sum(vectors * e1, axis=-1) - u_origin) / du
@@ -632,16 +628,15 @@ def sample_line_sinogram(
 def backproject_plane(s: PlaneSinogram, n: int, spacing: float) -> Volume:
     """Adjoint-style sum over directions: ``integral of F(n, n . x) dn`` (half-sphere)."""
     g = s.geometry
-    out = Volume(np.zeros((n, n, n)), spacing)
-    pts = out.coordinate_grid().reshape(-1, 3)
+    grid = Volume(np.zeros((n, n, n)), spacing)
+    pts = grid.coordinate_grid().reshape(-1, 3)
     acc = np.zeros(pts.shape[0])
     weights = g.direction_weights
     for i in range(g.n_theta):
         block = pts @ g.normals[i].T  # (npts, n_phi)
         for j in range(g.n_phi):
             acc += weights[i, j] * np.interp(block[:, j], g.ts, s.data[i, j], left=0.0, right=0.0)
-    out.data = acc.reshape(n, n, n)
-    return out
+    return Volume(acc.reshape(n, n, n), spacing)
 
 
 def backproject_line(s: LineSinogram, n: int, spacing: float) -> Volume:
@@ -767,35 +762,6 @@ def fourier_slice_line(
         + e2[:, :, None, None, :] * nu_v[None, None, None, :, None]
     )
     return _sample_spectrum3(spec, freqs)
-
-
-def dual_transform_spectrum(s: PlaneSinogram, n: int, spacing: float) -> Spectrum3D:
-    """Spectrum of the dual (backprojection-type) operator applied to a sinogram.
-
-    In the frequency domain the dual operator fills each frequency ``w`` with
-    ``|w|^-2`` times the sum of the sinogram's radial spectrum over the two
-    antipodal representatives of ``w``; since the chart stores the even part
-    once, this is twice the chart sample.  The zero-frequency voxel is set to
-    0 (the dual of a compact sinogram has a ``|w|^-2`` singularity there).
-    """
-    g = s.geometry
-    spec_t = sinogram_t_spectra(s)
-    out = Volume(np.zeros((n, n, n)), spacing)
-    dfreq = 1.0 / (n * spacing)
-    axis = (np.arange(n) - n // 2) * dfreq
-    W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    mag = np.linalg.norm(W, axis=-1)
-    nonzero = mag > 0.0
-    dirs = np.where(nonzero[:, None], W, np.array([0.0, 0.0, 1.0]))
-    dirs = dirs / np.where(nonzero, mag, 1.0)[:, None]
-    dtau = 1.0 / (g.n_t * g.dt)
-    radial_origin = -(g.n_t // 2) * dtau
-    vals = sample_plane_profiles(
-        spec_t, g.n_theta, g.n_phi, dirs, mag, radial_origin, dtau
-    )
-    result = np.zeros(mag.shape, dtype=complex)
-    result[nonzero] = 2.0 * vals[nonzero] / mag[nonzero] ** 2
-    return Spectrum3D(result.reshape(n, n, n), dfreq, spacing, out.origin)
 
 
 # ---------------------------------------------------------------------------

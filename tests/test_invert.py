@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from simrad.grid import Volume, apply_pi, gaussian_phantom, l2_norm, log_wavelet
 from simrad.group import (
     CharacterSet,
     GroupElement,
+    canonicalize_directions,
     compose,
     icosahedral_rotations,
     random_rotation,
@@ -21,9 +23,13 @@ from simrad.group import (
 from simrad.invert import (
     FRAME_MAX_ITER,
     FRAME_RESIDUAL_TOL,
+    LINE_CORRELATION_PAD,
+    PLANE_CORRELATION_PAD,
     GroupLattice,
     _LatticeFrame,
     _line_coefficients,
+    _padded_t_spectra,
+    _padded_uv_spectra,
     _plane_coefficients,
     apply_pi_hat,
     apply_pi_hat_line,
@@ -36,6 +42,7 @@ from simrad.xform import (
     LineGeometry,
     PlaneGeometry,
     radon_plane,
+    sample_line_images,
     sinogram_inner,
     sinogram_norm,
     xray,
@@ -97,6 +104,13 @@ COEF_MATCH_PLANE_TOL = 2e-2
 COEF_MATCH_LINE_TOL = 8e-2
 # Relative comparisons of small coefficients bottom out at this floor.
 COEF_FLOOR = 0.1
+# The coefficient paths against the per-node resampling they replace: the
+# same interpolation weights, summed in another order (measured <= 5e-15).
+COEF_REFERENCE_TOL = 1e-12
+# tracemalloc peak of one plane coefficient call on the wavelet benchmark's
+# finest lattice (ladder level 2); measured 57 MiB, 65 MiB for the per-node
+# resampling it replaced.
+PLANE_COEF_PEAK_MIB = 80
 
 CENTER = np.array([0.4, -0.3, 0.2])
 PLANE16 = PlaneGeometry(16, 16, 65, 4.8)
@@ -147,6 +161,11 @@ def plane_sino_full(volume):
 @pytest.fixture(scope="module")
 def line_sino_full(volume):
     return xray(volume, LINE_FULL)
+
+
+@pytest.fixture(scope="module")
+def plane_template_full(psi):
+    return apply_multiplier(radon_plane(psi, PLANE_FULL), MultiplierSpec(2.0))
 
 
 @pytest.fixture(scope="module")
@@ -432,10 +451,10 @@ def test_wavelet_rejects_inadmissible_template(plane_sino_full, reference_lattic
 # ---------------------------------------------------------------------------
 
 
-def test_plane_coefficients_match_direct_pairing(plane_sino_full, psi):
+def test_plane_coefficients_match_direct_pairing(plane_sino_full, plane_template_full):
     ico = icosahedral_rotations()
     lattice = GroupLattice.build(0.9, 4, 0.8, 4.8, 4, rotations=[ico[3], ico[7]])
-    template = apply_multiplier(radon_plane(psi, PLANE_FULL), MultiplierSpec(2.0))
+    template = plane_template_full
     coefs = _plane_coefficients(plane_sino_full, template, lattice)
     for ia, ir, ib in [(0, 0, 0), (1, 0, 17), (2, 1, 40)]:
         g = GroupElement(lattice.shifts[ib], lattice.rotations[ir], float(lattice.scales[ia]))
@@ -458,3 +477,177 @@ def test_line_coefficients_match_direct_pairing(line_sino16, psi):
         direct = sinogram_inner(line_sino16, apply_pi_hat(g, template))
         tol = COEF_MATCH_LINE_TOL * max(abs(direct), COEF_FLOOR)
         assert abs(coefs[ia, ir, ib] - direct) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Coefficient paths against the per-node resampling they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_chart_corners(theta, phi, n_theta, n_phi):
+    ci = theta / (np.pi / n_theta) - 0.5
+    cj = phi / (np.pi / n_phi) - 0.5
+    i0 = np.floor(ci).astype(np.int64)
+    j0 = np.floor(cj).astype(np.int64)
+    wi = ci - i0
+    wj = cj - j0
+    for di, dj, w in (
+        (0, 0, (1 - wi) * (1 - wj)),
+        (1, 0, wi * (1 - wj)),
+        (0, 1, (1 - wi) * wj),
+        (1, 1, wi * wj),
+    ):
+        ii = i0 + di
+        jj = j0 + dj
+        sign = np.ones_like(wi)
+        wrap_theta = (ii < 0) | (ii >= n_theta)
+        jj = np.where(wrap_theta, n_phi - 1 - jj, jj)
+        sign = np.where(wrap_theta, -sign, sign)
+        ii = np.mod(ii, n_theta)
+        wrap_phi = (jj < 0) | (jj >= n_phi)
+        sign = np.where(wrap_phi, -sign, sign)
+        jj = np.mod(jj, n_phi)
+        yield ii, jj, sign, w
+
+
+def _reference_sample_plane_profiles(profiles, directions, radial, radial_origin, radial_step):
+    """Chart-aware radial sampling, one zero-padded linear lookup per corner."""
+    n_theta, n_phi, n = profiles.shape
+    theta, phi, sign = canonicalize_directions(directions)
+    rq = sign * radial
+    acc = np.zeros(np.broadcast(theta, rq).shape, dtype=profiles.dtype)
+    for ii, jj, corner_sign, w in _reference_chart_corners(theta, phi, n_theta, n_phi):
+        pos = (corner_sign * rq - radial_origin) / radial_step
+        k0 = np.floor(pos).astype(np.int64)
+        frac = pos - k0
+        v0 = np.where((k0 >= 0) & (k0 < n), profiles[ii, jj, np.clip(k0, 0, n - 1)], 0.0)
+        v1 = np.where((k0 + 1 >= 0) & (k0 + 1 < n), profiles[ii, jj, np.clip(k0 + 1, 0, n - 1)], 0.0)
+        acc = acc + w * (v0 * (1.0 - frac) + v1 * frac)
+    return acc
+
+
+def _direction_grids(shape, ndim):
+    ii = np.arange(shape[0]).reshape((shape[0],) + (1,) * (ndim - 1))
+    jj = np.arange(shape[1]).reshape((1, shape[1]) + (1,) * (ndim - 2))
+    return ii, jj
+
+
+def _reference_periodic_profiles(profiles, pos):
+    n = profiles.shape[-1]
+    k0 = np.floor(pos).astype(np.int64)
+    w = pos - k0
+    ii, jj = _direction_grids(profiles.shape, pos.ndim)
+    return profiles[ii, jj, np.mod(k0, n)] * (1.0 - w) + profiles[ii, jj, np.mod(k0 + 1, n)] * w
+
+
+def _reference_periodic_images(images, pu, pv):
+    n_u, n_v = images.shape[-2], images.shape[-1]
+    iu = np.floor(pu).astype(np.int64)
+    iv = np.floor(pv).astype(np.int64)
+    wu, wv = pu - iu, pv - iv
+    ii, jj = _direction_grids(images.shape, pu.ndim)
+    acc = np.zeros(pu.shape, dtype=images.dtype)
+    for su, sv, w in (
+        (0, 0, (1 - wu) * (1 - wv)),
+        (1, 0, wu * (1 - wv)),
+        (0, 1, (1 - wu) * wv),
+        (1, 1, wu * wv),
+    ):
+        acc = acc + w * images[ii, jj, np.mod(iu + su, n_u), np.mod(iv + sv, n_v)]
+    return acc
+
+
+def _reference_plane_coefficients(s, template, lattice):
+    """Per (rotation, scale) node: resample the dilated template spectrum, one
+    inverse FFT per direction, periodic linear lookup at ``n . b``."""
+    geom = s.geometry
+    shat, dtau, t0 = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
+    psihat, _, _ = _padded_t_spectra(template, PLANE_CORRELATION_PAD)
+    n_pad = shat.shape[-1]
+    taus = (np.arange(n_pad) - n_pad // 2) * dtau
+    phase0 = np.exp(2j * np.pi * taus * t0)
+    shifts = lattice.shifts
+    proj = (geom.normals.reshape(-1, 3) @ shifts.T).reshape(geom.n_theta, geom.n_phi, -1)
+    pos = (proj - t0) / geom.dt
+    out = np.empty((len(lattice.scales), len(lattice.rotations), len(shifts)))
+    for ir, R in enumerate(lattice.rotations):
+        dirs = (geom.normals @ R)[:, :, None, :]
+        for ia, a in enumerate(lattice.scales):
+            temp_spec = _reference_sample_plane_profiles(
+                psihat, dirs, a * taus[None, None, :], taus[0], dtau
+            )
+            prod = shat * np.conj(temp_spec) * phase0
+            corr = np.fft.ifft(np.fft.ifftshift(prod, axes=-1), axis=-1) / geom.dt
+            vals = _reference_periodic_profiles(corr.real, pos)
+            out[ia, ir] = np.sqrt(a) * np.tensordot(
+                geom.direction_weights, vals, axes=([0, 1], [0, 1])
+            )
+    return out
+
+
+def _reference_line_coefficients(s, template, lattice):
+    geom = s.geometry
+    shat, dnu, dnv, u0, v0 = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
+    psihat, _, _, _, _ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
+    nu_pad, nv_pad = shat.shape[-2], shat.shape[-1]
+    nu_u = (np.arange(nu_pad) - nu_pad // 2) * dnu
+    nu_v = (np.arange(nv_pad) - nv_pad // 2) * dnv
+    phase0 = np.exp(2j * np.pi * nu_u * u0)[:, None] * np.exp(2j * np.pi * nu_v * v0)
+    m_dir = geom.direction_weights / np.pi
+    e1 = geom.frames[:, :, :, 0]
+    e2 = geom.frames[:, :, :, 1]
+    shifts = lattice.shifts
+    pu = (e1.reshape(-1, 3) @ shifts.T).reshape(geom.n_theta, geom.n_phi, -1)
+    pv = (e2.reshape(-1, 3) @ shifts.T).reshape(geom.n_theta, geom.n_phi, -1)
+    pos_u = (pu - u0) / geom.du
+    pos_v = (pv - v0) / geom.dv
+    out = np.empty((len(lattice.scales), len(lattice.rotations), len(shifts)))
+    for ir, R in enumerate(lattice.rotations):
+        dirs = (geom.normals @ R)[:, :, None, None, :]
+        e1r = e1 @ R
+        e2r = e2 @ R
+        for ia, a in enumerate(lattice.scales):
+            vecs = a * (
+                e1r[:, :, None, None, :] * nu_u[None, None, :, None, None]
+                + e2r[:, :, None, None, :] * nu_v[None, None, None, :, None]
+            )
+            temp_spec = sample_line_images(psihat, geom, dirs, vecs, nu_u[0], dnu, nu_v[0], dnv)
+            prod = shat * np.conj(temp_spec) * phase0
+            corr = np.fft.ifft2(np.fft.ifftshift(prod, axes=(-2, -1)), axes=(-2, -1)) / (
+                geom.du * geom.dv
+            )
+            vals = _reference_periodic_images(corr.real, pos_u, pos_v)
+            out[ia, ir] = a * np.tensordot(m_dir, vals, axes=([0, 1], [0, 1]))
+    return out
+
+
+def test_coefficients_match_per_node_reference(volume):
+    # An off-center, anisotropic wavelet gives every direction its own profile,
+    # so a wrong chart row, sign or wrap shows; the non-square direction grids
+    # and detector keep the axes apart.  Scales above 1 dilate the template
+    # spectrum past the end of its axis, and the outer shifts (|b| up to 10.4)
+    # reach past the padded offset axes, whose correlations wrap.
+    wavelet = gaussian_phantom(16, 0.3, center=(0.3, -0.2, 0.1), scale=0.45)
+    ico = icosahedral_rotations()
+    lattice = GroupLattice.build(6.0, 4, 0.8, 2.4, 3, rotations=[ico[2], ico[5], ico[9]])
+    for forward, geometry, coefficients, reference in (
+        (radon_plane, PlaneGeometry(16, 12, 65, 4.8), _plane_coefficients, _reference_plane_coefficients),
+        (xray, LineGeometry(12, 16, 24, 20, 4.8), _line_coefficients, _reference_line_coefficients),
+    ):
+        s, template = forward(volume, geometry), forward(wavelet, geometry)
+        ref = reference(s, template, lattice)
+        got = coefficients(s, template, lattice)
+        assert np.max(np.abs(got - ref)) <= COEF_REFERENCE_TOL * np.max(np.abs(ref))
+
+
+def test_plane_coefficients_peak_memory(plane_sino_full, plane_template_full):
+    # the wavelet benchmark's finest ladder level: 96 (rotation, scale) nodes
+    # of 512 shifts against 32x32 directions
+    lattice = GroupLattice.build(2.1, 8, 0.8, 6.4, 8)
+    tracemalloc.start()
+    try:
+        _plane_coefficients(plane_sino_full, plane_template_full, lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PLANE_COEF_PEAK_MIB * 2**20

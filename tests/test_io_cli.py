@@ -322,10 +322,32 @@ def test_cli_radon_rejects_non_finite_volume(workdir, vol_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["invert-fbp", "filter"])
+def test_cli_rejects_non_finite_sinogram(command, workdir, plane_path, capsys):
+    # One NaN sample in the payload: the reader must refuse the data rather
+    # than reconstruct or filter it into a non-finite output with exit code 0.
+    bad = workdir / f"nan-{command}.sgm"
+    raw = bytearray(plane_path.read_bytes())
+    raw[SGM_HEADER_BYTES : SGM_HEADER_BYTES + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    bad.write_bytes(bytes(raw))
+    out = workdir / f"nan-{command}.out"
+    rc = cli.main([command, "--in", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "ValueError\n"
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_2(workdir, vol_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    for argv in (
+        ["radon", "--in", str(vol_path), "--tmax", "nan", "--out", str(workdir / "x.sgm")],
+        ["gen", "--phantom", "gaussian", "--h", "inf", "--out", str(workdir / "x.svol")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen", "--phantom", "gaussian", "--n", "-3", "--out", "x.svol"])
     assert exc.value.code == 2

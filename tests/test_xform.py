@@ -168,6 +168,16 @@ def test_sinogram_shape_validation(plane_geometry, line_geometry):
         PlaneSinogram(np.zeros((2, 2, 2)), plane_geometry)
     with pytest.raises(GeometryMismatch):
         LineSinogram(np.zeros((2, 2, 2, 2)), line_geometry)
+    g, lg = plane_geometry, line_geometry
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.zeros((g.n_theta, g.n_phi, g.n_t))
+        data[3, 5, 7] = bad
+        with pytest.raises(ValueError):
+            PlaneSinogram(data, g)
+        data = np.zeros((lg.n_theta, lg.n_phi, lg.n_u, lg.n_v))
+        data[3, 5, 7, 2] = bad
+        with pytest.raises(ValueError):
+            LineSinogram(data, lg)
 
 
 # --- forward projectors -----------------------------------------------------
