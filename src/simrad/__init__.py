@@ -59,7 +59,6 @@ _EXPORTS = {
         "LineSinogram",
         "PlaneGeometry",
         "PlaneSinogram",
-        "backproject_line",
         "backproject_plane",
         "fourier_slice_line",
         "fourier_slice_plane",

@@ -70,6 +70,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -121,27 +128,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_radon(args: argparse.Namespace) -> int:
+def _cmd_project(args: argparse.Namespace) -> int:
     from .io import read_volume, write_sinogram
-    from .xform import PlaneGeometry, radon_plane
+    from .xform import GEOMETRY_KINDS, kind_routes
 
     v = read_volume(args.infile)
-    geometry = PlaneGeometry(args.ntheta, args.nphi, args.nt, args.tmax)
+    # the geometry flags are the geometry's short keys
+    geometry = GEOMETRY_KINDS[args.kind].from_keys(vars(args))
+    forward, _, _ = kind_routes(geometry)
     start = time.perf_counter()
-    s = radon_plane(v, geometry)
-    write_sinogram(args.out, s)
-    _print_metrics(runtime_ms=1e3 * (time.perf_counter() - start))
-    return 0
-
-
-def _cmd_xray(args: argparse.Namespace) -> int:
-    from .io import read_volume, write_sinogram
-    from .xform import LineGeometry, xray
-
-    v = read_volume(args.infile)
-    geometry = LineGeometry(args.ntheta, args.nphi, args.nu, args.nv, args.umax)
-    start = time.perf_counter()
-    s = xray(v, geometry)
+    s = forward(v, geometry)
     write_sinogram(args.out, s)
     _print_metrics(runtime_ms=1e3 * (time.perf_counter() - start))
     return 0
@@ -150,14 +146,9 @@ def _cmd_xray(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     from .filters import MultiplierSpec, apply_multiplier
     from .io import read_sinogram, write_sinogram
-    from .xform import PlaneSinogram
 
     s = read_sinogram(args.infile)
-    if args.power is not None:
-        power = args.power
-    else:
-        # Unitarization powers: |tau| for plane data, |tau|^(1/2) for lines.
-        power = 1.0 if isinstance(s, PlaneSinogram) else 0.5
+    power = s.geometry.power if args.power is None else args.power
     window = None if args.window == "none" else args.window
     start = time.perf_counter()
     filtered = apply_multiplier(s, MultiplierSpec(power, window=window))
@@ -169,10 +160,9 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 def _cmd_invert_fbp(args: argparse.Namespace) -> int:
     from .invert import invert_fbp_plane
     from .io import read_sinogram, write_volume
-    from .xform import PlaneSinogram
 
     s = read_sinogram(args.infile)
-    if not isinstance(s, PlaneSinogram):
+    if s.geometry.kind != "plane":
         raise GeometryMismatch(
             "filtered backprojection needs plane data; use invert-fourier for lines"
         )
@@ -327,20 +317,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_plane_flags(p)
     p.add_argument("--out", required=True, help="output .sgm path")
     _add_common(p)
-    p.set_defaults(func=_cmd_radon)
+    p.set_defaults(func=_cmd_project, kind="plane")
 
     p = sub.add_parser("xray", help="line-integral transform of a volume")
     p.add_argument("--in", dest="infile", required=True, help="input .svol path")
     _add_line_flags(p)
     p.add_argument("--out", required=True, help="output .sgm path")
     _add_common(p)
-    p.set_defaults(func=_cmd_xray)
+    p.set_defaults(func=_cmd_project, kind="line")
 
     p = sub.add_parser("filter", help="apply a Fourier multiplier to a sinogram")
     p.add_argument("--in", dest="infile", required=True, help="input .sgm path")
     p.add_argument(
         "--power",
-        type=float,
+        type=_nonnegative_float,
         default=None,
         help="multiplier exponent (default: the unitarization power for the kind)",
     )

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import NotAdmissible
 from .grid import Volume, dft3
 from .group import GroupElement
-from .xform import LineSinogram, PlaneSinogram, sinogram_norm
+from .xform import Sinogram, sinogram_norm
 
 # A wavelet's spectrum must vanish at DC to this fraction of its peak for the
 # scale integral to be treated as convergent on the grid.
@@ -49,8 +49,8 @@ class MultiplierSpec:
     window: str | None = None
 
     def __post_init__(self) -> None:
-        if self.power < 0.0:
-            raise ValueError("power must be nonnegative")
+        if not (np.isfinite(self.power) and self.power >= 0.0):
+            raise ValueError("power must be nonnegative and finite")
         if self.window not in (None, "raised-cosine"):
             raise ValueError(f"unknown window {self.window!r}")
 
@@ -62,31 +62,25 @@ class MultiplierSpec:
         return out
 
 
-def apply_multiplier(
-    s: PlaneSinogram | LineSinogram, spec: MultiplierSpec
-) -> PlaneSinogram | LineSinogram:
-    """Apply the radial multiplier along each direction's offset coordinates.
+def apply_multiplier(s: Sinogram, spec: MultiplierSpec) -> Sinogram:
+    """Apply the radial multiplier along each direction's detector axes.
 
-    Real input yields real output (the symbol is even), within float rounding.
+    The symbol's argument is the frequency magnitude over the detector axes,
+    and its Nyquist rate that of the coarsest axis.  Real input yields real
+    output (the symbol is even), within float rounding.
     """
-    if isinstance(s, PlaneSinogram):
-        g = s.geometry
-        tau = np.fft.fftfreq(g.n_t, g.dt)
-        sym = spec.symbol(np.abs(tau), 0.5 / g.dt)
-        out = np.fft.ifft(np.fft.fft(s.data, axis=-1) * sym, axis=-1).real
-        return PlaneSinogram(out, g)
     g = s.geometry
-    nu_u = np.fft.fftfreq(g.n_u, g.du)
-    nu_v = np.fft.fftfreq(g.n_v, g.dv)
-    mag = np.sqrt(nu_u[:, None] ** 2 + nu_v[None, :] ** 2)
-    sym = spec.symbol(mag, min(0.5 / g.du, 0.5 / g.dv))
-    out = np.fft.ifft2(np.fft.fft2(s.data, axes=(-2, -1)) * sym, axes=(-2, -1)).real
-    return LineSinogram(out, g)
+    axes = tuple(range(-len(g.detector), 0))
+    freqs = np.meshgrid(
+        *(np.fft.fftfreq(n, step) for n, step in g.detector), indexing="ij", sparse=True
+    )
+    mag = np.sqrt(sum(f * f for f in freqs))
+    sym = spec.symbol(mag, min(0.5 / step for _, step in g.detector))
+    out = np.fft.ifftn(np.fft.fftn(s.data, axes=axes) * sym, axes=axes).real
+    return type(s)(out, g)
 
 
-def check_semi_invariance(
-    s: PlaneSinogram | LineSinogram, g: GroupElement, spec: MultiplierSpec
-) -> float:
+def check_semi_invariance(s: Sinogram, g: GroupElement, spec: MultiplierSpec) -> float:
     """Relative residual of the multiplier's scale-covariance under conjugation.
 
     Compares ``pihat(g) J pihat(g^-1)`` applied to ``s`` against

@@ -10,7 +10,8 @@ Three independent paths recover a volume from its plane or line sinogram:
 * ``invert_direct_fourier``: the per-direction offset spectra are samples of
   the volume's 3-D spectrum (projection-slice); read them back at each
   Cartesian frequency through the chart sampler and invert.  Coverage of the
-  requested band is a hard precondition, not a warning.
+  requested band is a hard precondition, not a warning; it is measured at
+  the geometry's own projection-slice points (``slice_frequencies``).
 
 * ``invert_wavelet``: dual-frame synthesis over a discrete similitude
   lattice.  The analysis template is the filtered forward transform of the
@@ -28,6 +29,11 @@ Three independent paths recover a volume from its plane or line sinogram:
 The label-space representation ``apply_pi_hat`` lives here too; it is the
 conjugated action the transforms intertwine with, and the slow-but-direct
 route to the same wavelet coefficients (used to cross-check the FFT path).
+
+The routes read what differs by kind (unitarization power, scale
+characters, projection-slice points) from the sinogram's geometry.  The
+math that differs (the two pi-hat actions, the two direct-Fourier gathers
+and the two coefficient routines) is selected in one place, ``_kind_steps``.
 """
 
 from __future__ import annotations
@@ -41,18 +47,21 @@ from scipy import ndimage, sparse
 from .errors import InsufficientCoverage, LatticeTooCoarse
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
 from .grid import Spectrum3D, Volume, dft3, idft3, l2_norm
-from .group import CharacterSet, GroupElement, icosahedral_rotations
+from .group import GroupElement, icosahedral_rotations
 from .xform import (
     LineSinogram,
     PlaneSinogram,
+    Sinogram,
     _chart_stencil,
+    _linear_taps,
+    _padded_t_spectra,
+    _padded_uv_spectra,
     backproject_plane,
-    radon_plane,
+    kind_routes,
     sample_line_images,
     sample_line_sinogram,
     sample_plane_profiles,
     sample_plane_sinogram,
-    xray,
 )
 
 # Fraction of in-band frequency voxels that may go unhit before direct
@@ -145,12 +154,10 @@ def apply_pi_hat_line(g: GroupElement, s: LineSinogram) -> LineSinogram:
     return LineSinogram(vals / g.a, geom)
 
 
-def apply_pi_hat(
-    g: GroupElement, s: PlaneSinogram | LineSinogram
-) -> PlaneSinogram | LineSinogram:
-    if isinstance(s, PlaneSinogram):
-        return apply_pi_hat_plane(g, s)
-    return apply_pi_hat_line(g, s)
+def apply_pi_hat(g: GroupElement, s: Sinogram) -> Sinogram:
+    """Unitary action of a group element on a sinogram of either kind."""
+    pi_hat, _, _ = _kind_steps(s)
+    return pi_hat(g, s)
 
 
 # ---------------------------------------------------------------------------
@@ -206,57 +213,41 @@ def _splat_coverage(
         wsum += np.bincount(flat, weights=w[ok], minlength=size)
 
 
-def _padded_t_spectra(s: PlaneSinogram, pad: float) -> tuple[np.ndarray, float, float]:
-    """Per-direction offset spectra on a pad-times finer frequency axis.
-
-    Returns (spectra, frequency step, offset of the padded grid's first node).
-    """
-    g = s.geometry
-    n_pad = int(round(pad * g.n_t))
-    data = np.zeros((g.n_theta, g.n_phi, n_pad))
-    lo = (n_pad - g.n_t) // 2
-    data[:, :, lo : lo + g.n_t] = s.data
-    t0 = g.ts[0] - lo * g.dt
-    dtau = 1.0 / (n_pad * g.dt)
-    k = np.arange(n_pad) - n_pad // 2
-    spec = np.fft.fftshift(np.fft.fft(data, axis=-1), axes=-1)
-    return spec * g.dt * np.exp(-2j * np.pi * dtau * k * t0), dtau, t0
+def _gather_plane(s: PlaneSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Spectrum at frequencies ``W`` (norms ``mag``), read on each one's own ray."""
+    geom = s.geometry
+    spec, dtau, _ = _padded_t_spectra(s, PLANE_SPECTRAL_PAD)
+    nz = mag > 0.0
+    dirs = np.where(nz[:, None], W, [0.0, 0.0, 1.0])
+    dirs = dirs / np.where(nz, mag, 1.0)[:, None]
+    tau_lo = -(spec.shape[-1] // 2) * dtau
+    return sample_plane_profiles(spec, geom.n_theta, geom.n_phi, dirs, mag, tau_lo, dtau)
 
 
-def _padded_uv_spectra(
-    s: LineSinogram, pad: float
-) -> tuple[np.ndarray, float, float, float, float]:
-    """Per-direction detector spectra on pad-times finer frequency axes.
-
-    Returns (spectra, both frequency steps, both padded-grid origins).
-    """
-    g = s.geometry
-    nu_pad = int(round(pad * g.n_u))
-    nv_pad = int(round(pad * g.n_v))
-    lou = (nu_pad - g.n_u) // 2
-    lov = (nv_pad - g.n_v) // 2
-    dnu = 1.0 / (nu_pad * g.du)
-    dnv = 1.0 / (nv_pad * g.dv)
-    ku = np.arange(nu_pad) - nu_pad // 2
-    kv = np.arange(nv_pad) - nv_pad // 2
-    u0 = g.us[0] - lou * g.du
-    v0 = g.vs[0] - lov * g.dv
-    phase = (
-        np.exp(-2j * np.pi * dnu * ku * u0)[:, None]
-        * np.exp(-2j * np.pi * dnv * kv * v0)
-        * (g.du * g.dv)
+def _gather_line(s: LineSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """Spectrum at frequencies ``W`` (norms ``mag``), read off detector spectra."""
+    geom = s.geometry
+    spec, dnu, dnv, _, _ = _padded_uv_spectra(s, LINE_SPECTRAL_PAD)
+    # query each frequency from a perpendicular direction, crossing with
+    # whichever coordinate axis it is least aligned with
+    ref = np.where(
+        np.abs(W[:, 2:3]) < 0.9 * np.maximum(mag[:, None], 1e-300),
+        [[0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0]],
     )
-    spec = np.zeros((g.n_theta, g.n_phi, nu_pad, nv_pad), dtype=complex)
-    buf = np.zeros((g.n_phi, nu_pad, nv_pad))
-    for i in range(g.n_theta):
-        buf[:] = 0.0
-        buf[:, lou : lou + g.n_u, lov : lov + g.n_v] = s.data[i]
-        spec[i] = np.fft.fftshift(np.fft.fft2(buf, axes=(-2, -1)), axes=(-2, -1)) * phase
-    return spec, dnu, dnv, u0, v0
+    q = np.cross(ref, W)
+    qn = np.linalg.norm(q, axis=-1)
+    ok = qn > 0.0
+    q = np.where(ok[:, None], q, [0.0, 1.0, 0.0])
+    q = q / np.where(ok, qn, 1.0)[:, None]
+    return sample_line_images(
+        spec, geom, q, W,
+        -(spec.shape[-2] // 2) * dnu, dnu, -(spec.shape[-1] // 2) * dnv, dnv,
+    )
 
 
 def invert_direct_fourier(
-    s: PlaneSinogram | LineSinogram,
+    s: Sinogram,
     n: int,
     spacing: float,
     band_limit: float | None = None,
@@ -277,52 +268,13 @@ def invert_direct_fourier(
     axis = (np.arange(n) - n // 2) * freq_spacing
     W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     mag = np.linalg.norm(W, axis=-1)
+    # the samples sit where the projection-slice property puts them; one
+    # azimuth row at a time keeps the scatter's transients small
     wsum = np.zeros(n * n * n)
-    n_samples = 0
-    if isinstance(s, PlaneSinogram):
-        dtau0 = 1.0 / (geom.n_t * geom.dt)
-        taus = (np.arange(geom.n_t) - geom.n_t // 2) * dtau0
-        for i in range(geom.n_theta):
-            freqs = geom.normals[i][:, None, :] * taus[None, :, None]
-            _splat_coverage(wsum, freqs, freq_spacing, n)
-            n_samples += geom.n_phi * geom.n_t
-        spec, dtau, _ = _padded_t_spectra(s, PLANE_SPECTRAL_PAD)
-        nz = mag > 0.0
-        dirs = np.where(nz[:, None], W, [0.0, 0.0, 1.0])
-        dirs = dirs / np.where(nz, mag, 1.0)[:, None]
-        tau_lo = -(spec.shape[-1] // 2) * dtau
-        vals = sample_plane_profiles(
-            spec, geom.n_theta, geom.n_phi, dirs, mag, tau_lo, dtau
-        )
-    else:
-        nu_u = (np.arange(geom.n_u) - geom.n_u // 2) / (geom.n_u * geom.du)
-        nu_v = (np.arange(geom.n_v) - geom.n_v // 2) / (geom.n_v * geom.dv)
-        for i in range(geom.n_theta):
-            e1 = geom.frames[i, :, :, 0]
-            e2 = geom.frames[i, :, :, 1]
-            freqs = (
-                e1[:, None, None, :] * nu_u[None, :, None, None]
-                + e2[:, None, None, :] * nu_v[None, None, :, None]
-            )
-            _splat_coverage(wsum, freqs, freq_spacing, n)
-            n_samples += geom.n_phi * geom.n_u * geom.n_v
-        spec, dnu, dnv, _, _ = _padded_uv_spectra(s, LINE_SPECTRAL_PAD)
-        # query each frequency from a perpendicular direction, crossing with
-        # whichever coordinate axis it is least aligned with
-        ref = np.where(
-            np.abs(W[:, 2:3]) < 0.9 * np.maximum(mag[:, None], 1e-300),
-            [[0.0, 0.0, 1.0]],
-            [[1.0, 0.0, 0.0]],
-        )
-        q = np.cross(ref, W)
-        qn = np.linalg.norm(q, axis=-1)
-        ok = qn > 0.0
-        q = np.where(ok[:, None], q, [0.0, 1.0, 0.0])
-        q = q / np.where(ok, qn, 1.0)[:, None]
-        vals = sample_line_images(
-            spec, geom, q, W,
-            -(spec.shape[-2] // 2) * dnu, dnu, -(spec.shape[-1] // 2) * dnv, dnv,
-        )
+    for i in range(geom.n_theta):
+        _splat_coverage(wsum, geom.slice_frequencies(slice(i, i + 1)), freq_spacing, n)
+    _, gather, _ = _kind_steps(s)
+    vals = gather(s, W, mag)
     wsum = wsum.reshape(n, n, n)
     mag = mag.reshape(n, n, n)
     in_band = mag <= band_limit
@@ -337,7 +289,7 @@ def invert_direct_fourier(
     grid = np.where(in_band, vals.reshape(n, n, n), 0.0)
     origin = -(n // 2) * spacing * np.ones(3)
     recon = idft3(Spectrum3D(grid, freq_spacing, spacing, origin))
-    return recon, FourierCoverage(band_limit, covered, n_samples)
+    return recon, FourierCoverage(band_limit, covered, s.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +410,7 @@ def _interp_matrix(
     strides = [int(np.prod(shape[k + 1 :])) for k in range(len(shape))]
     corners = [(np.arange(n_blocks, dtype=np.int32) * size, block_weights)]
     for pos, n, stride in zip(positions, shape, strides):
-        k0 = np.floor(pos).astype(np.int64)
-        w = pos - k0
-        taps = []
-        for k, wk in ((k0, 1.0 - w), (k0 + 1, w)):
-            if periodic:
-                k = np.mod(k, n)
-            else:
-                wk = np.where((k >= 0) & (k < n), wk, 0.0)
-                k = np.clip(k, 0, n - 1)
-            taps.append(((k * stride).astype(np.int32), wk))
+        taps = [((k * stride).astype(np.int32), wk) for k, wk in _linear_taps(pos, n, periodic)]
         corners = [(col + k, val * wk) for col, val in corners for k, wk in taps]
     cols = np.stack([col for col, _ in corners], axis=-1)
     vals = np.stack([val for _, val in corners], axis=-1)
@@ -740,7 +683,7 @@ def _dual_frame_solve(
 
 
 def invert_wavelet(
-    s: PlaneSinogram | LineSinogram, psi: Volume, lattice: GroupLattice
+    s: Sinogram, psi: Volume, lattice: GroupLattice
 ) -> tuple[Volume, WaveletMetrics]:
     """Reconstruct on the wavelet's grid by dual-frame synthesis over the lattice.
 
@@ -762,15 +705,12 @@ def invert_wavelet(
     """
     calderon = admissibility_constant(psi)
     norm_const = calderon / (4.0 * np.pi)
-    if isinstance(s, PlaneSinogram):
-        chars = CharacterSet.plane()
-        template = apply_multiplier(radon_plane(psi, s.geometry), MultiplierSpec(2.0))
-        coefs = _plane_coefficients(s, template, lattice)
-    else:
-        chars = CharacterSet.line()
-        template = apply_multiplier(xray(psi, s.geometry), MultiplierSpec(1.0))
-        coefs = _line_coefficients(s, template, lattice)
-    chi = lattice.scales**chars.chi_exp
+    geom = s.geometry
+    forward, _, _ = kind_routes(geom)
+    template = apply_multiplier(forward(psi, geom), MultiplierSpec(2.0 * geom.power))
+    _, _, coefficients = _kind_steps(s)
+    coefs = coefficients(s, template, lattice)
+    chi = lattice.scales**geom.characters.chi_exp
     w_scale = lattice.scale_weights()
     pairings = coefs / chi[:, None, None]
     energy = float(np.sum(w_scale[:, None, None] * pairings**2) / norm_const)
@@ -792,3 +732,14 @@ def invert_wavelet(
             LatticeTooCoarse,
         )
     return recon, metrics
+
+
+def _kind_steps(s: Sinogram) -> tuple:
+    """(pi-hat action, direct-Fourier gather, frame coefficients) of ``s``'s kind.
+
+    The one place this module selects between planes and lines; the names
+    resolve at each call, as in :func:`simrad.xform.kind_routes`.
+    """
+    if s.geometry.kind == "plane":
+        return apply_pi_hat_plane, _gather_plane, _plane_coefficients
+    return apply_pi_hat_line, _gather_line, _line_coefficients

@@ -18,21 +18,16 @@ import numpy as np
 from .errors import NotAdmissible, SimradError
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
 from .grid import Volume, apply_pi, gaussian_mixture_phantom, gaussian_phantom, l2_norm
-from .group import CharacterSet, GroupElement, PlaneLabel, unit_normal
-from .invert import apply_pi_hat_line, apply_pi_hat_plane
+from .group import GroupElement, PlaneLabel, unit_normal
+from .invert import apply_pi_hat
 from .xform import (
+    DirectionChart,
     LineGeometry,
-    LineSinogram,
     PlaneGeometry,
-    PlaneSinogram,
-    fourier_slice_line,
-    fourier_slice_plane,
-    line_uv_spectra,
+    Sinogram,
+    kind_routes,
     plane_integral,
-    radon_plane,
     sinogram_norm,
-    sinogram_t_spectra,
-    xray,
 )
 
 # Cross-path slice residual tolerance; the two evaluation routes share no code
@@ -166,24 +161,20 @@ def describe_element(g: GroupElement) -> str:
 
 
 def check_fourier_slice(
-    geometry: PlaneGeometry | LineGeometry,
+    geometry: DirectionChart,
     v: Volume,
     pad_factor: int = SLICE_PAD_FACTOR,
-    sinogram: PlaneSinogram | LineSinogram | None = None,
+    sinogram: Sinogram | None = None,
 ) -> ReportEntry:
     """Compare the sinogram-side and volume-side spectrum evaluations.
 
     ``sinogram`` may carry a precomputed forward transform of ``v`` on the
     same geometry to avoid repeating the projector between checks.
     """
-    if isinstance(geometry, PlaneGeometry):
-        kind = "plane"
-        sino_side = sinogram_t_spectra(sinogram or radon_plane(v, geometry))
-        vol_side = fourier_slice_plane(v, geometry, pad_factor)
-    else:
-        kind = "line"
-        sino_side = line_uv_spectra(sinogram or xray(v, geometry))
-        vol_side = fourier_slice_line(v, geometry, pad_factor)
+    kind = geometry.kind
+    forward, fourier_slice, spectra = kind_routes(geometry)
+    sino_side, *_ = spectra(sinogram or forward(v, geometry), 1)
+    vol_side = fourier_slice(v, geometry, pad_factor)
     ref = np.linalg.norm(vol_side)
     if ref == 0.0:
         return make_entry(f"fourier_slice_{kind}", 0.0, SLICE_TOL, "zero input")
@@ -192,12 +183,12 @@ def check_fourier_slice(
 
 
 def check_intertwining(
-    geometry: PlaneGeometry | LineGeometry,
+    geometry: DirectionChart,
     g: GroupElement,
     v: Volume,
     ablate_character: bool = False,
     label: str = "",
-    reference: PlaneSinogram | LineSinogram | None = None,
+    reference: Sinogram | None = None,
 ) -> ReportEntry:
     """Residual of forward(pi(g) v) against chi(g) * pi_hat(g) forward(v).
 
@@ -206,16 +197,12 @@ def check_intertwining(
     residual = floor - measured against tolerance 0.  ``reference`` may carry
     a precomputed forward transform of ``v`` to share across a sweep.
     """
-    if isinstance(geometry, PlaneGeometry):
-        kind, forward, pi_hat = "plane", radon_plane, apply_pi_hat_plane
-        chars = CharacterSet.plane()
-    else:
-        kind, forward, pi_hat = "line", xray, apply_pi_hat_line
-        chars = CharacterSet.line()
+    kind = geometry.kind
+    forward, _, _ = kind_routes(geometry)
     ref = reference or forward(v, geometry)
     moved = forward(apply_pi(g, v), geometry)
-    factor = 1.0 if ablate_character else chars.chi(g)
-    pushed = pi_hat(g, ref)
+    factor = 1.0 if ablate_character else geometry.characters.chi(g)
+    pushed = apply_pi_hat(g, ref)
     diff = type(ref)(moved.data - factor * pushed.data, geometry)
     residual = sinogram_norm(diff) / sinogram_norm(ref)
     context = describe_element(g) + (f" {label}" if label else "")
@@ -231,19 +218,18 @@ def check_intertwining(
 
 
 def check_isometry(
-    geometry: PlaneGeometry | LineGeometry,
+    geometry: DirectionChart,
     v: Volume,
-    sinogram: PlaneSinogram | LineSinogram | None = None,
+    sinogram: Sinogram | None = None,
 ) -> ReportEntry:
     """|norm(J forward(v)) / norm(v) - 1| with the geometry's own exponent."""
-    if isinstance(geometry, PlaneGeometry):
-        kind, sino, power = "plane", sinogram or radon_plane(v, geometry), 1.0
-    else:
-        kind, sino, power = "line", sinogram or xray(v, geometry), 0.5
+    kind = geometry.kind
+    forward, _, _ = kind_routes(geometry)
+    sino = sinogram or forward(v, geometry)
     nv = l2_norm(v)
     if nv == 0.0:
         return make_entry(f"isometry_{kind}", 0.0, ISOMETRY_TOL, "zero input: 0/0 reported as pass")
-    ratio = sinogram_norm(apply_multiplier(sino, MultiplierSpec(power))) / nv
+    ratio = sinogram_norm(apply_multiplier(sino, MultiplierSpec(geometry.power))) / nv
     return make_entry(f"isometry_{kind}", abs(ratio - 1.0), ISOMETRY_TOL, f"ratio={ratio:.6f}")
 
 
@@ -349,11 +335,6 @@ def apply_pi_hat_doubled(g: GroupElement, F: np.ndarray, geometry: PlaneGeometry
     return out / np.sqrt(g.a)
 
 
-def _doubled_weights(geometry: PlaneGeometry) -> np.ndarray:
-    w = np.sin(geometry.phis) * geometry.dtheta * geometry.dphi * geometry.dt
-    return np.broadcast_to(w[None, :, None], (2 * geometry.n_theta, geometry.n_phi, geometry.n_t))
-
-
 def check_evenness_subspace(
     F: np.ndarray, geometry: PlaneGeometry, g: GroupElement
 ) -> list[ReportEntry]:
@@ -369,7 +350,7 @@ def check_evenness_subspace(
             return 0.0
         return float(np.max(np.abs(out - sign * antipodal_image(out))) / peak)
 
-    w = _doubled_weights(geometry)
+    w = np.concatenate([geometry.cell_measure] * 2)  # the doubled grid holds the chart twice
     ne = np.sqrt(np.sum(w * out_even**2))
     no = np.sqrt(np.sum(w * out_odd**2))
     cross = 0.0 if ne == 0.0 or no == 0.0 else abs(np.sum(w * out_even * out_odd)) / (ne * no)
@@ -502,8 +483,8 @@ def run_all(
 
     @functools.cache
     def forward(build, geom):
-        f = phantom(build)
-        return radon_plane(f, geom) if isinstance(geom, PlaneGeometry) else xray(f, geom)
+        forward_transform, _, _ = kind_routes(geom)
+        return forward_transform(phantom(build), geom)
 
     needs_mix = {"fourier_slice", "isometry"} & set(config.checks)
     if needs_mix:
@@ -515,22 +496,15 @@ def run_all(
                 report.add(
                     make_entry("forward_error", np.inf, 0.0, f"{type(exc).__name__}: {exc}")
                 )
-        if "fourier_slice" in config.checks:
-            for geom in (plane_geom, line_geom):
-                guarded(
-                    "fourier_slice",
-                    lambda geom=geom: check_fourier_slice(
-                        geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom)
-                    ),
-                )
-        if "isometry" in config.checks:
-            for geom in (plane_geom, line_geom):
-                guarded(
-                    "isometry",
-                    lambda geom=geom: check_isometry(
-                        geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom)
-                    ),
-                )
+        for name, check in (("fourier_slice", check_fourier_slice), ("isometry", check_isometry)):
+            if name in config.checks:
+                for geom in (plane_geom, line_geom):
+                    guarded(
+                        name,
+                        lambda geom=geom, check=check: check(
+                            geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom)
+                        ),
+                    )
     if "intertwining" in config.checks:
         for geom in (plane_geom, line_geom):
             for idx, g in enumerate(standard_intertwining_sweep()):

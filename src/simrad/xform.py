@@ -31,28 +31,40 @@ by the matrices (``blk @ D_t.T`` for planes, ``D_u @ blk @ D_v.T`` for
 lines), so the refined grid never exists for more than one chunk.  Taps that
 fall off the detector land in guard cells that the matrices ignore.
 
-``sample_plane_sinogram`` and ``sample_line_sinogram`` evaluate a sinogram at
-arbitrary (direction, offset) queries by reducing the direction to the chart
-and interpolating bilinearly across the gluing: interpolation cells that stick
-out of the chart square wrap to the matching rows/columns on the far side,
-flipping the signed plane offset whenever the represented normal flips sign.
-All spectral and backprojection code funnels through these samplers or the
-stencil they share (``_chart_stencil``, which the wavelet coefficients read
-directly), so the antipodal bookkeeping lives in exactly one place.
+The two transforms are two instances of one construction, and everything
+that differs by kind, short of the math itself, is a fact of the geometry:
+both geometries share one direction chart (:class:`DirectionChart`) and
+their sinograms one validated container (:class:`Sinogram`).  Where the math
+does differ (the projector front ends and the Fourier-slice pairs),
+``kind_routes`` is the one place that selects by kind.
+
+``sample_plane_profiles`` and ``sample_line_images`` evaluate
+direction-indexed profiles or detector images (sinograms or their spectra)
+at arbitrary (direction, offset) queries by reducing the direction to the
+chart and interpolating bilinearly across the gluing: interpolation cells
+that stick out of the chart square wrap to the matching rows/columns on the
+far side, flipping the signed plane offset whenever the represented normal
+flips sign.  ``sample_plane_sinogram`` and ``sample_line_sinogram`` are
+their front ends for sinograms.  The samplers and the wavelet coefficients
+read the chart through one stencil (``_chart_stencil``), and the samplers
+read the detector through one multilinear lookup (``_interp_nodes``), so the
+antipodal bookkeeping lives in exactly one place.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import GeometryMismatch
-from .grid import Spectrum3D, Volume, dft3
+from .grid import Spectrum3D, Volume, dft3, resample
 from .group import (
+    CharacterSet,
     LineLabel,
     PlaneLabel,
     canonicalize_direction,
@@ -92,21 +104,34 @@ PROJECTOR_DROP = 1e-16
 
 
 @dataclass(frozen=True)
-class PlaneGeometry:
-    """Midpoint direction grid plus a uniform symmetric offset grid."""
+class DirectionChart:
+    """Midpoint direction grid on the chart square, shared by both geometries.
+
+    Each geometry adds its detector and the facts of its kind that generic
+    code reads instead of testing which kind it holds: ``kind``,
+    ``sinogram_type``, unitarization ``power``, scale ``characters``,
+    ``detector`` axes, ``reach``, label-space ``cell_measure`` and the
+    projection-slice points ``slice_frequencies``.
+    """
 
     n_theta: int = 32
     n_phi: int = 32
-    n_t: int = 129
-    t_max: float = 6.0
 
     def __post_init__(self) -> None:
         if self.n_theta < 2 or self.n_phi < 2:
             raise GeometryMismatch("need at least 2 samples per direction axis")
-        if self.n_t < 3:
-            raise GeometryMismatch("need at least 3 offset samples")
-        if not (np.isfinite(self.t_max) and self.t_max > 0.0):
-            raise GeometryMismatch("t_max must be positive and finite")
+
+    @classmethod
+    def from_keys(cls, values: Mapping) -> DirectionChart:
+        """The geometry whose fields ``values`` holds under their short keys.
+
+        A field's short key is its name without underscores (``n_theta`` as
+        ``ntheta``), as in ``.sgm`` headers and the CLI's geometry flags; each
+        value is converted to the type of the field's default.
+        """
+        return cls(
+            **{f.name: type(f.default)(values[f.name.replace("_", "")]) for f in fields(cls)}
+        )
 
     @property
     def dtheta(self) -> float:
@@ -117,8 +142,9 @@ class PlaneGeometry:
         return np.pi / self.n_phi
 
     @property
-    def dt(self) -> float:
-        return 2.0 * self.t_max / (self.n_t - 1)
+    def shape(self) -> tuple[int, ...]:
+        """Sinogram shape: the direction grid, then the detector axes."""
+        return (self.n_theta, self.n_phi, *(n for n, _ in self.detector))
 
     @cached_property
     def thetas(self) -> np.ndarray:
@@ -127,10 +153,6 @@ class PlaneGeometry:
     @cached_property
     def phis(self) -> np.ndarray:
         return (np.arange(self.n_phi) + 0.5) * self.dphi
-
-    @cached_property
-    def ts(self) -> np.ndarray:
-        return np.linspace(-self.t_max, self.t_max, self.n_t)
 
     @cached_property
     def normals(self) -> np.ndarray:
@@ -146,31 +168,97 @@ class PlaneGeometry:
         ).copy()
 
 
+@dataclass
+class Sinogram:
+    """Transform samples of shape ``geometry.shape``, all finite."""
+
+    data: np.ndarray
+    geometry: DirectionChart
+
+    def __post_init__(self) -> None:
+        self.data = np.asarray(self.data, dtype=float)
+        if self.data.shape != self.geometry.shape:
+            raise GeometryMismatch(
+                f"sinogram shape {self.data.shape} does not match geometry "
+                f"{self.geometry.shape}"
+            )
+        if not np.isfinite(self.data).all():
+            raise ValueError("sinogram data must be finite")
+
+
+class PlaneSinogram(Sinogram):
+    """Plane-transform samples, shape (n_theta, n_phi, n_t)."""
+
+
+class LineSinogram(Sinogram):
+    """Line-transform samples, shape (n_theta, n_phi, n_u, n_v)."""
+
+
 @dataclass(frozen=True)
-class LineGeometry:
+class PlaneGeometry(DirectionChart):
+    """Midpoint direction grid plus a uniform symmetric offset grid."""
+
+    n_t: int = 129
+    t_max: float = 6.0
+
+    kind = "plane"
+    sinogram_type = PlaneSinogram
+    power = 1.0  # |tau| along the offset axis unitarizes the plane transform
+    characters = CharacterSet.plane()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.n_t < 3:
+            raise GeometryMismatch("need at least 3 offset samples")
+        if not (np.isfinite(self.t_max) and self.t_max > 0.0):
+            raise GeometryMismatch("t_max must be positive and finite")
+
+    @property
+    def dt(self) -> float:
+        return 2.0 * self.t_max / (self.n_t - 1)
+
+    @property
+    def detector(self) -> tuple[tuple[int, float], ...]:
+        return ((self.n_t, self.dt),)
+
+    @property
+    def reach(self) -> float:
+        return self.t_max
+
+    @cached_property
+    def ts(self) -> np.ndarray:
+        return np.linspace(-self.t_max, self.t_max, self.n_t)
+
+    @cached_property
+    def cell_measure(self) -> np.ndarray:
+        return self.direction_weights[:, :, None] * self.dt
+
+    def slice_frequencies(self, rows: slice = slice(None)) -> np.ndarray:
+        """Frequencies of the centered offset spectra of azimuth ``rows``, (..., n_t, 3)."""
+        dtau = 1.0 / (self.n_t * self.dt)
+        taus = (np.arange(self.n_t) - self.n_t // 2) * dtau
+        return self.normals[rows][:, :, None, :] * taus[None, None, :, None]
+
+
+@dataclass(frozen=True)
+class LineGeometry(DirectionChart):
     """Midpoint direction grid plus a centered square detector grid."""
 
-    n_theta: int = 32
-    n_phi: int = 32
     n_u: int = 64
     n_v: int = 64
     u_max: float = 4.8
 
+    kind = "line"
+    sinogram_type = LineSinogram
+    power = 0.5  # |nu|^(1/2) across the detector unitarizes the line transform
+    characters = CharacterSet.line()
+
     def __post_init__(self) -> None:
-        if self.n_theta < 2 or self.n_phi < 2:
-            raise GeometryMismatch("need at least 2 samples per direction axis")
+        super().__post_init__()
         if self.n_u < 2 or self.n_v < 2:
             raise GeometryMismatch("need at least 2 detector samples per axis")
         if not (np.isfinite(self.u_max) and self.u_max > 0.0):
             raise GeometryMismatch("u_max must be positive and finite")
-
-    @property
-    def dtheta(self) -> float:
-        return np.pi / self.n_theta
-
-    @property
-    def dphi(self) -> float:
-        return np.pi / self.n_phi
 
     @property
     def du(self) -> float:
@@ -180,13 +268,13 @@ class LineGeometry:
     def dv(self) -> float:
         return 2.0 * self.u_max / self.n_v
 
-    @cached_property
-    def thetas(self) -> np.ndarray:
-        return (np.arange(self.n_theta) + 0.5) * self.dtheta
+    @property
+    def detector(self) -> tuple[tuple[int, float], ...]:
+        return ((self.n_u, self.du), (self.n_v, self.dv))
 
-    @cached_property
-    def phis(self) -> np.ndarray:
-        return (np.arange(self.n_phi) + 0.5) * self.dphi
+    @property
+    def reach(self) -> float:
+        return self.u_max
 
     @cached_property
     def us(self) -> np.ndarray:
@@ -195,10 +283,6 @@ class LineGeometry:
     @cached_property
     def vs(self) -> np.ndarray:
         return (np.arange(self.n_v) - (self.n_v - 1) / 2.0) * self.dv
-
-    @cached_property
-    def normals(self) -> np.ndarray:
-        return unit_normal(self.thetas[:, None], self.phis[None, :])
 
     @cached_property
     def frames(self) -> np.ndarray:
@@ -210,61 +294,31 @@ class LineGeometry:
         return out
 
     @cached_property
-    def direction_weights(self) -> np.ndarray:
-        return np.broadcast_to(
-            np.sin(self.phis)[None, :] * self.dtheta * self.dphi,
-            (self.n_theta, self.n_phi),
-        ).copy()
+    def cell_measure(self) -> np.ndarray:
+        return self.direction_weights[:, :, None, None] * self.du * self.dv / np.pi
+
+    def slice_frequencies(self, rows: slice = slice(None)) -> np.ndarray:
+        """Frequencies of the centered detector spectra of azimuth ``rows``, (..., n_u, n_v, 3)."""
+        nu_u = (np.arange(self.n_u) - self.n_u // 2) / (self.n_u * self.du)
+        nu_v = (np.arange(self.n_v) - self.n_v // 2) / (self.n_v * self.dv)
+        e1 = self.frames[rows, :, :, 0]
+        e2 = self.frames[rows, :, :, 1]
+        return (
+            e1[:, :, None, None, :] * nu_u[None, None, :, None, None]
+            + e2[:, :, None, None, :] * nu_v[None, None, None, :, None]
+        )
 
 
-@dataclass
-class PlaneSinogram:
-    """Plane-transform samples, shape (n_theta, n_phi, n_t)."""
-
-    data: np.ndarray
-    geometry: PlaneGeometry
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=float)
-        g = self.geometry
-        if self.data.shape != (g.n_theta, g.n_phi, g.n_t):
-            raise GeometryMismatch(
-                f"sinogram shape {self.data.shape} does not match geometry "
-                f"({g.n_theta}, {g.n_phi}, {g.n_t})"
-            )
-        if not np.isfinite(self.data).all():
-            raise ValueError("sinogram data must be finite")
+# Geometry classes by the kind name that sinogram files store.
+GEOMETRY_KINDS = {g.kind: g for g in (PlaneGeometry, LineGeometry)}
 
 
-@dataclass
-class LineSinogram:
-    """Line-transform samples, shape (n_theta, n_phi, n_u, n_v)."""
-
-    data: np.ndarray
-    geometry: LineGeometry
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=float)
-        g = self.geometry
-        if self.data.shape != (g.n_theta, g.n_phi, g.n_u, g.n_v):
-            raise GeometryMismatch(
-                f"sinogram shape {self.data.shape} does not match geometry "
-                f"({g.n_theta}, {g.n_phi}, {g.n_u}, {g.n_v})"
-            )
-        if not np.isfinite(self.data).all():
-            raise ValueError("sinogram data must be finite")
-
-
-def _required_radius(v: Volume) -> float:
-    return v.support_radius if v.support_radius is not None else v.half_extent
-
-
-def _check_reach(v: Volume, reach: float, what: str) -> None:
-    r = _required_radius(v)
-    if reach < r - 1e-9:
+def _check_reach(v: Volume, geometry: DirectionChart) -> None:
+    r = v.support_radius if v.support_radius is not None else v.half_extent
+    if geometry.reach < r - 1e-9:
         raise GeometryMismatch(
-            f"{what} extends to {reach:g} but the field may be nonzero out to "
-            f"radius {r:g}; integrals would be truncated"
+            f"the {geometry.kind} detector extends to {geometry.reach:g} but the "
+            f"field may be nonzero out to radius {r:g}; integrals would be truncated"
         )
 
 
@@ -357,15 +411,17 @@ def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np
 
 
 def _project(
-    v: Volume, axes: list[tuple[np.ndarray, float, float, int]]
-) -> np.ndarray:
+    v: Volume, geometry: DirectionChart, axes: list[tuple[np.ndarray, float, float, int]]
+) -> Sinogram:
     """Splat-and-deconvolve projection shared by the plane and line transforms.
 
     Each detector axis is ``(directions, origin, step, n)``: ``directions``
-    holds one unit vector per direction, shape (n_dir, 3), and the detector
-    samples along that axis sit at ``origin + k * step`` for ``k < n``.
-    Returns shape (n_dir, n_0[, n_1]).
+    holds one unit vector per direction of the chart in C order, shape
+    (n_dir, 3), and the detector samples along that axis sit at ``origin + k
+    * step`` for ``k < n``.  Raises :class:`GeometryMismatch` when the
+    geometry's reach cannot cover the field's support.
     """
+    _check_reach(v, geometry)
     pts, f = _active_voxels(v)
     lengths = [SPLAT_REFINE * (n - 1) + 1 for *_, n in axes]
     mats = [
@@ -389,7 +445,7 @@ def _project(
         if len(mats) == 2:
             block = mats[0] @ block
         out[c0 : c0 + chunk] = block
-    return out
+    return geometry.sinogram_type(out.reshape(geometry.shape), geometry)
 
 
 def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
@@ -399,24 +455,30 @@ def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
     field's support.
     """
     g = geometry
-    _check_reach(v, g.t_max, "offset grid")
-    out = _project(v, [(g.normals.reshape(-1, 3), -g.t_max, g.dt, g.n_t)])
-    return PlaneSinogram(out.reshape(g.n_theta, g.n_phi, g.n_t), g)
+    return _project(v, g, [(g.normals.reshape(-1, 3), -g.t_max, g.dt, g.n_t)])
 
 
 def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
     """Line-integral (X-ray) transform of a volume."""
     g = geometry
-    _check_reach(v, g.u_max, "detector grid")
     frames = g.frames.reshape(-1, 3, 3)
-    out = _project(
+    return _project(
         v,
+        g,
         [
             (frames[:, :, 0], g.us[0], g.du, g.n_u),
             (frames[:, :, 1], g.vs[0], g.dv, g.n_v),
         ],
     )
-    return LineSinogram(out.reshape(g.n_theta, g.n_phi, g.n_u, g.n_v), g)
+
+
+def _quadrature_nodes(v: Volume, step: float | None) -> tuple[np.ndarray, float]:
+    """Midpoint nodes of spacing ``step`` (default half a voxel) spanning the volume's diagonal."""
+    if step is None:
+        step = 0.5 * v.spacing
+    half = v.half_extent * np.sqrt(3.0)
+    m = int(np.ceil(2.0 * half / step))
+    return (np.arange(m) + 0.5) * step - half, step
 
 
 def plane_integral(v: Volume, label: PlaneLabel, step: float | None = None) -> float:
@@ -426,41 +488,19 @@ def plane_integral(v: Volume, label: PlaneLabel, step: float | None = None) -> f
     normal, so equivalent labels (antipodal normal, negated offset) integrate
     the identical point set up to float rounding.
     """
-    n_raw = unit_normal(label.theta, label.phi)
-    theta, phi, sign = canonicalize_direction(n_raw)
-    frame = rotation_from_angles(theta, phi)
-    t = sign * label.t
-    return _planar_quadrature(v, t * frame[:, 2], frame[:, 0], frame[:, 1], step)
+    theta, phi, sign = canonicalize_direction(unit_normal(label.theta, label.phi))
+    e1, e2, normal = rotation_from_angles(theta, phi).T
+    s, step = _quadrature_nodes(v, step)
+    pts = sign * label.t * normal + s[:, None, None] * e1 + s[None, :, None] * e2
+    return float(np.sum(resample(v, pts)) * step * step)
 
 
 def line_integral(v: Volume, label: LineLabel, step: float | None = None) -> float:
     """Integral of a volume along one labelled line by direct 1-D quadrature."""
-    n_raw = unit_normal(label.theta, label.phi)
-    theta, phi, _ = canonicalize_direction(n_raw)
-    direction = unit_normal(theta, phi)
-    if step is None:
-        step = 0.5 * v.spacing
-    half = v.half_extent * np.sqrt(3.0)
-    m = int(np.ceil(2.0 * half / step))
-    s = (np.arange(m) + 0.5) * step - half
-    pts = label.offset[None, :] + s[:, None] * direction[None, :]
-    from .grid import resample
-
+    theta, phi, _ = canonicalize_direction(unit_normal(label.theta, label.phi))
+    s, step = _quadrature_nodes(v, step)
+    pts = label.offset[None, :] + s[:, None] * unit_normal(theta, phi)[None, :]
     return float(np.sum(resample(v, pts)) * step)
-
-
-def _planar_quadrature(
-    v: Volume, base: np.ndarray, e1: np.ndarray, e2: np.ndarray, step: float | None
-) -> float:
-    if step is None:
-        step = 0.5 * v.spacing
-    half = v.half_extent * np.sqrt(3.0)
-    m = int(np.ceil(2.0 * half / step))
-    s = (np.arange(m) + 0.5) * step - half
-    pts = base[None, None, :] + s[:, None, None] * e1[None, None, :] + s[None, :, None] * e2[None, None, :]
-    from .grid import resample
-
-    return float(np.sum(resample(v, pts)) * step * step)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +546,41 @@ def _chart_stencil(directions: np.ndarray, n_theta: int, n_phi: int) -> list[tup
     return corners
 
 
-def _interp_profiles(
-    profiles: np.ndarray, ii: np.ndarray, jj: np.ndarray, pos: np.ndarray
-) -> np.ndarray:
-    """Linear interpolation along the last axis of gathered profiles, zero outside."""
-    n = profiles.shape[-1]
+def _linear_taps(pos: np.ndarray, n: int, periodic: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two linear-interpolation taps ``(index, weight)`` at fractional indices ``pos``.
+
+    On an axis of ``n`` samples, indices wrap when ``periodic``; otherwise
+    taps off the axis weigh zero (at a clipped index).
+    """
     k0 = np.floor(pos).astype(np.int64)
     w = pos - k0
-    k0c = np.clip(k0, 0, n - 1)
-    k1c = np.clip(k0 + 1, 0, n - 1)
-    v0 = np.where((k0 >= 0) & (k0 < n), profiles[ii, jj, k0c], 0.0)
-    v1 = np.where((k0 + 1 >= 0) & (k0 + 1 < n), profiles[ii, jj, k1c], 0.0)
-    return v0 * (1.0 - w) + v1 * w
+    taps = []
+    for k, wk in ((k0, 1.0 - w), (k0 + 1, w)):
+        if periodic:
+            k = np.mod(k, n)
+        else:
+            wk = np.where((k >= 0) & (k < n), wk, 0.0)
+            k = np.clip(k, 0, n - 1)
+        taps.append((k, wk))
+    return taps
+
+
+def _interp_nodes(
+    data: np.ndarray, ii: np.ndarray, jj: np.ndarray, positions: list[np.ndarray]
+) -> np.ndarray:
+    """Multilinear interpolation, zero outside, in the trailing axes of ``data[ii, jj]``.
+
+    ``positions`` holds the fractional indices along each trailing axis; the
+    corners are summed with the first axis varying fastest.
+    """
+    axes = [_linear_taps(pos, n, False) for pos, n in zip(positions, data.shape[2:])]
+    acc = None
+    for corner in itertools.product(*reversed(axes)):
+        corner = corner[::-1]
+        weight = reduce(np.multiply, (wk for _, wk in corner))
+        term = weight * data[(ii, jj, *(k for k, _ in corner))]
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def sample_plane_profiles(
@@ -539,7 +602,7 @@ def sample_plane_profiles(
     acc = 0.0
     for ii, jj, sign, w in _chart_stencil(directions, n_theta, n_phi):
         pos = (sign * radial - radial_origin) / radial_step
-        acc = acc + w * _interp_profiles(profiles, ii, jj, pos)
+        acc = acc + w * _interp_nodes(profiles, ii, jj, [pos])
     return acc
 
 
@@ -552,32 +615,6 @@ def sample_plane_sinogram(
         s.data, g.n_theta, g.n_phi, directions, np.asarray(offsets, dtype=float),
         -g.t_max, g.dt,
     )
-
-
-def _interp_detector(
-    images: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    pu: np.ndarray,
-    pv: np.ndarray,
-) -> np.ndarray:
-    """Bilinear interpolation in gathered detector images, zero outside."""
-    n_u, n_v = images.shape[-2], images.shape[-1]
-    iu = np.floor(pu).astype(np.int64)
-    iv = np.floor(pv).astype(np.int64)
-    wu, wv = pu - iu, pv - iv
-    acc = np.zeros(pu.shape, dtype=images.dtype)
-    for su, sv, w in (
-        (0, 0, (1 - wu) * (1 - wv)),
-        (1, 0, wu * (1 - wv)),
-        (0, 1, (1 - wu) * wv),
-        (1, 1, wu * wv),
-    ):
-        ku, kv = iu + su, iv + sv
-        ok = (ku >= 0) & (ku < n_u) & (kv >= 0) & (kv < n_v)
-        vals = np.where(ok, images[ii, jj, np.clip(ku, 0, n_u - 1), np.clip(kv, 0, n_v - 1)], 0.0)
-        acc = acc + w * vals
-    return acc
 
 
 def sample_line_images(
@@ -606,7 +643,7 @@ def sample_line_images(
         e2 = frames[ii, jj, :, 1]
         pu = (np.sum(vectors * e1, axis=-1) - u_origin) / du
         pv = (np.sum(vectors * e2, axis=-1) - v_origin) / dv
-        acc = acc + w * _interp_detector(images, ii, jj, pu, pv)
+        acc = acc + w * _interp_nodes(images, ii, jj, [pu, pv])
     return acc
 
 
@@ -639,69 +676,57 @@ def backproject_plane(s: PlaneSinogram, n: int, spacing: float) -> Volume:
     return Volume(acc.reshape(n, n, n), spacing)
 
 
-def backproject_line(s: LineSinogram, n: int, spacing: float) -> Volume:
-    """Sum over directions of the sinogram at each point's perpendicular offset."""
-    g = s.geometry
-    out = Volume(np.zeros((n, n, n)), spacing)
-    pts = out.coordinate_grid().reshape(-1, 3)
-    acc = np.zeros(pts.shape[0])
-    weights = g.direction_weights
-    u0, v0 = g.us[0], g.vs[0]
-    for i in range(g.n_theta):
-        for j in range(g.n_phi):
-            fr = g.frames[i, j]
-            pu = (pts @ fr[:, 0] - u0) / g.du
-            pv = (pts @ fr[:, 1] - v0) / g.dv
-            acc += weights[i, j] * _bilinear_image(s.data[i, j], pu, pv)
-    out.data = acc.reshape(n, n, n)
-    return out
+def _padded_t_spectra(s: PlaneSinogram, pad: float) -> tuple[np.ndarray, float, float]:
+    """Per-direction offset spectra on a pad-times finer frequency axis.
 
-
-def _bilinear_image(image: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    n_u, n_v = image.shape
-    iu = np.floor(pu).astype(np.int64)
-    iv = np.floor(pv).astype(np.int64)
-    wu, wv = pu - iu, pv - iv
-    acc = np.zeros(pu.shape)
-    for su, sv, w in (
-        (0, 0, (1 - wu) * (1 - wv)),
-        (1, 0, wu * (1 - wv)),
-        (0, 1, (1 - wu) * wv),
-        (1, 1, wu * wv),
-    ):
-        ku, kv = iu + su, iv + sv
-        ok = (ku >= 0) & (ku < n_u) & (kv >= 0) & (kv < n_v)
-        acc += w * np.where(ok, image[np.clip(ku, 0, n_u - 1), np.clip(kv, 0, n_v - 1)], 0.0)
-    return acc
-
-
-def sinogram_t_spectra(s: PlaneSinogram) -> np.ndarray:
-    """Per-direction offset spectra on the centered frequency axis.
-
-    Returns shape (n_theta, n_phi, n_t) complex with frequency ``(k - n_t //
-    2) / (n_t * dt)`` at index k, using the same ``exp(-2 pi i tau t)``
-    convention as :func:`simrad.grid.dft3`.
+    The offsets are zero-padded to ``n_pad = round(pad * n_t)`` samples, and
+    index ``k`` holds frequency ``(k - n_pad // 2) / (n_pad * dt)`` in the
+    ``exp(-2 pi i tau t)`` convention of :func:`simrad.grid.dft3`.  Returns
+    (spectra, frequency step, offset of the padded grid's first node).
     """
     g = s.geometry
-    n = g.n_t
-    spec = np.fft.fftshift(np.fft.fft(s.data, axis=-1), axes=-1)
-    k = np.arange(n) - n // 2
-    dtau = 1.0 / (n * g.dt)
-    phase = np.exp(-2j * np.pi * dtau * k * g.ts[0])
-    return spec * g.dt * phase
+    n_pad = int(round(pad * g.n_t))
+    data = np.zeros((g.n_theta, g.n_phi, n_pad))
+    lo = (n_pad - g.n_t) // 2
+    data[:, :, lo : lo + g.n_t] = s.data
+    t0 = g.ts[0] - lo * g.dt
+    dtau = 1.0 / (n_pad * g.dt)
+    k = np.arange(n_pad) - n_pad // 2
+    spec = np.fft.fftshift(np.fft.fft(data, axis=-1), axes=-1)
+    return spec * g.dt * np.exp(-2j * np.pi * dtau * k * t0), dtau, t0
 
 
-def line_uv_spectra(s: LineSinogram) -> np.ndarray:
-    """Per-direction detector spectra on centered frequency axes (complex)."""
+def _padded_uv_spectra(
+    s: LineSinogram, pad: float
+) -> tuple[np.ndarray, float, float, float, float]:
+    """Per-direction detector spectra on pad-times finer frequency axes.
+
+    The 2-D analog of :func:`_padded_t_spectra`.  Returns (spectra, both
+    frequency steps, both padded-grid origins).
+    """
     g = s.geometry
-    spec = np.fft.fftshift(np.fft.fft2(s.data, axes=(-2, -1)), axes=(-2, -1))
-    ku = np.arange(g.n_u) - g.n_u // 2
-    kv = np.arange(g.n_v) - g.n_v // 2
-    dnu_u = 1.0 / (g.n_u * g.du)
-    dnu_v = 1.0 / (g.n_v * g.dv)
-    phase_u = np.exp(-2j * np.pi * dnu_u * ku * g.us[0])
-    phase_v = np.exp(-2j * np.pi * dnu_v * kv * g.vs[0])
-    return spec * (g.du * g.dv) * phase_u[:, None] * phase_v[None, :]
+    nu_pad = int(round(pad * g.n_u))
+    nv_pad = int(round(pad * g.n_v))
+    lou = (nu_pad - g.n_u) // 2
+    lov = (nv_pad - g.n_v) // 2
+    dnu = 1.0 / (nu_pad * g.du)
+    dnv = 1.0 / (nv_pad * g.dv)
+    ku = np.arange(nu_pad) - nu_pad // 2
+    kv = np.arange(nv_pad) - nv_pad // 2
+    u0 = g.us[0] - lou * g.du
+    v0 = g.vs[0] - lov * g.dv
+    phase = (
+        np.exp(-2j * np.pi * dnu * ku * u0)[:, None]
+        * np.exp(-2j * np.pi * dnv * kv * v0)
+        * (g.du * g.dv)
+    )
+    spec = np.zeros((g.n_theta, g.n_phi, nu_pad, nv_pad), dtype=complex)
+    buf = np.zeros((g.n_phi, nu_pad, nv_pad))
+    for i in range(g.n_theta):
+        buf[:] = 0.0
+        buf[:, lou : lou + g.n_u, lov : lov + g.n_v] = s.data[i]
+        spec[i] = np.fft.fftshift(np.fft.fft2(buf, axes=(-2, -1)), axes=(-2, -1)) * phase
+    return spec, dnu, dnv, u0, v0
 
 
 def _padded_spectrum(v: Volume, pad_factor: int) -> Spectrum3D:
@@ -732,15 +757,10 @@ def fourier_slice_plane(
     """Volume spectrum sampled along each direction's frequency ray.
 
     Returns shape (n_theta, n_phi, n_t) complex on the centered radial
-    frequency axis matching :func:`sinogram_t_spectra`; equality of the two
+    frequency axis of ``_padded_t_spectra`` at pad 1; equality of the two
     (up to interpolation error) is the projection-slice property.
     """
-    g = geometry
-    spec = _padded_spectrum(v, pad_factor)
-    dtau = 1.0 / (g.n_t * g.dt)
-    taus = (np.arange(g.n_t) - g.n_t // 2) * dtau
-    freqs = g.normals[:, :, None, :] * taus[None, None, :, None]
-    return _sample_spectrum3(spec, freqs)
+    return _sample_spectrum3(_padded_spectrum(v, pad_factor), geometry.slice_frequencies())
 
 
 def fourier_slice_line(
@@ -748,20 +768,22 @@ def fourier_slice_line(
 ) -> np.ndarray:
     """Volume spectrum sampled on each direction's perpendicular frequency plane.
 
-    Returns shape (n_theta, n_phi, n_u, n_v) complex on centered detector
-    frequency axes matching :func:`line_uv_spectra`.
+    Returns shape (n_theta, n_phi, n_u, n_v) complex on the centered detector
+    frequency axes of ``_padded_uv_spectra`` at pad 1.
     """
-    g = geometry
-    spec = _padded_spectrum(v, pad_factor)
-    nu_u = (np.arange(g.n_u) - g.n_u // 2) / (g.n_u * g.du)
-    nu_v = (np.arange(g.n_v) - g.n_v // 2) / (g.n_v * g.dv)
-    e1 = g.frames[:, :, :, 0]
-    e2 = g.frames[:, :, :, 1]
-    freqs = (
-        e1[:, :, None, None, :] * nu_u[None, None, :, None, None]
-        + e2[:, :, None, None, :] * nu_v[None, None, None, :, None]
-    )
-    return _sample_spectrum3(spec, freqs)
+    return _sample_spectrum3(_padded_spectrum(v, pad_factor), geometry.slice_frequencies())
+
+
+def kind_routes(geometry: DirectionChart) -> tuple:
+    """(forward transform, volume-side Fourier slice, sinogram-side spectra) of a kind.
+
+    The one place this module selects between planes and lines.  The names
+    resolve at each call, so a rebinding of this module's functions (as the
+    benchmark's tracer does) reaches the callers too.
+    """
+    if geometry.kind == "plane":
+        return radon_plane, fourier_slice_plane, _padded_t_spectra
+    return xray, fourier_slice_line, _padded_uv_spectra
 
 
 # ---------------------------------------------------------------------------
@@ -769,36 +791,13 @@ def fourier_slice_line(
 # ---------------------------------------------------------------------------
 
 
-def _plane_cell_measure(g: PlaneGeometry) -> np.ndarray:
-    return (np.sin(g.phis)[None, :, None] * g.dtheta * g.dphi * g.dt)
-
-
-def _line_cell_measure(g: LineGeometry) -> np.ndarray:
-    return (
-        np.sin(g.phis)[None, :, None, None]
-        * g.dtheta
-        * g.dphi
-        * g.du
-        * g.dv
-        / np.pi
-    )
-
-
-def sinogram_norm(s: PlaneSinogram | LineSinogram) -> float:
+def sinogram_norm(s: Sinogram) -> float:
     """L2 norm under the label-space measure (with the line-space ``1/pi``)."""
-    if isinstance(s, PlaneSinogram):
-        w = _plane_cell_measure(s.geometry)
-    else:
-        w = _line_cell_measure(s.geometry)
-    return float(np.sqrt(np.sum(w * s.data * s.data)))
+    return float(np.sqrt(np.sum(s.geometry.cell_measure * s.data * s.data)))
 
 
-def sinogram_inner(s1, s2) -> float:
+def sinogram_inner(s1: Sinogram, s2: Sinogram) -> float:
     """L2 inner product of two sinograms on identical geometries."""
     if type(s1) is not type(s2) or s1.geometry != s2.geometry:
         raise GeometryMismatch("sinograms live on different sampling geometries")
-    if isinstance(s1, PlaneSinogram):
-        w = _plane_cell_measure(s1.geometry)
-    else:
-        w = _line_cell_measure(s1.geometry)
-    return float(np.sum(w * s1.data * s2.data))
+    return float(np.sum(s1.geometry.cell_measure * s1.data * s2.data))

@@ -41,6 +41,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         MultiplierSpec(-1.0)
     with pytest.raises(ValueError):
+        MultiplierSpec(float("nan"))
+    with pytest.raises(ValueError):
         MultiplierSpec(1.0, window="hann")
     MultiplierSpec(0.5, window="raised-cosine")  # accepted
 

@@ -337,6 +337,39 @@ def test_cli_rejects_non_finite_sinogram(command, workdir, plane_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, suffix, header, header_bytes",
+    [
+        ("radon", "svol", "SIMRAD-VOL v1 h=0.5 origin=0,0,0 dtype=f64", VOL_HEADER_BYTES),
+        ("radon", "svol", "SIMRAD-VOL v1 N=100000 h=0.5 origin=0,0,0 dtype=f64", VOL_HEADER_BYTES),
+        ("radon", "svol", "SIMRAD-VOL v1 N=3 h=0.5 origin=0,0,0 dtype=f64", VOL_HEADER_BYTES),
+        ("filter", "sgm", "SIMRAD-SGM v1 kind=plane ntheta=4 nphi=4 tmax=4", SGM_HEADER_BYTES),
+        (
+            "filter",
+            "sgm",
+            "SIMRAD-SGM v1 kind=line ntheta=4000 nphi=4000 nu=4000 nv=4000 umax=4.8",
+            SGM_HEADER_BYTES,
+        ),
+    ],
+    ids=[
+        "volume-missing-N", "volume-huge-N", "volume-short-N", "sinogram-missing-nt",
+        "sinogram-huge",
+    ],
+)
+def test_cli_rejects_malformed_headers(command, suffix, header, header_bytes, workdir, capsys):
+    # A missing field is a malformed file, and a declared payload that differs
+    # from the file's is refused before anything is allocated: the huge cases
+    # would ask for petabytes, and N=3 would reshape the first 27 of the 64
+    # samples into a volume.
+    bad = workdir / f"malformed.{suffix}"
+    _write_raw(bad, header, header_bytes, b"\x00" * (4**3 * 8))
+    out = workdir / "malformed.out"
+    rc = cli.main([command, "--in", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "ValueError\n"
+    assert not out.exists()
+
+
 def test_cli_usage_errors_exit_2(workdir, vol_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
@@ -344,6 +377,10 @@ def test_cli_usage_errors_exit_2(workdir, vol_path):
     for argv in (
         ["radon", "--in", str(vol_path), "--tmax", "nan", "--out", str(workdir / "x.sgm")],
         ["gen", "--phantom", "gaussian", "--h", "inf", "--out", str(workdir / "x.svol")],
+        *(
+            ["filter", "--in", str(vol_path), "--power", token, "--out", str(workdir / "x.sgm")]
+            for token in ("-1", "nan", "inf")
+        ),
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -27,19 +27,21 @@ from simrad.xform import (
     LineSinogram,
     PlaneGeometry,
     PlaneSinogram,
-    backproject_line,
+    _chart_stencil,
+    _padded_t_spectra,
+    _padded_uv_spectra,
     backproject_plane,
     fourier_slice_line,
     fourier_slice_plane,
     line_integral,
-    line_uv_spectra,
     plane_integral,
     radon_plane,
+    sample_line_images,
     sample_line_sinogram,
+    sample_plane_profiles,
     sample_plane_sinogram,
     sinogram_inner,
     sinogram_norm,
-    sinogram_t_spectra,
     xray,
 )
 
@@ -381,6 +383,68 @@ def test_plane_sampler_interpolates_between_offsets(plane_sinogram, plane_geomet
 # --- spectra and the projection-slice property ------------------------------
 
 
+# --- the gathered multilinear lookup against the two interpolators it replaced
+
+
+def _parent_interp_profiles(profiles, ii, jj, pos):
+    n = profiles.shape[-1]
+    k0 = np.floor(pos).astype(np.int64)
+    w = pos - k0
+    k0c = np.clip(k0, 0, n - 1)
+    k1c = np.clip(k0 + 1, 0, n - 1)
+    v0 = np.where((k0 >= 0) & (k0 < n), profiles[ii, jj, k0c], 0.0)
+    v1 = np.where((k0 + 1 >= 0) & (k0 + 1 < n), profiles[ii, jj, k1c], 0.0)
+    return v0 * (1.0 - w) + v1 * w
+
+
+def _parent_interp_detector(images, ii, jj, pu, pv):
+    n_u, n_v = images.shape[-2], images.shape[-1]
+    iu = np.floor(pu).astype(np.int64)
+    iv = np.floor(pv).astype(np.int64)
+    wu, wv = pu - iu, pv - iv
+    acc = np.zeros(pu.shape, dtype=images.dtype)
+    for su, sv, w in (
+        (0, 0, (1 - wu) * (1 - wv)),
+        (1, 0, wu * (1 - wv)),
+        (0, 1, (1 - wu) * wv),
+        (1, 1, wu * wv),
+    ):
+        ku, kv = iu + su, iv + sv
+        ok = (ku >= 0) & (ku < n_u) & (kv >= 0) & (kv < n_v)
+        vals = np.where(ok, images[ii, jj, np.clip(ku, 0, n_u - 1), np.clip(kv, 0, n_v - 1)], 0.0)
+        acc = acc + w * vals
+    return acc
+
+
+def test_interp_nodes_matches_parent_interpolators(plane_sinogram, line_sinogram):
+    # Complex data, and queries that run past both ends of the offset axis
+    # and off every side of the detector, so the zero boundary is exercised.
+    rng = np.random.default_rng(11)
+    dirs = rng.standard_normal((4000, 3))
+    pg, lg = plane_sinogram.geometry, line_sinogram.geometry
+
+    profiles = plane_sinogram.data + 1j * plane_sinogram.data[:, :, ::-1]
+    radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, len(dirs))
+    got = sample_plane_profiles(profiles, pg.n_theta, pg.n_phi, dirs, radial, -pg.t_max, pg.dt)
+    want = 0.0
+    for ii, jj, sign, w in _chart_stencil(dirs, pg.n_theta, pg.n_phi):
+        pos = (sign * radial + pg.t_max) / pg.dt
+        want = want + w * _parent_interp_profiles(profiles, ii, jj, pos)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(want[np.abs(radial) > pg.t_max + pg.dt])) == 0.0
+
+    images = line_sinogram.data * (1.0 - 0.5j)
+    vectors = rng.uniform(-1.3 * lg.u_max, 1.3 * lg.u_max, (len(dirs), 3))
+    got = sample_line_images(images, lg, dirs, vectors, lg.us[0], lg.du, lg.vs[0], lg.dv)
+    want = 0.0
+    for ii, jj, _, w in _chart_stencil(dirs, lg.n_theta, lg.n_phi):
+        frame = lg.frames[ii, jj]
+        pu = (np.sum(vectors * frame[..., 0], axis=-1) - lg.us[0]) / lg.du
+        pv = (np.sum(vectors * frame[..., 1], axis=-1) - lg.vs[0]) / lg.dv
+        want = want + w * _parent_interp_detector(images, ii, jj, pu, pv)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_t_spectra_convention_oracle(plane_sinogram, plane_geometry):
     g = plane_geometry
     dtau = 1.0 / (g.n_t * g.dt)
@@ -389,7 +453,7 @@ def test_t_spectra_convention_oracle(plane_sinogram, plane_geometry):
     oracle = np.exp(-np.pi * taus[None, None, :] ** 2) * np.exp(
         -2j * np.pi * taus[None, None, :] * nc[:, :, None]
     )
-    spec = sinogram_t_spectra(plane_sinogram)
+    spec, _, _ = _padded_t_spectra(plane_sinogram, 1)
     assert np.max(np.abs(spec - oracle)) <= SPECTRUM_ORACLE_TOL
 
 
@@ -407,7 +471,7 @@ def test_fourier_slice_plane_oracle(volume, plane_geometry):
 
 def test_fourier_slice_matches_line_spectra(volume, line_sinogram, line_geometry):
     # Cross-path agreement in relative L2, the projection-slice property.
-    measured = line_uv_spectra(line_sinogram)
+    measured, *_ = _padded_uv_spectra(line_sinogram, 1)
     sliced = fourier_slice_line(volume, line_geometry, pad_factor=4)
     rel = np.linalg.norm((measured - sliced).ravel()) / np.linalg.norm(sliced.ravel())
     assert rel <= SLICE_ORACLE_TOL
@@ -442,14 +506,3 @@ def test_backproject_plane_is_adjoint(volume, plane_sinogram, plane_geometry):
     bp = backproject_plane(s, 32, 0.3)
     rhs = float(0.3**3 * np.sum(volume.data * bp.data))
     assert abs(lhs - rhs) / abs(lhs) <= ADJOINT_TOL
-
-
-def test_backproject_line_constant_sinogram(line_geometry):
-    # A sinogram identically 1 backprojects, at every interior point, to the
-    # discrete direction-measure total (the quadrature's own value of the
-    # half-sphere area) exactly: bilinear weights sum to 1 per direction.
-    s = LineSinogram(np.ones((16, 16, 48, 48)), line_geometry)
-    bp = backproject_line(s, 8, 0.2)
-    interior = bp.data[2:-2, 2:-2, 2:-2]
-    total = float(np.sum(line_geometry.direction_weights))
-    assert np.max(np.abs(interior - total)) <= 1e-12
