@@ -36,16 +36,13 @@ SUPPORT_DECAY_RADII = 3.5
 class Volume:
     """Scalar field on a cubic grid.
 
-    ``support_radius`` (optional) records the radius of a ball around the
-    coordinate origin outside which the field is numerically negligible;
-    constructors of synthetic fields set it so downstream sampling geometries
-    can be validated against it.
+    The projectors' reach guard reads the data itself: how far from the
+    coordinate origin the voxels above rounding noise lie.
     """
 
     data: np.ndarray
     spacing: float
     origin: np.ndarray = field(default=None)  # type: ignore[assignment]
-    support_radius: float | None = None
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)
@@ -173,7 +170,11 @@ def gaussian_mixture_phantom(
     scales,
     amplitudes,
 ) -> Volume:
-    """Sum of Gaussian bumps; support metadata covers every component."""
+    """Sum of Gaussian bumps.
+
+    Raises :class:`SupportOverflow` when any bump does not decay to numerical
+    zero before reaching the grid boundary.
+    """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     scales = np.asarray(scales, dtype=float).reshape(-1)
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
@@ -194,9 +195,6 @@ def gaussian_mixture_phantom(
     for c, s, amp in zip(centers, scales, amplitudes):
         d2 = np.sum((grid - c) ** 2, axis=-1)
         out.data += amp * np.exp(-np.pi * d2 / s**2)
-    out.support_radius = float(
-        max(np.linalg.norm(c) + SUPPORT_DECAY_RADII * s for c, s in zip(centers, scales))
-    )
     return out
 
 
@@ -211,7 +209,6 @@ def log_wavelet(n: int, spacing: float, scale: float = 1.0) -> Volume:
     g = np.pi / scale**2
     r2 = np.sum(out.coordinate_grid() ** 2, axis=-1)
     out.data = (6.0 * g - 4.0 * g * g * r2) * np.exp(-g * r2)
-    out.support_radius = (SUPPORT_DECAY_RADII + 0.5) * scale
     return out
 
 
@@ -228,8 +225,4 @@ def apply_pi(g: GroupElement, v: Volume) -> Volume:
     ginv = inverse(g)
     grid = v.coordinate_grid()
     query = ginv.b + ginv.a * (grid @ ginv.R.T)
-    data = g.a**-1.5 * resample(v, query)
-    radius = None
-    if v.support_radius is not None:
-        radius = g.a * v.support_radius + float(np.linalg.norm(g.b))
-    return Volume(data, v.spacing, v.origin.copy(), support_radius=radius)
+    return Volume(g.a**-1.5 * resample(v, query), v.spacing, v.origin.copy())

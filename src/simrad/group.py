@@ -125,10 +125,11 @@ class CharacterSet:
     """Tabulated scale-character exponents for one transform geometry.
 
     Each character is the power ``a ** exponent`` of the scale part of a group
-    element: ``alpha`` for the point-space Jacobian, ``beta`` for the fiber
-    (label-space) Jacobian, ``gamma`` for the offset dilation, and ``chi`` for
-    the factor appearing in the intertwining relation between the transform and
-    the two quasi-regular representations.
+    element: ``alpha_exp`` for the point-space Jacobian, ``beta_exp`` for the
+    fiber (label-space) Jacobian, ``gamma_exp`` for the offset dilation, and
+    ``chi_exp`` for the factor appearing in the intertwining relation between
+    the transform and the two quasi-regular representations, which
+    :meth:`chi` evaluates.
     """
 
     alpha_exp: float
@@ -143,15 +144,6 @@ class CharacterSet:
     @staticmethod
     def line() -> "CharacterSet":
         return CharacterSet(alpha_exp=3.0, beta_exp=3.0, gamma_exp=1.0, chi_exp=0.5)
-
-    def alpha(self, g: GroupElement) -> float:
-        return g.a**self.alpha_exp
-
-    def beta(self, g: GroupElement) -> float:
-        return g.a**self.beta_exp
-
-    def gamma(self, g: GroupElement) -> float:
-        return g.a**self.gamma_exp
 
     def chi(self, g: GroupElement) -> float:
         return g.a**self.chi_exp

@@ -359,14 +359,6 @@ class GroupLattice:
             / len(self.rotations)
         )
 
-    def elements(self):
-        """Yield ``(GroupElement, weight)`` in (scale, rotation, shift) order."""
-        shifts = self.shifts
-        for a, w in zip(self.scales, self.scale_weights()):
-            for R in self.rotations:
-                for b in shifts:
-                    yield GroupElement(b, R, float(a)), float(w)
-
 
 @dataclass(frozen=True)
 class WaveletMetrics:

@@ -28,8 +28,10 @@ is one small real matrix: the kept rows of ``ifft(lowpass / sinc^4 * fft)``,
 of shape (n, SPLAT_REFINE * (n - 1) + 1).  Directions are projected in chunks
 sized by ``SPLAT_CHUNK_BYTES``; each chunk is splatted and at once multiplied
 by the matrices (``blk @ D_t.T`` for planes, ``D_u @ blk @ D_v.T`` for
-lines), so the refined grid never exists for more than one chunk.  Taps that
-fall off the detector land in guard cells that the matrices ignore.
+lines), so the refined grid never exists for more than one chunk.  A
+projection refuses a field whose nonzero voxels reach farther from the
+coordinate origin than the detector does, so every cubic tap lands on the
+detector or in the guard cells just past its ends, which the matrices ignore.
 
 The two transforms are two instances of one construction, and everything
 that differs by kind, short of the math itself, is a fact of the geometry:
@@ -95,8 +97,11 @@ SPLAT_CHUNK_BYTES = 256 << 10
 # ~1e-5 for unit-bandwidth fields; a triangular kernel (sinc^2) at the output
 # rate would leave ~1e-2.
 SPLAT_REFINE = 3
-# Cells past each end of a refined detector axis that collect the cubic taps
-# falling off it (offsets -1..2 around a floor cell clamped to [-3, n + 1]).
+# Cells past each end of a refined detector axis of n_f samples that collect
+# the cubic taps falling off it.  A voxel within the geometry's reach sits at
+# refined position [0, n_f - 1] on a plane offset axis and [-1.5, n_f + 0.5]
+# on a line detector axis (its samples are cell centres), so its taps, at
+# offsets -1..2 around the floor cell, land in [-3, n_f + 2].
 SPLAT_GUARD = 4
 # Voxels with |f| below this fraction of the field's maximum are skipped by
 # the projectors; the dropped mass is below double rounding noise.
@@ -313,15 +318,6 @@ class LineGeometry(DirectionChart):
 GEOMETRY_KINDS = {g.kind: g for g in (PlaneGeometry, LineGeometry)}
 
 
-def _check_reach(v: Volume, geometry: DirectionChart) -> None:
-    r = v.support_radius if v.support_radius is not None else v.half_extent
-    if geometry.reach < r - 1e-9:
-        raise GeometryMismatch(
-            f"the {geometry.kind} detector extends to {geometry.reach:g} but the "
-            f"field may be nonzero out to radius {r:g}; integrals would be truncated"
-        )
-
-
 def _lowpass(freq_abs: np.ndarray, cutoff: float) -> np.ndarray:
     """Raised-cosine low-pass: 1 below the rolloff knee, 0 above the cutoff."""
     knee = (1.0 - ROLLOFF_FRACTION) * cutoff
@@ -382,8 +378,9 @@ def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np
     position along detector axis ``a`` in cells of a grid of ``lengths[a]``
     samples.  Returns shape (n_directions, *(n + 2 * SPLAT_GUARD for n in
     lengths)): the grid with ``SPLAT_GUARD`` cells on each side that collect
-    the taps falling off it.  The flat index of each point's lowest tap is
-    computed once, and every tap combination is a constant offset from it.
+    the taps falling off it, which the caller keeps within the guard.  The
+    flat index of each point's lowest tap is computed once, and every tap
+    combination is a constant offset from it.
     """
     m = positions[0].shape[1]
     shape = [n + 2 * SPLAT_GUARD for n in lengths]
@@ -391,13 +388,10 @@ def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np
     size = m * int(np.prod(shape))
     k = np.arange(m)[None, :] * (size // m)
     taps = []
-    for pos, n, stride in zip(positions, lengths, strides):
+    for pos, stride in zip(positions, strides):
         cell = np.floor(pos)
         taps.append([((off + 1) * stride, tap) for off, tap in _cubic_taps(pos - cell)])
-        # A point whose floor cell lies outside [-3, n + 1] deposits only off
-        # the grid; moving it to that range keeps its taps off the grid and
-        # inside the guard.
-        k = k + (np.clip(cell, -3, n + 1).astype(np.int64) + SPLAT_GUARD - 1) * stride
+        k = k + (cell.astype(np.int64) + SPLAT_GUARD - 1) * stride
     # The value rides on the last axis's taps, so each combination costs one
     # product in 2-D and none in 1-D.
     taps[-1] = [(off, f[:, None] * tap) for off, tap in taps[-1]]
@@ -418,11 +412,16 @@ def _project(
     Each detector axis is ``(directions, origin, step, n)``: ``directions``
     holds one unit vector per direction of the chart in C order, shape
     (n_dir, 3), and the detector samples along that axis sit at ``origin + k
-    * step`` for ``k < n``.  Raises :class:`GeometryMismatch` when the
-    geometry's reach cannot cover the field's support.
+    * step`` for ``k < n``.  Raises :class:`GeometryMismatch` when an active
+    voxel lies farther from the coordinate origin than the geometry's reach.
     """
-    _check_reach(v, geometry)
     pts, f = _active_voxels(v)
+    radius = float(np.sqrt(np.max(np.sum(pts * pts, axis=1), initial=0.0)))
+    if geometry.reach < radius - 1e-9:
+        raise GeometryMismatch(
+            f"the {geometry.kind} detector extends to {geometry.reach:g} but the "
+            f"field is nonzero out to radius {radius:g}; integrals would be truncated"
+        )
     lengths = [SPLAT_REFINE * (n - 1) + 1 for *_, n in axes]
     mats = [
         _deconvolution_matrix(
@@ -451,8 +450,8 @@ def _project(
 def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
     """Plane-integral transform of a volume.
 
-    Raises :class:`GeometryMismatch` when the offset range cannot cover the
-    field's support.
+    Raises :class:`GeometryMismatch` when a nonzero voxel lies farther than
+    ``t_max`` from the coordinate origin.
     """
     g = geometry
     return _project(v, g, [(g.normals.reshape(-1, 3), -g.t_max, g.dt, g.n_t)])

@@ -338,22 +338,6 @@ def test_lattice_nodes_and_weights(reference_lattice):
     assert np.allclose(lat.scale_weights(), expected, rtol=1e-12)
 
 
-def test_lattice_elements_scale_major_order(reference_lattice):
-    lat = reference_lattice
-    elems = list(lat.elements())
-    assert len(elems) == lat.n_nodes
-    g0, w0 = elems[0]
-    assert g0.a == lat.scales[0]
-    assert np.array_equal(g0.b, lat.shifts[0])
-    assert w0 == pytest.approx(lat.scale_weights()[0])
-    # shifts vary fastest, then rotations, then scales
-    g_rot, _ = elems[len(lat.shifts)]
-    assert np.allclose(g_rot.R, lat.rotations[1])
-    g_scale, w_scale = elems[len(lat.shifts) * len(lat.rotations)]
-    assert g_scale.a == pytest.approx(lat.scales[1])
-    assert w_scale == pytest.approx(lat.scale_weights()[1])
-
-
 def test_lattice_custom_rotations():
     lat = GroupLattice.build(0.9, 2, 1.0, 2.0, 2, rotations=[np.eye(3)])
     assert lat.n_nodes == 8 * 1 * 2

@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import simrad
 from simrad import cli
+from simrad.errors import SimradError
 from simrad.grid import Volume, gaussian_phantom
 from simrad.io import (
     SGM_HEADER_BYTES,
@@ -30,6 +33,12 @@ from simrad.xform import LineGeometry, LineSinogram, PlaneGeometry, PlaneSinogra
 # and acceptance suites.  Measured: FBP 0.18, direct Fourier 0.032.
 CLI_FBP_TOL = 2.5e-1
 CLI_DF_TOL = 1e-1
+# Bytes a reader may hold beyond the size of the file it reads: the file
+# object's buffer (one filesystem block), the header, the parsed fields and
+# the array objects, plus a second copy of a small payload (a volume is
+# transposed into x-fastest order).  Measured at most 6.6 KiB over the fuzzed
+# files below, with 4 KiB blocks.
+READER_ALLOWANCE = 64 << 10
 
 
 def _metrics(out: str) -> dict[str, float]:
@@ -167,6 +176,85 @@ def test_read_sinogram_rejects_unknown_kind(tmp_path):
 def test_pack_header_rejects_oversized_text():
     with pytest.raises(ValueError, match="does not fit"):
         _pack_header("x" * 64, 64)
+
+
+# Valid files to edit: (header text, header size in bytes, payload samples).
+_FUZZ_BASES = {
+    "volume": ("SIMRAD-VOL v1 N=3 h=0.5 origin=0,0,0 dtype=f64", VOL_HEADER_BYTES, 27),
+    "plane": ("SIMRAD-SGM v1 kind=plane ntheta=2 nphi=2 nt=3 tmax=1", SGM_HEADER_BYTES, 12),
+    "line": ("SIMRAD-SGM v1 kind=line ntheta=2 nphi=2 nu=2 nv=2 umax=1", SGM_HEADER_BYTES, 16),
+}
+_FUZZ_TOKEN = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12)
+_FUZZ_VALUE = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.integers(10**4, 10**18).map(str),
+    st.sampled_from(["nan", "inf", "1e400", "0.5", "1,2", "1,,2", "plane", "line", "f32"]),
+    _FUZZ_TOKEN,
+)
+_FUZZ_KEY = st.one_of(
+    st.sampled_from(["N", "h", "origin", "dtype", "kind", "ntheta", "nphi", "nt", "tmax",
+                     "nu", "nv", "umax"]),
+    _FUZZ_TOKEN,
+)
+_FUZZ_EDIT = st.one_of(
+    st.tuples(st.just("set"), _FUZZ_KEY, _FUZZ_VALUE),
+    st.tuples(st.just("insert"), st.integers(0, 9), _FUZZ_TOKEN),
+    st.tuples(st.just("drop"), st.integers(0, 9), st.just("")),
+)
+
+
+def _fuzzed_file(kind: str, edits, cut: int) -> bytes:
+    """A base file with its header tokens edited and ``cut`` payload bytes dropped
+    (appended when negative)."""
+    text, size, samples = _FUZZ_BASES[kind]
+    tokens = text.split()
+    for op, where, value in edits:
+        if op == "set":
+            keys = [t.partition("=")[0] for t in tokens]
+            if where in keys:
+                tokens[keys.index(where)] = f"{where}={value}"
+            else:
+                tokens.append(f"{where}={value}")
+        elif op == "insert":
+            tokens.insert(where % (len(tokens) + 1), value)
+        elif tokens:
+            del tokens[where % len(tokens)]
+    header = (" ".join(tokens)[: size - 1].ljust(size - 1) + "\n").encode("ascii")
+    payload = np.arange(samples, dtype="<f8").tobytes()
+    payload = payload[: len(payload) - cut] if cut >= 0 else payload + b"\x00" * -cut
+    return header + payload
+
+
+@given(kind=st.sampled_from(sorted(_FUZZ_BASES)), edits=st.lists(_FUZZ_EDIT, max_size=4),
+       cut=st.integers(-16, 128))
+@example(kind="volume", edits=[], cut=0)
+@example(kind="volume", edits=[("set", "N", "100000")], cut=0)
+@example(kind="volume", edits=[("set", "N", "40")], cut=0)
+@example(kind="volume", edits=[("set", "N", "2")], cut=0)
+@example(kind="volume", edits=[], cut=8)
+@example(kind="line", edits=[("set", k, "4000") for k in ("ntheta", "nphi", "nu", "nv")], cut=0)
+@example(kind="plane", edits=[("set", "nt", "10000000000")], cut=-8)
+@example(kind="plane", edits=[("set", "nt", "1")], cut=0)
+@settings(max_examples=300, deadline=None)
+def test_readers_reject_fuzzed_files(kind, edits, cut, workdir):
+    # Whatever the header says, a reader either returns the file's content or
+    # raises ValueError or a package error, and it allocates no more than the
+    # file holds: a header declaring petabytes is refused before any payload
+    # is allocated.
+    raw = _fuzzed_file(kind, edits, cut)
+    path = workdir / f"fuzz.{'svol' if kind == 'volume' else 'sgm'}"
+    path.write_bytes(raw)
+    read = read_volume if kind == "volume" else read_sinogram
+    tracemalloc.start()
+    try:
+        try:
+            read(path)
+        except (ValueError, SimradError):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(raw) + READER_ALLOWANCE
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +407,29 @@ def test_cli_radon_rejects_non_finite_volume(workdir, vol_path, capsys):
     rc = cli.main(["radon", "--in", str(bad), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "ValueError\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, detector",
+    [
+        ("radon", ["--nt", "33", "--tmax", "4.8"]),
+        ("xray", ["--nu", "32", "--nv", "32", "--umax", "4.8"]),
+    ],
+    ids=["radon", "xray"],
+)
+def test_cli_rejects_field_reaching_past_detector(command, detector, workdir, capsys):
+    # A constant field fills its cube, whose corners lie 8.31 from the origin,
+    # while the detector reaches 4.8: projecting it would silently drop up to
+    # 17% of its mass per direction.
+    cube = workdir / "cube.svol"
+    write_volume(cube, Volume(np.ones((16, 16, 16)), 0.6))
+    out = workdir / f"cube-{command}.sgm"
+    rc = cli.main(
+        [command, "--in", str(cube), "--ntheta", "8", "--nphi", "8", *detector, "--out", str(out)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "GeometryMismatch\n"
     assert not out.exists()
 
 

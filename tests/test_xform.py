@@ -27,6 +27,7 @@ from simrad.xform import (
     LineSinogram,
     PlaneGeometry,
     PlaneSinogram,
+    _active_voxels,
     _chart_stencil,
     _padded_t_spectra,
     _padded_uv_spectra,
@@ -252,26 +253,36 @@ def _reference_projection(v: Volume, axes) -> np.ndarray:
     return out[(slice(None),) + (slice(None, None, SPLAT_REFINE),) * len(axes)]
 
 
-def _cube_filling_field() -> Volume:
-    # A broad off-center bump that is still 1e-2 of its peak in the corner
-    # nearest to it and carries no support radius, so the reach guard admits
-    # it at u_max = t_max = half_extent = 4.8 while its corners lie up to 8.3
-    # from the detector center: taps run off the ends of the detector axes.
-    v = Volume(np.zeros((16, 16, 16)), 0.6)
-    x = v.coordinate_grid()
-    v.data = np.exp(-np.pi * np.sum((x - [1.5, -1.0, 0.5]) ** 2, axis=-1) / 5.0**2)
+def _edge_reaching_field(e1: np.ndarray) -> Volume:
+    # A smooth bump of compact support, (1 - |x - c|^2 / R^2)^3 around c = e1
+    # with R = 3.795, on an off-centre grid that puts one voxel at 4.79 * e1:
+    # the active voxels reach 4.79 from the origin, just inside a reach of 4.8.
+    far = 4.79 * e1
+    v = Volume(np.zeros((16, 16, 16)), 0.6, far - 0.6 * (np.round((far - e1) / 0.6) + 7))
+    q = np.sum((v.coordinate_grid() - e1) ** 2, axis=-1) / 3.795**2
+    v.data = np.where(q < 1.0, 1.0 - np.minimum(q, 1.0), 0.0) ** 3
     return v
 
 
-@pytest.mark.parametrize("case", ["centered", "cube_filling"])
+@pytest.mark.parametrize("case", ["centered", "edge_reaching"])
 def test_projectors_match_full_grid_fft_reference(case, volume):
     if case == "centered":
         v, pg, lg = volume, PlaneGeometry(8, 6, 65, 4.8), LineGeometry(6, 8, 48, 40, 4.8)
     else:
-        v, pg, lg = _cube_filling_field(), PlaneGeometry(8, 6, 33, 4.8), LineGeometry(6, 8, 32, 24, 4.8)
-        corner = v.coordinate_grid()[-1, 0, -1]
-        assert v.support_radius is None and v.data[-1, 0, -1] > 1e-2
-        assert np.linalg.norm(corner) > lg.u_max + 2.0 * lg.du
+        pg, lg = PlaneGeometry(8, 6, 33, 4.8), LineGeometry(6, 8, 32, 24, 4.8)
+        # The last direction's first detector axis points at the field's
+        # farthest voxel, which lies at refined position n_f + 0.4 on it
+        # (n_f = 94 samples): its highest cubic tap lands at n_f + 2, the
+        # farthest cell the splat guard has to hold for an in-reach field.  In
+        # the last direction a tap past the guard leaves the accumulator
+        # instead of landing in a neighbouring direction's guard cells.
+        e1 = lg.frames[-1, -1, :, 0]
+        v = _edge_reaching_field(e1)
+        pts, _ = _active_voxels(v)
+        assert lg.u_max - lg.du < np.sqrt(np.max(np.sum(pts * pts, axis=1))) <= lg.u_max
+        n_f = SPLAT_REFINE * (lg.n_u - 1) + 1
+        top_cell = np.max(np.floor((pts @ e1 - lg.us[0]) / (lg.du / SPLAT_REFINE)))
+        assert top_cell == n_f  # taps at n_f - 1 .. n_f + 2
     frames = lg.frames.reshape(-1, 3, 3)
     cases = [
         (radon_plane(v, pg).data, [(pg.normals.reshape(-1, 3), -pg.t_max, pg.dt, pg.n_t)]),
@@ -305,6 +316,14 @@ def test_reach_guards(volume):
         radon_plane(volume, PlaneGeometry(16, 16, 33, 2.0))
     with pytest.raises(GeometryMismatch):
         xray(volume, LineGeometry(16, 16, 32, 32, 2.0))
+    # A constant field reaches the cube's corners, 8.31 from the origin, while
+    # the grid's half-extent equals the reach 4.8: projecting it would drop
+    # 2.5-17% of its mass per direction.
+    cube = Volume(np.ones((16, 16, 16)), 0.6)
+    with pytest.raises(GeometryMismatch, match="nonzero out to radius 8.31"):
+        radon_plane(cube, PlaneGeometry(8, 8, 33, 4.8))
+    with pytest.raises(GeometryMismatch, match="nonzero out to radius 8.31"):
+        xray(cube, LineGeometry(8, 8, 32, 32, 4.8))
 
 
 # --- independent quadratures ------------------------------------------------
