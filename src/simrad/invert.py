@@ -9,9 +9,10 @@ Three independent paths recover a volume from its plane or line sinogram:
 
 * ``invert_direct_fourier``: the per-direction offset spectra are samples of
   the volume's 3-D spectrum (projection-slice); read them back at each
-  Cartesian frequency through the chart sampler and invert.  Coverage of the
-  requested band is a hard precondition, not a warning; it is measured at
-  the geometry's own projection-slice points (``slice_frequencies``).
+  in-band Cartesian frequency through the chart sampler and invert.
+  Coverage of the requested band is a hard precondition, not a warning; it
+  is measured at the geometry's own projection-slice points
+  (``slice_frequencies``).
 
 * ``invert_wavelet``: dual-frame synthesis over a discrete similitude
   lattice.  The analysis template is the filtered forward transform of the
@@ -38,8 +39,10 @@ and the two coefficient routines) is selected in one place, ``_kind_steps``.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -49,11 +52,11 @@ from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
 from .grid import Spectrum3D, Volume, dft3, idft3, l2_norm
 from .group import GroupElement, icosahedral_rotations
 from .xform import (
+    DirectionChart,
     LineSinogram,
     PlaneSinogram,
     Sinogram,
     _chart_stencil,
-    _linear_taps,
     _padded_t_spectra,
     _padded_uv_spectra,
     backproject_plane,
@@ -70,6 +73,8 @@ COVERAGE_TOL = 0.01
 
 # A trilinear splat weight below this is treated as an unhit voxel.
 SPLAT_WEIGHT_FLOOR = 1e-12
+# Zero cells past each end of every axis of the coverage splat's grid.
+COVERAGE_GUARD = 2
 
 # Zero-padding factors for the per-direction spectra read by the direct
 # Fourier gather.  Off-center content makes the spectra oscillate (about 0.7
@@ -196,21 +201,35 @@ def _default_band_limit(dtheta: float, dphi: float, freq_spacing: float) -> floa
     return 2.0 * freq_spacing / max(dtheta, dphi)
 
 
-def _splat_coverage(
-    wsum: np.ndarray, freqs: np.ndarray, freq_spacing: float, n: int
-) -> None:
-    """Trilinear scatter of sample weights onto the flattened n^3 grid."""
-    pos = freqs.reshape(-1, 3) / freq_spacing + n // 2
-    base = np.floor(pos).astype(np.int64)
-    frac = pos - base
-    size = n * n * n
-    for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        idx = base + off
-        w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
-        ok = np.all((idx >= 0) & (idx < n), axis=1)
-        flat = (idx[ok, 0] * n + idx[ok, 1]) * n + idx[ok, 2]
-        wsum += np.bincount(flat, weights=w[ok], minlength=size)
+def _splat_coverage(geometry: DirectionChart, freq_spacing: float, n: int) -> np.ndarray:
+    """Trilinear splat weight of the projection-slice points on the n^3 frequency grid.
+
+    The points are the geometry's ``slice_frequencies``, one azimuth row at a
+    time.  They are scattered into a grid with ``COVERAGE_GUARD`` zero cells
+    past each end of every axis, with each point's floor cell clamped to
+    [-COVERAGE_GUARD, n], so every corner lands on the grid or in the guard.
+    One flat index per point addresses its lowest corner; the other seven are
+    constant offsets from it, each weighted by a product of per-axis taps and
+    scattered by one ``bincount`` per row.  Returns the (n, n, n) interior.
+    """
+    m = n + 2 * COVERAGE_GUARD
+    size = m**3
+    wsum = np.zeros(size)
+    for i in range(geometry.n_theta):
+        pos = geometry.slice_frequencies(slice(i, i + 1)).reshape(-1, 3) / freq_spacing + n // 2
+        k = 0
+        taps = []
+        for axis, stride in enumerate((m * m, m, 1)):
+            cell = np.floor(pos[:, axis])
+            frac = pos[:, axis] - cell
+            k = k + (np.clip(cell, -COVERAGE_GUARD, n) + COVERAGE_GUARD).astype(np.int64) * stride
+            taps.append([(0, 1.0 - frac), (stride, frac)])
+        for corner in itertools.product(*taps):
+            off = sum(o for o, _ in corner)
+            w = reduce(np.multiply, (t for _, t in corner))
+            wsum[off:] += np.bincount(k, weights=w, minlength=size - off)
+    core = slice(COVERAGE_GUARD, COVERAGE_GUARD + n)
+    return wsum.reshape(m, m, m)[core, core, core]
 
 
 def _gather_plane(s: PlaneSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -254,12 +273,14 @@ def invert_direct_fourier(
 ) -> tuple[Volume, FourierCoverage]:
     """Reconstruct by reading per-direction spectra back onto a Cartesian grid.
 
-    Values are gathered through the chart sampler from zero-padded spectra
-    (see the padding constants above); a separate scatter pass records which
-    frequency voxels actually receive samples, and more than ``COVERAGE_TOL``
-    unhit voxels inside the band raises :class:`InsufficientCoverage`.
-    Frequencies outside the band are zeroed, so the reconstruction is
-    band-limited.
+    A scatter pass (``_splat_coverage``: a trilinear splat into a zero-guarded
+    grid, one flat index per sample and the corners at constant offsets)
+    records which frequency voxels actually receive samples, and more than
+    ``COVERAGE_TOL`` unhit voxels inside the band raises
+    :class:`InsufficientCoverage`.  Values are then gathered through the
+    chart sampler from zero-padded spectra (see the padding constants above)
+    at the in-band frequencies only; the others stay zero, so the
+    reconstruction is band-limited.
     """
     freq_spacing = 1.0 / (n * spacing)
     geom = s.geometry
@@ -268,17 +289,9 @@ def invert_direct_fourier(
     axis = (np.arange(n) - n // 2) * freq_spacing
     W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     mag = np.linalg.norm(W, axis=-1)
-    # the samples sit where the projection-slice property puts them; one
-    # azimuth row at a time keeps the scatter's transients small
-    wsum = np.zeros(n * n * n)
-    for i in range(geom.n_theta):
-        _splat_coverage(wsum, geom.slice_frequencies(slice(i, i + 1)), freq_spacing, n)
-    _, gather, _ = _kind_steps(s)
-    vals = gather(s, W, mag)
-    wsum = wsum.reshape(n, n, n)
-    mag = mag.reshape(n, n, n)
     in_band = mag <= band_limit
-    hit = wsum > SPLAT_WEIGHT_FLOOR
+    # the samples sit where the projection-slice property puts them
+    hit = _splat_coverage(geom, freq_spacing, n).reshape(-1) > SPLAT_WEIGHT_FLOOR
     covered = float(np.count_nonzero(in_band & hit)) / float(np.count_nonzero(in_band))
     if 1.0 - covered > COVERAGE_TOL:
         raise InsufficientCoverage(
@@ -286,7 +299,11 @@ def invert_direct_fourier(
             f"received samples (need >= {1.0 - COVERAGE_TOL:.2f}); "
             "increase the direction grid or lower the band limit"
         )
-    grid = np.where(in_band, vals.reshape(n, n, n), 0.0)
+    # only the in-band frequencies are read; the rest of the grid stays zero
+    _, gather, _ = _kind_steps(s)
+    grid = np.zeros(n * n * n, dtype=complex)
+    grid[in_band] = gather(s, W[in_band], mag[in_band])
+    grid = grid.reshape(n, n, n)
     origin = -(n // 2) * spacing * np.ones(3)
     recon = idft3(Spectrum3D(grid, freq_spacing, spacing, origin))
     return recon, FourierCoverage(band_limit, covered, s.data.size)
@@ -381,6 +398,25 @@ class WaveletMetrics:
     @property
     def energy_ratio(self) -> float:
         return self.coefficient_energy / self.reconstruction_norm**2
+
+
+def _linear_taps(pos: np.ndarray, n: int, periodic: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The two linear-interpolation taps ``(index, weight)`` at fractional indices ``pos``.
+
+    On an axis of ``n`` samples, indices wrap when ``periodic``; otherwise
+    taps off the axis weigh zero (at a clipped index).
+    """
+    k0 = np.floor(pos).astype(np.int64)
+    w = pos - k0
+    taps = []
+    for k, wk in ((k0, 1.0 - w), (k0 + 1, w)):
+        if periodic:
+            k = np.mod(k, n)
+        else:
+            wk = np.where((k >= 0) & (k < n), wk, 0.0)
+            k = np.clip(k, 0, n - 1)
+        taps.append((k, wk))
+    return taps
 
 
 def _interp_matrix(

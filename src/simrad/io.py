@@ -35,6 +35,8 @@ SGM_HEADER_BYTES = 96
 VOL_MAGIC = "SIMRAD-VOL"
 SGM_MAGIC = "SIMRAD-SGM"
 FORMAT_VERSION = "v1"
+# Payload bytes a volume reader holds besides the volume itself.
+READ_SLAB_BYTES = 64 << 10
 
 
 class _Header(dict):
@@ -69,8 +71,8 @@ def _parse_header(raw: bytes, magic: str) -> _Header:
     return fields
 
 
-def _read_samples(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The float64 samples of ``shape`` that follow the header.
+def _payload_count(fh, shape: tuple[int, ...], what: str) -> int:
+    """The number of float64 samples of ``shape``, checked against what follows the header.
 
     The size the header declares must equal the bytes left in the file; it
     is checked before anything is allocated or read, so a header that
@@ -83,7 +85,7 @@ def _read_samples(fh, shape: tuple[int, ...], what: str) -> np.ndarray:
             f"truncated or oversized {what}: header declares {count} samples, "
             f"file holds {left} bytes"
         )
-    return np.fromfile(fh, dtype="<f8", count=count).reshape(shape)
+    return count
 
 
 def write_volume(path: str, v: Volume) -> None:
@@ -111,8 +113,15 @@ def read_volume(path: str) -> Volume:
             if origin_field
             else None
         )
-        raw = _read_samples(fh, (n, n, n), "volume")
-    return Volume(raw.transpose(2, 1, 0).copy(), spacing, origin)
+        _payload_count(fh, (n, n, n), "volume")
+        # z-slabs of the x-fastest payload, each transposed into place, so
+        # the file is held once plus one slab
+        data = np.empty((n, n, n))
+        step = max(1, READ_SLAB_BYTES // (8 * n * n))
+        for z0 in range(0, n, step):
+            slab = np.fromfile(fh, dtype="<f8", count=n * n * min(step, n - z0))
+            data[:, :, z0 : z0 + step] = slab.reshape(-1, n, n).transpose(2, 1, 0)
+    return Volume(data, spacing, origin)
 
 
 def write_sinogram(path: str, s: Sinogram) -> None:
@@ -137,5 +146,6 @@ def read_sinogram(path: str) -> Sinogram:
         if kind not in GEOMETRY_KINDS:
             raise ValueError(f"unknown sinogram kind {kind!r}")
         geometry = GEOMETRY_KINDS[kind].from_keys(fields)
-        data = _read_samples(fh, geometry.shape, "sinogram")
+        count = _payload_count(fh, geometry.shape, "sinogram")
+        data = np.fromfile(fh, dtype="<f8", count=count).reshape(geometry.shape)
     return geometry.sinogram_type(data, geometry)

@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import NotAdmissible, SimradError
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
-from .grid import Volume, apply_pi, gaussian_mixture_phantom, gaussian_phantom, l2_norm
+from .grid import (
+    Spectrum3D,
+    Volume,
+    apply_pi,
+    gaussian_mixture_phantom,
+    gaussian_phantom,
+    l2_norm,
+)
 from .group import GroupElement, PlaneLabel, unit_normal
 from .invert import apply_pi_hat
 from .xform import (
@@ -25,6 +32,7 @@ from .xform import (
     LineGeometry,
     PlaneGeometry,
     Sinogram,
+    _padded_spectrum,
     kind_routes,
     plane_integral,
     sinogram_norm,
@@ -165,16 +173,19 @@ def check_fourier_slice(
     v: Volume,
     pad_factor: int = SLICE_PAD_FACTOR,
     sinogram: Sinogram | None = None,
+    spectrum: Spectrum3D | None = None,
 ) -> ReportEntry:
     """Compare the sinogram-side and volume-side spectrum evaluations.
 
     ``sinogram`` may carry a precomputed forward transform of ``v`` on the
-    same geometry to avoid repeating the projector between checks.
+    same geometry to avoid repeating the projector between checks, and
+    ``spectrum`` the spectrum of ``v`` zero-padded by ``pad_factor``, which
+    the plane and line checks share.
     """
     kind = geometry.kind
     forward, fourier_slice, spectra = kind_routes(geometry)
     sino_side, *_ = spectra(sinogram or forward(v, geometry), 1)
-    vol_side = fourier_slice(v, geometry, pad_factor)
+    vol_side = fourier_slice(v, geometry, pad_factor, spectrum=spectrum)
     ref = np.linalg.norm(vol_side)
     if ref == 0.0:
         return make_entry(f"fourier_slice_{kind}", 0.0, SLICE_TOL, "zero input")
@@ -498,15 +509,27 @@ def run_all(
                 report.add(
                     make_entry("forward_error", np.inf, 0.0, f"{type(exc).__name__}: {exc}")
                 )
-        for name, check in (("fourier_slice", check_fourier_slice), ("isometry", check_isometry)):
+
+        # One padded spectrum serves both Fourier-slice checks; it is
+        # released before the isometry checks.
+        @functools.cache
+        def mixture_spectrum() -> Spectrum3D:
+            return _padded_spectrum(phantom(mixture_phantom), SLICE_PAD_FACTOR)
+
+        def fourier_slice(geom):
+            return check_fourier_slice(
+                geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom),
+                spectrum=mixture_spectrum(),
+            )
+
+        def isometry(geom):
+            return check_isometry(geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom))
+
+        for name, check in (("fourier_slice", fourier_slice), ("isometry", isometry)):
             if name in config.checks:
                 for geom in (plane_geom, line_geom):
-                    guarded(
-                        name,
-                        lambda geom=geom, check=check: check(
-                            geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom)
-                        ),
-                    )
+                    guarded(name, lambda geom=geom, check=check: check(geom))
+            mixture_spectrum.cache_clear()
     if "intertwining" in config.checks:
         for geom in (plane_geom, line_geom):
             for idx, g in enumerate(standard_intertwining_sweep()):

@@ -50,7 +50,14 @@ flips sign.  ``sample_plane_sinogram`` and ``sample_line_sinogram`` are
 their front ends for sinograms.  The samplers and the wavelet coefficients
 read the chart through one stencil (``_chart_stencil``), and the samplers
 read the detector through one multilinear lookup (``_interp_nodes``), so the
-antipodal bookkeeping lives in exactly one place.
+antipodal bookkeeping lives in exactly one place.  The lookup uses the
+splat's idiom in reverse: it gathers from a copy of the data with
+``GATHER_GUARD`` zero cells past each end of every detector or offset axis
+(``_gather_window``; only the cells the queries can reach are copied), clamps
+each floor cell into the copy, computes one flat index per query and reads
+every tap at a constant offset from it.  The queries are taken in chunks
+sized by ``SPLAT_CHUNK_BYTES`` (``_query_chunks``), whole output directions or
+stencil rows at a time, so the per-query arrays stay in cache.
 """
 
 from __future__ import annotations
@@ -103,6 +110,10 @@ SPLAT_REFINE = 3
 # on a line detector axis (its samples are cell centres), so its taps, at
 # offsets -1..2 around the floor cell, land in [-3, n_f + 2].
 SPLAT_GUARD = 4
+# Zero cells past each end of a detector or offset axis in the chart
+# samplers' copy of the data.  A query's floor cell is clamped to
+# [-GATHER_GUARD, n], so both of its linear taps land on the axis or in them.
+GATHER_GUARD = 2
 # Voxels with |f| below this fraction of the field's maximum are skipped by
 # the projectors; the dropped mass is below double rounding noise.
 PROJECTOR_DROP = 1e-16
@@ -545,39 +556,94 @@ def _chart_stencil(directions: np.ndarray, n_theta: int, n_phi: int) -> list[tup
     return corners
 
 
-def _linear_taps(pos: np.ndarray, n: int, periodic: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The two linear-interpolation taps ``(index, weight)`` at fractional indices ``pos``.
+def _query_chunks(shape: tuple[int, ...]):
+    """Index tuples that split a C-ordered query array of ``shape`` into chunks.
 
-    On an axis of ``n`` samples, indices wrap when ``periodic``; otherwise
-    taps off the axis weigh zero (at a clipped index).
+    A chunk holds as many queries as fit one float64 each in
+    ``SPLAT_CHUNK_BYTES`` (at least one), as whole trailing sub-arrays cut
+    along one axis, so the chart samplers' per-query arrays stay in cache.
     """
-    k0 = np.floor(pos).astype(np.int64)
-    w = pos - k0
-    taps = []
-    for k, wk in ((k0, 1.0 - w), (k0 + 1, w)):
-        if periodic:
-            k = np.mod(k, n)
-        else:
-            wk = np.where((k >= 0) & (k < n), wk, 0.0)
-            k = np.clip(k, 0, n - 1)
-        taps.append((k, wk))
-    return taps
+    limit = SPLAT_CHUNK_BYTES // 8
+    axis, inner = len(shape), 1
+    while axis > 0 and inner * shape[axis - 1] <= limit:
+        axis -= 1
+        inner *= shape[axis]
+    if axis == 0:
+        yield ()
+        return
+    step = max(1, limit // inner)
+    for lead in np.ndindex(*shape[: axis - 1]):
+        for start in range(0, shape[axis - 1], step):
+            yield (*lead, slice(start, start + step))
+
+
+def _chunk(a: np.ndarray, index: tuple, ndim: int, trailing: int = 0) -> np.ndarray:
+    """The part of ``a`` that chunk ``index`` of an ``ndim``-axis query array covers.
+
+    The leading axes of ``a`` (all but ``trailing``) broadcast against the
+    query shape; an axis of length 1 is kept whole.
+    """
+    a = a.reshape((1,) * (ndim + trailing - a.ndim) + a.shape)
+    return a[
+        tuple(
+            i if a.shape[ax] > 1 else (0 if isinstance(i, int) else slice(None))
+            for ax, i in enumerate(index)
+        )
+    ]
+
+
+def _gather_window(data: np.ndarray, reach: float, axes: list[tuple[float, float]]) -> tuple:
+    """Zero-guarded copy of the cells of ``data``'s trailing axes that queries can read.
+
+    Trailing axis ``a`` has ``n`` samples at ``origin + k * step`` for
+    ``axes[a] = (origin, step)``, and no query lies farther than ``reach``
+    from 0 along it.  The copy covers the cells ``[lo, hi)`` of the
+    zero-extended axis, one cell wider than the queried span on each side and
+    within ``[-GATHER_GUARD, n + GATHER_GUARD)``, so with the whole axis in
+    reach it is the axis plus ``GATHER_GUARD`` zero cells at each end.
+    Returns the copy and the ``lo`` of each axis.
+    """
+    lows, lengths, src, dst = [], [], [], []
+    for (origin, step), n in zip(axes, data.shape[2:]):
+        lo = int(np.clip(np.floor((-reach - origin) / step) - 1, -GATHER_GUARD, n))
+        hi = int(np.clip(np.floor((reach - origin) / step) + 3, lo + 2, n + GATHER_GUARD))
+        a = max(lo, 0)
+        b = max(min(hi, n), a)
+        lows.append(lo)
+        lengths.append(hi - lo)
+        src.append(slice(a, b))
+        dst.append(slice(a - lo, b - lo))
+    window = np.zeros(data.shape[:2] + tuple(lengths), dtype=data.dtype)
+    window[(slice(None), slice(None), *dst)] = data[(slice(None), slice(None), *src)]
+    return window, lows
 
 
 def _interp_nodes(
-    data: np.ndarray, ii: np.ndarray, jj: np.ndarray, positions: list[np.ndarray]
+    window: tuple, ii: np.ndarray, jj: np.ndarray, positions: list[np.ndarray]
 ) -> np.ndarray:
     """Multilinear interpolation, zero outside, in the trailing axes of ``data[ii, jj]``.
 
-    ``positions`` holds the fractional indices along each trailing axis; the
-    corners are summed with the first axis varying fastest.
+    ``window`` is ``_gather_window``'s copy of ``data``, and ``positions``
+    holds the fractional indices along each trailing axis of ``data``.  Each
+    floor cell is clamped into the copy, which the span bounds make exact, and
+    one flat index per query addresses its lowest corner; the other corners
+    are constant offsets from it, summed with the first axis varying fastest.
     """
-    axes = [_linear_taps(pos, n, False) for pos, n in zip(positions, data.shape[2:])]
+    copy, lows = window
+    strides = [int(np.prod(copy.shape[a + 1 :])) for a in range(copy.ndim)]
+    k = (ii * copy.shape[1] + jj) * strides[1]
+    axes = []
+    for pos, lo, m, stride in zip(positions, lows, copy.shape[2:], strides[2:]):
+        cell = np.floor(pos)
+        w = pos - cell
+        k = k + (np.clip(cell, lo, lo + m - 2) - lo).astype(np.int64) * stride
+        axes.append([(0, 1.0 - w), (stride, w)])
+    flat = copy.reshape(-1)
     acc = None
     for corner in itertools.product(*reversed(axes)):
         corner = corner[::-1]
         weight = reduce(np.multiply, (wk for _, wk in corner))
-        term = weight * data[(ii, jj, *(k for k, _ in corner))]
+        term = weight * flat[sum(off for off, _ in corner) :].take(k)
         acc = term if acc is None else acc + term
     return acc
 
@@ -598,11 +664,22 @@ def sample_plane_profiles(
     Queries are (direction, signed radial value) pairs; directions are reduced
     to the chart and the radial value flips sign together with the normal.
     """
-    acc = 0.0
-    for ii, jj, sign, w in _chart_stencil(directions, n_theta, n_phi):
-        pos = (sign * radial - radial_origin) / radial_step
-        acc = acc + w * _interp_nodes(profiles, ii, jj, [pos])
-    return acc
+    directions = np.asarray(directions, dtype=float)
+    radial = np.asarray(radial, dtype=float)
+    shape = np.broadcast_shapes(directions.shape[:-1], radial.shape)
+    reach = float(np.max(np.abs(radial), initial=0.0))
+    window = _gather_window(profiles, reach, [(radial_origin, radial_step)])
+    out = np.empty(shape, dtype=np.result_type(profiles, float))
+    for index in _query_chunks(shape):
+        rad = _chunk(radial, index, len(shape))
+        acc = 0.0
+        for ii, jj, sign, w in _chart_stencil(
+            _chunk(directions, index, len(shape), 1), n_theta, n_phi
+        ):
+            pos = (sign * rad - radial_origin) / radial_step
+            acc = acc + w * _interp_nodes(window, ii, jj, [pos])
+        out[index] = acc
+    return out
 
 
 def sample_plane_sinogram(
@@ -634,16 +711,26 @@ def sample_line_images(
     insensitive to the normal's sign, so no sign flips apply.
     """
     g = geometry
+    directions = np.asarray(directions, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
-    acc = 0.0
-    frames = g.frames
-    for ii, jj, _sign, w in _chart_stencil(directions, g.n_theta, g.n_phi):
-        e1 = frames[ii, jj, :, 0]
-        e2 = frames[ii, jj, :, 1]
-        pu = (np.sum(vectors * e1, axis=-1) - u_origin) / du
-        pv = (np.sum(vectors * e2, axis=-1) - v_origin) / dv
-        acc = acc + w * _interp_nodes(images, ii, jj, [pu, pv])
-    return acc
+    shape = np.broadcast_shapes(directions.shape[:-1], vectors.shape[:-1])
+    # a unit frame axis carries no vector farther than its length
+    reach = float(np.sqrt(np.max(np.einsum("...i,...i->...", vectors, vectors), initial=0.0)))
+    window = _gather_window(images, reach, [(u_origin, du), (v_origin, dv)])
+    out = np.empty(shape, dtype=np.result_type(images, float))
+    for index in _query_chunks(shape):
+        vec = np.moveaxis(_chunk(vectors, index, len(shape), 1), -1, 0).copy()
+        acc = 0.0
+        for ii, jj, _sign, w in _chart_stencil(
+            _chunk(directions, index, len(shape), 1), g.n_theta, g.n_phi
+        ):
+            # dot products with the node's frame axes, summed in axis order
+            e1, e2 = np.moveaxis(g.frames[ii, jj, :, :2], (-2, -1), (1, 0))
+            pu = (vec[0] * e1[0] + vec[1] * e1[1] + vec[2] * e1[2] - u_origin) / du
+            pv = (vec[0] * e2[0] + vec[1] * e2[1] + vec[2] * e2[2] - v_origin) / dv
+            acc = acc + w * _interp_nodes(window, ii, jj, [pu, pv])
+        out[index] = acc
+    return out
 
 
 def sample_line_sinogram(
@@ -751,26 +838,33 @@ def _sample_spectrum3(spec: Spectrum3D, freqs: np.ndarray) -> np.ndarray:
 
 
 def fourier_slice_plane(
-    v: Volume, geometry: PlaneGeometry, pad_factor: int = 2
+    v: Volume, geometry: PlaneGeometry, pad_factor: int = 2, *, spectrum: Spectrum3D | None = None
 ) -> np.ndarray:
     """Volume spectrum sampled along each direction's frequency ray.
 
     Returns shape (n_theta, n_phi, n_t) complex on the centered radial
     frequency axis of ``_padded_t_spectra`` at pad 1; equality of the two
     (up to interpolation error) is the projection-slice property.
+    ``spectrum`` may carry ``v``'s spectrum zero-padded by ``pad_factor``
+    (``_padded_spectrum``) when the caller already holds it.
     """
-    return _sample_spectrum3(_padded_spectrum(v, pad_factor), geometry.slice_frequencies())
+    if spectrum is None:
+        spectrum = _padded_spectrum(v, pad_factor)
+    return _sample_spectrum3(spectrum, geometry.slice_frequencies())
 
 
 def fourier_slice_line(
-    v: Volume, geometry: LineGeometry, pad_factor: int = 2
+    v: Volume, geometry: LineGeometry, pad_factor: int = 2, *, spectrum: Spectrum3D | None = None
 ) -> np.ndarray:
     """Volume spectrum sampled on each direction's perpendicular frequency plane.
 
     Returns shape (n_theta, n_phi, n_u, n_v) complex on the centered detector
-    frequency axes of ``_padded_uv_spectra`` at pad 1.
+    frequency axes of ``_padded_uv_spectra`` at pad 1; ``spectrum`` as in
+    :func:`fourier_slice_plane`.
     """
-    return _sample_spectrum3(_padded_spectrum(v, pad_factor), geometry.slice_frequencies())
+    if spectrum is None:
+        spectrum = _padded_spectrum(v, pad_factor)
+    return _sample_spectrum3(spectrum, geometry.slice_frequencies())
 
 
 def kind_routes(geometry: DirectionChart) -> tuple:

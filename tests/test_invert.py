@@ -31,6 +31,7 @@ from simrad.invert import (
     _padded_t_spectra,
     _padded_uv_spectra,
     _plane_coefficients,
+    _splat_coverage,
     apply_pi_hat,
     apply_pi_hat_line,
     apply_pi_hat_plane,
@@ -308,6 +309,46 @@ def test_direct_fourier_insufficient_coverage(volume):
     sparse = radon_plane(volume, PlaneGeometry(6, 6, 65, 4.8))
     with pytest.raises(InsufficientCoverage):
         invert_direct_fourier(sparse, 32, 0.3, band_limit=1.5)
+
+
+def _masked_coverage(geometry, freq_spacing, n):
+    # Per row, eight masked corners, each scattered by a full-grid bincount.
+    wsum = np.zeros(n * n * n)
+    for i in range(geometry.n_theta):
+        pos = geometry.slice_frequencies(slice(i, i + 1)).reshape(-1, 3) / freq_spacing + n // 2
+        base = np.floor(pos).astype(np.int64)
+        frac = pos - base
+        for corner in range(8):
+            off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+            idx = base + off
+            w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=1)
+            ok = np.all((idx >= 0) & (idx < n), axis=1)
+            flat = (idx[ok, 0] * n + idx[ok, 1]) * n + idx[ok, 2]
+            wsum += np.bincount(flat, weights=w[ok], minlength=n**3)
+    return wsum.reshape(n, n, n)
+
+
+@pytest.mark.parametrize(
+    "geometry, n, spacing",
+    [
+        (LineGeometry(24, 24, 48, 48, 4.8), 48, 0.2),  # the demo line data
+        (PlaneGeometry(24, 24, 97, 4.8), 48, 0.2),  # the demo plane data
+        (LineGeometry(8, 8, 40, 40, 4.8), 16, 0.6),  # samples far off the grid
+    ],
+    ids=["demo_line", "demo_plane", "off_grid"],
+)
+def test_coverage_splat_matches_masked_bincount(geometry, n, spacing):
+    # The guarded splat must give the masked one's weights bit for bit, so
+    # the covered voxels, and with them the reconstructions, cannot move.
+    freq_spacing = 1.0 / (n * spacing)
+    pos = geometry.slice_frequencies().reshape(-1, 3) / freq_spacing + n // 2
+    if n == 16:
+        # off both ends of every axis, so the floor clamp and the guard act
+        assert np.all(pos.min(axis=0) < -3.0) and np.all(pos.max(axis=0) > n + 3.0)
+    got = _splat_coverage(geometry, freq_spacing, n)
+    want = _masked_coverage(geometry, freq_spacing, n)
+    assert got.shape == (n, n, n)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ have closed forms: integrating ``exp(-pi |x - c|^2)`` over the plane
 
 from __future__ import annotations
 
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import simrad.xform as xform
 from simrad.errors import GeometryMismatch
 from simrad.grid import Volume, gaussian_mixture_phantom, gaussian_phantom
 from simrad.group import LineLabel, PlaneLabel, rotation_from_angles, unit_normal
@@ -402,66 +404,92 @@ def test_plane_sampler_interpolates_between_offsets(plane_sinogram, plane_geomet
 # --- spectra and the projection-slice property ------------------------------
 
 
-# --- the gathered multilinear lookup against the two interpolators it replaced
+# --- the guarded chart samplers against the masked lookup they replaced -----
 
 
-def _parent_interp_profiles(profiles, ii, jj, pos):
-    n = profiles.shape[-1]
+def _masked_linear_taps(pos, n):
+    # Taps off the axis weigh zero, at a clipped index.
     k0 = np.floor(pos).astype(np.int64)
     w = pos - k0
-    k0c = np.clip(k0, 0, n - 1)
-    k1c = np.clip(k0 + 1, 0, n - 1)
-    v0 = np.where((k0 >= 0) & (k0 < n), profiles[ii, jj, k0c], 0.0)
-    v1 = np.where((k0 + 1 >= 0) & (k0 + 1 < n), profiles[ii, jj, k1c], 0.0)
-    return v0 * (1.0 - w) + v1 * w
+    return [
+        (np.clip(k, 0, n - 1), np.where((k >= 0) & (k < n), wk, 0.0))
+        for k, wk in ((k0, 1.0 - w), (k0 + 1, w))
+    ]
 
 
-def _parent_interp_detector(images, ii, jj, pu, pv):
-    n_u, n_v = images.shape[-2], images.shape[-1]
-    iu = np.floor(pu).astype(np.int64)
-    iv = np.floor(pv).astype(np.int64)
-    wu, wv = pu - iu, pv - iv
-    acc = np.zeros(pu.shape, dtype=images.dtype)
-    for su, sv, w in (
-        (0, 0, (1 - wu) * (1 - wv)),
-        (1, 0, wu * (1 - wv)),
-        (0, 1, (1 - wu) * wv),
-        (1, 1, wu * wv),
-    ):
-        ku, kv = iu + su, iv + sv
-        ok = (ku >= 0) & (ku < n_u) & (kv >= 0) & (kv < n_v)
-        vals = np.where(ok, images[ii, jj, np.clip(ku, 0, n_u - 1), np.clip(kv, 0, n_v - 1)], 0.0)
-        acc = acc + w * vals
+def _masked_interp_nodes(data, ii, jj, positions):
+    # One multi-array fancy index per corner, first axis varying fastest.
+    axes = [_masked_linear_taps(pos, n) for pos, n in zip(positions, data.shape[2:])]
+    acc = None
+    for corner in itertools.product(*reversed(axes)):
+        corner = corner[::-1]
+        weight = functools.reduce(np.multiply, (wk for _, wk in corner))
+        term = weight * data[(ii, jj, *(k for k, _ in corner))]
+        acc = term if acc is None else acc + term
     return acc
 
 
-def test_interp_nodes_matches_parent_interpolators(plane_sinogram, line_sinogram):
+def _masked_plane_profiles(profiles, n_theta, n_phi, directions, radial, origin, step):
+    acc = 0.0
+    for ii, jj, sign, w in _chart_stencil(directions, n_theta, n_phi):
+        acc = acc + w * _masked_interp_nodes(profiles, ii, jj, [(sign * radial - origin) / step])
+    return acc
+
+
+def _masked_line_images(images, g, directions, vectors, u_origin, du, v_origin, dv):
+    acc = 0.0
+    for ii, jj, _, w in _chart_stencil(directions, g.n_theta, g.n_phi):
+        e1 = g.frames[ii, jj, :, 0]
+        e2 = g.frames[ii, jj, :, 1]
+        pu = (np.sum(vectors * e1, axis=-1) - u_origin) / du
+        pv = (np.sum(vectors * e2, axis=-1) - v_origin) / dv
+        acc = acc + w * _masked_interp_nodes(images, ii, jj, [pu, pv])
+    return acc
+
+
+def test_interp_nodes_matches_parent_interpolators(plane_sinogram, line_sinogram, monkeypatch):
     # Complex data, and queries that run past both ends of the offset axis
-    # and off every side of the detector, so the zero boundary is exercised.
+    # and off every side of the detector, so the clamp and the zero guard are
+    # exercised; the guarded gather must reproduce the masked one exactly.
+    # Broadcast queries (one direction per output row, as the pi-hat actions
+    # pass them) run in one chunk or, with a small chunk budget, in many.
+    _check_samplers_against_masked(plane_sinogram, line_sinogram)
+    monkeypatch.setattr(xform, "SPLAT_CHUNK_BYTES", 4096)
+    _check_samplers_against_masked(plane_sinogram, line_sinogram)
+
+
+def _check_samplers_against_masked(plane_sinogram, line_sinogram):
     rng = np.random.default_rng(11)
     dirs = rng.standard_normal((4000, 3))
     pg, lg = plane_sinogram.geometry, line_sinogram.geometry
 
     profiles = plane_sinogram.data + 1j * plane_sinogram.data[:, :, ::-1]
+    args = (pg.n_theta, pg.n_phi)
     radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, len(dirs))
-    got = sample_plane_profiles(profiles, pg.n_theta, pg.n_phi, dirs, radial, -pg.t_max, pg.dt)
-    want = 0.0
-    for ii, jj, sign, w in _chart_stencil(dirs, pg.n_theta, pg.n_phi):
-        pos = (sign * radial + pg.t_max) / pg.dt
-        want = want + w * _parent_interp_profiles(profiles, ii, jj, pos)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    want = _masked_plane_profiles(profiles, *args, dirs, radial, -pg.t_max, pg.dt)
+    got = sample_plane_profiles(profiles, *args, dirs, radial, -pg.t_max, pg.dt)
+    assert np.array_equal(got, want)
     assert np.max(np.abs(want[np.abs(radial) > pg.t_max + pg.dt])) == 0.0
+    # a narrow query span: the sampler copies only the cells it can reach
+    near = 0.2 * radial
+    want = _masked_plane_profiles(profiles, *args, dirs, near, -pg.t_max, pg.dt)
+    got = sample_plane_profiles(profiles, *args, dirs, near, -pg.t_max, pg.dt)
+    assert np.array_equal(got, want)
+    row_dirs = dirs[:64, None, :]
+    row_radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, (64, pg.n_t))
+    want = _masked_plane_profiles(profiles, *args, row_dirs, row_radial, -pg.t_max, pg.dt)
+    got = sample_plane_profiles(profiles, *args, row_dirs, row_radial, -pg.t_max, pg.dt)
+    assert np.array_equal(got, want)
 
     images = line_sinogram.data * (1.0 - 0.5j)
+    origins = (lg.us[0], lg.du, lg.vs[0], lg.dv)
     vectors = rng.uniform(-1.3 * lg.u_max, 1.3 * lg.u_max, (len(dirs), 3))
-    got = sample_line_images(images, lg, dirs, vectors, lg.us[0], lg.du, lg.vs[0], lg.dv)
-    want = 0.0
-    for ii, jj, _, w in _chart_stencil(dirs, lg.n_theta, lg.n_phi):
-        frame = lg.frames[ii, jj]
-        pu = (np.sum(vectors * frame[..., 0], axis=-1) - lg.us[0]) / lg.du
-        pv = (np.sum(vectors * frame[..., 1], axis=-1) - lg.vs[0]) / lg.dv
-        want = want + w * _parent_interp_detector(images, ii, jj, pu, pv)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    want = _masked_line_images(images, lg, dirs, vectors, *origins)
+    assert np.array_equal(sample_line_images(images, lg, dirs, vectors, *origins), want)
+    vectors = rng.uniform(-1.3 * lg.u_max, 1.3 * lg.u_max, (8, 1, 24, 24, 3))
+    row_dirs = dirs[:8, None, None, None, :]
+    want = _masked_line_images(images, lg, row_dirs, vectors, *origins)
+    assert np.array_equal(sample_line_images(images, lg, row_dirs, vectors, *origins), want)
 
 
 def test_t_spectra_convention_oracle(plane_sinogram, plane_geometry):
