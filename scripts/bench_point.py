@@ -5,14 +5,14 @@ Usage, from the root of a simrad checkout:
     python3 scripts/bench_point.py --seeds 701 702 703
 
 Runs ``bench/run.py --trace 0`` once per workload of ``BENCHMARK.json`` and
-seed, in that checkout, and writes the median and quartiles of every
-end-to-end metric (``run_s``, ``setup_s``, ``peak_rss_mib``, ``recon_err``)
-per workload, with the operation counts, the machine (usable cores), the
-Python, numpy and scipy versions and the thread cap the runs used.  Runs
-that fail are counted, not summarized.  The short sha is the checkout's
-``HEAD``; the file lands in the checkout's root unless ``--out`` says
-otherwise.  A checkout with uncommitted edits to tracked files gets
-``<short-sha>-dirty``.
+seed, in that checkout, for the ``run_seconds`` of ``BENCHMARK.json`` and at
+``bench/run.py``'s default thread cap (the usable cores), and writes the
+median and quartiles of every end-to-end metric (``run_s``, ``setup_s``,
+``peak_rss_mib``, ``recon_err``) per workload, with the operation counts, the
+machine (usable cores, which is also the thread cap), and the Python, numpy
+and scipy versions.  Runs that fail are counted, not summarized.  The short
+sha is the checkout's ``HEAD``; the file lands in the checkout's root.  A
+checkout with uncommitted edits to tracked files gets ``<short-sha>-dirty``.
 """
 
 from __future__ import annotations
@@ -39,30 +39,26 @@ def _quartiles(values: list[float]) -> dict[str, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--threads", type=int, help="thread cap (default: usable cores)")
-    parser.add_argument("--workloads", nargs="+", help="default: all of BENCHMARK.json")
-    parser.add_argument("--out", default=".", help="directory for the JSON file")
     args = parser.parse_args()
 
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    threads = args.threads or len(os.sched_getaffinity(0))
+    seconds = spec["run_seconds"]
+    nproc = len(os.sched_getaffinity(0))
     names = [m["name"] for m in spec["end_to_end"]]
     sha = subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=7"],
-        capture_output=True, text=True, check=True,
+        ["git", "rev-parse", "--short=7", "HEAD"], capture_output=True, text=True, check=True
     ).stdout.strip()
+    if subprocess.run(["git", "diff", "--quiet", "HEAD"]).returncode != 0:
+        sha += "-dirty"
 
     workloads = {}
-    for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
+    for workload in [w["name"] for w in spec["workloads"]]:
         runs, failed_runs = [], 0
         for seed in args.seeds:
             cmd = [
                 sys.executable, os.path.join("bench", "run.py"), "--workload", workload,
                 "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-                "--threads", str(threads),
             ]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             lines = proc.stdout.strip().splitlines()
@@ -93,14 +89,14 @@ def main() -> int:
         "sha": sha,
         "seeds": args.seeds,
         "seconds": seconds,
-        "thread_cap": threads,
-        "nproc": len(os.sched_getaffinity(0)),
+        "thread_cap": nproc,
+        "nproc": nproc,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "workloads": workloads,
     }
-    path = os.path.join(args.out, f"BENCH_{sha}.json")
+    path = f"BENCH_{sha}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(point, fh, indent=2)
         fh.write("\n")

@@ -35,7 +35,8 @@ SGM_HEADER_BYTES = 96
 VOL_MAGIC = "SIMRAD-VOL"
 SGM_MAGIC = "SIMRAD-SGM"
 FORMAT_VERSION = "v1"
-# Payload bytes a volume reader holds besides the volume itself.
+# Payload bytes a volume reader holds besides the volume itself: slabs of
+# whole z-planes, so at least one plane (8 N^2 bytes) when that is larger.
 READ_SLAB_BYTES = 64 << 10
 
 

@@ -621,7 +621,7 @@ def _gather_window(data: np.ndarray, reach: float, axes: list[tuple[float, float
 def _interp_nodes(
     window: tuple, ii: np.ndarray, jj: np.ndarray, positions: list[np.ndarray]
 ) -> np.ndarray:
-    """Multilinear interpolation, zero outside, in the trailing axes of ``data[ii, jj]``.
+    """Multilinear interpolation, zero outside, on the trailing axes of windowed ``data[ii, jj]``.
 
     ``window`` is ``_gather_window``'s copy of ``data``, and ``positions``
     holds the fractional indices along each trailing axis of ``data``.  Each

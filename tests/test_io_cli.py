@@ -97,12 +97,14 @@ def test_volume_roundtrip_preserves_offcenter_origin(tmp_path):
     assert np.array_equal(r.data, v.data)
 
 
-def test_read_volume_holds_the_payload_once(tmp_path):
+@pytest.mark.parametrize("n", [48, 96])
+def test_read_volume_holds_the_payload_once(tmp_path, n):
     # The reader fills the volume slab by slab, so beyond the payload it holds
     # one slab and the finiteness mask (one byte per voxel) that the volume's
     # own check allocates; a transposed copy of the whole payload would add
-    # another 8 bytes per voxel (measured 2.13x the file size).
-    v = gaussian_phantom(48, 0.2, center=[0.3, -0.2, 0.1])
+    # another 8 bytes per voxel (measured 2.13x the file size).  A slab is at
+    # least one z-plane, which outgrows READ_SLAB_BYTES from n = 91 on.
+    v = gaussian_phantom(n, 0.2, center=[0.3, -0.2, 0.1])
     path = tmp_path / "v.svol"
     write_volume(path, v)
     size = path.stat().st_size
@@ -113,7 +115,8 @@ def test_read_volume_holds_the_payload_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert r.data.flags.c_contiguous and r.data.tobytes() == v.data.tobytes()
-    assert peak <= size + 48**3 + READ_SLAB_BYTES + READER_ALLOWANCE
+    slab = max(READ_SLAB_BYTES, 8 * n * n)
+    assert peak <= size + n**3 + slab + READER_ALLOWANCE
 
 
 # ---------------------------------------------------------------------------
