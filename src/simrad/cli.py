@@ -215,6 +215,9 @@ def _cmd_invert_wavelet(args: argparse.Namespace) -> int:
     _print_metrics(
         error_l2_rel=error,
         energy_ratio=metrics.energy_ratio,
+        iterations=metrics.iterations,
+        coefficient_residual=metrics.coefficient_residual,
+        template_anisotropy=metrics.template_anisotropy,
         runtime_ms=runtime_ms,
     )
     return 0

@@ -26,6 +26,9 @@ Three independent paths recover a volume from its plane or line sinogram:
   gather, a product and the inverse FFTs remain.  The lattice is not a tight
   frame, so the volume is recovered as the least-squares fit to its
   coefficients, by conjugate gradients on FFT convolutions with the atoms.
+  When the template's views agree between directions the wavelet is
+  rotation-invariant, every rotation gives the same atoms and coefficients,
+  and the lattice is cut to its first rotation.
 
 The label-space representation ``apply_pi_hat`` lives here too; it is the
 conjugated action the transforms intertwine with, and the slow-but-direct
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -385,7 +388,10 @@ class WaveletMetrics:
     coefficients; at convergence it equals the squared norm of the imaged
     volume, and its ratio to ``reconstruction_norm ** 2`` is the internal
     coarseness indicator.  ``iterations`` and ``coefficient_residual`` record
-    where the dual-frame solve stopped.
+    where the dual-frame solve stopped.  ``template_anisotropy`` is how far
+    the analysis template's views differ between directions, relative to its
+    peak; at most ``FRAME_RESIDUAL_TOL``, the solve ran on one rotation.
+    ``n_nodes`` counts the lattice as passed.
     """
 
     coefficient_energy: float
@@ -394,6 +400,7 @@ class WaveletMetrics:
     n_nodes: int
     iterations: int
     coefficient_residual: float
+    template_anisotropy: float
 
     @property
     def energy_ratio(self) -> float:
@@ -727,22 +734,43 @@ def invert_wavelet(
     is at most ``FRAME_RESIDUAL_TOL``, the accuracy of the measured
     coefficients, or after ``FRAME_MAX_ITER`` iterations.
 
+    A wavelet invariant under rotations has ``pi(b, R, a) psi = pi(b, I, a)
+    psi``: every rotation of a (shift, scale) node gives the same atom and
+    the same coefficient, so the weighted least-squares problem over the
+    lattice is the same problem over its first rotation alone, which
+    ``scale_weights`` then gives the full rotation mass.  Invariance is
+    measured on the analysis template: a view (one direction's profile or
+    detector image) of a rotation-invariant wavelet is the same at every
+    direction, so the measure is the largest deviation of any view from the
+    mean view, relative to the template's peak.  When it is at most
+    ``FRAME_RESIDUAL_TOL`` the differences between rotations are below the
+    misfit the solve accepts anyway, and the solve runs on the first
+    rotation; otherwise on the whole lattice.
+
     The metrics report the coefficient energy (weighted squared coefficients
-    over the Calderon constant / 4 pi); :class:`LatticeTooCoarse` is emitted
-    when it and the reconstruction norm disagree badly.
+    over the Calderon constant / 4 pi) and the measured anisotropy;
+    :class:`LatticeTooCoarse` is emitted when the energy and the
+    reconstruction norm disagree badly.
     """
     calderon = admissibility_constant(psi)
     norm_const = calderon / (4.0 * np.pi)
     geom = s.geometry
     forward, _, _ = kind_routes(geom)
     template = apply_multiplier(forward(psi, geom), MultiplierSpec(2.0 * geom.power))
+    views = template.data.reshape(geom.n_theta * geom.n_phi, -1)
+    anisotropy = float(
+        np.max(np.abs(views - views.mean(axis=0))) / np.max(np.abs(template.data))
+    )
+    solved = lattice
+    if anisotropy <= FRAME_RESIDUAL_TOL:
+        solved = replace(lattice, rotations=lattice.rotations[:1])
     _, _, coefficients = _kind_steps(s)
-    coefs = coefficients(s, template, lattice)
-    chi = lattice.scales**geom.characters.chi_exp
-    w_scale = lattice.scale_weights()
+    coefs = coefficients(s, template, solved)
+    chi = solved.scales**geom.characters.chi_exp
+    w_scale = solved.scale_weights()
     pairings = coefs / chi[:, None, None]
     energy = float(np.sum(w_scale[:, None, None] * pairings**2) / norm_const)
-    frame = _LatticeFrame(psi, lattice)
+    frame = _LatticeFrame(psi, solved)
     data, iterations, residual = _dual_frame_solve(frame, pairings, w_scale)
     recon = Volume(data, psi.spacing, psi.origin.copy())
     metrics = WaveletMetrics(
@@ -752,6 +780,7 @@ def invert_wavelet(
         n_nodes=lattice.n_nodes,
         iterations=iterations,
         coefficient_residual=residual,
+        template_anisotropy=anisotropy,
     )
     if abs(metrics.energy_ratio - 1.0) > LATTICE_ENERGY_SLACK:
         warnings.warn(

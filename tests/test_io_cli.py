@@ -398,7 +398,8 @@ def test_cli_wavelet_pipeline(workdir, plane_path, capsys):
     )
     assert rc == 0
     metrics = _metrics(capsys.readouterr().out)
-    assert "energy_ratio" in metrics
+    for key in ("energy_ratio", "iterations", "coefficient_residual", "template_anisotropy"):
+        assert key in metrics
     assert read_volume(out).n == 28
 
 
