@@ -38,6 +38,10 @@ The routes read what differs by kind (unitarization power, scale
 characters, projection-slice points) from the sinogram's geometry.  The
 math that differs (the two pi-hat actions, the two direct-Fourier gathers
 and the two coefficient routines) is selected in one place, ``_kind_steps``.
+
+Only the wavelet route needs scipy, and it imports it where it is used
+(``_interp_matrix``, ``_plane_coefficients`` and ``_LatticeFrame``), so
+importing this module and running the other routes loads numpy alone.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ import itertools
 import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import ndimage, sparse
 
 from .errors import InsufficientCoverage, LatticeTooCoarse
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
@@ -69,6 +73,9 @@ from .xform import (
     sample_plane_profiles,
     sample_plane_sinogram,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Fraction of in-band frequency voxels that may go unhit before direct
 # Fourier inversion refuses to proceed.
@@ -440,6 +447,8 @@ def _interp_matrix(
     off-grid corners weigh zero.  Assembled in CSR order with int32 indices,
     so the transient index arrays stay small.
     """
+    from scipy import sparse
+
     n_out, n_blocks = positions[0].shape
     size = int(np.prod(shape))
     strides = [int(np.prod(shape[k + 1 :])) for k in range(len(shape))]
@@ -470,6 +479,8 @@ def _plane_coefficients(
     alone (one sparse gather per rotation), and sampling at ``n . b`` with
     the direction quadrature is one fixed sparse matrix.
     """
+    from scipy import sparse
+
     geom = s.geometry
     n_dir = geom.n_theta * geom.n_phi
     shat, dtau, t0 = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
@@ -584,6 +595,8 @@ class _LatticeFrame:
     """
 
     def __init__(self, psi: Volume, lattice: GroupLattice) -> None:
+        from scipy import ndimage
+
         n, h = psi.n, psi.spacing
         m = SYNTHESIS_PAD * n
         self.n, self.m, self.spacing = n, m, h

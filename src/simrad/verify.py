@@ -58,6 +58,9 @@ INTERTWINING_TOL = 5e-2
 # The character-ablated covariance residual must exceed this floor, otherwise
 # the check could not distinguish the correct scale factor from none.
 ABLATION_FLOOR = 0.2
+# The pure dilation of the character-ablation control, which is also an
+# element of the intertwining sweep.
+ABLATION_DILATION = GroupElement(np.zeros(3), np.eye(3), 1.25)
 
 # Two independent quadratures of the same geometric plane agree to rounding;
 # anything above this signals a chart/orientation bug, not quadrature error.
@@ -146,10 +149,7 @@ def standard_intertwining_sweep() -> list[GroupElement]:
     axes, and translations at 1.2 = 25% of the default half-extent 4.8.
     """
     eye = np.eye(3)
-    elems = [
-        GroupElement(np.zeros(3), eye, 0.8),
-        GroupElement(np.zeros(3), eye, 1.25),
-    ]
+    elems = [GroupElement(np.zeros(3), eye, 0.8), ABLATION_DILATION]
     for axis in (2, 0):
         for deg in (15.0, 30.0, 45.0):
             elems.append(GroupElement(np.zeros(3), _axis_rotation(axis, np.deg2rad(deg)), 1.0))
@@ -200,18 +200,20 @@ def check_intertwining(
     ablate_character: bool = False,
     label: str = "",
     reference: Sinogram | None = None,
+    moved: Sinogram | None = None,
 ) -> ReportEntry:
     """Residual of forward(pi(g) v) against chi(g) * pi_hat(g) forward(v).
 
     With ``ablate_character`` the scale factor is replaced by 1; for pure
     dilations that must push the residual above `ABLATION_FLOOR`, encoded as
     residual = floor - measured against tolerance 0.  ``reference`` may carry
-    a precomputed forward transform of ``v`` to share across a sweep.
+    a precomputed forward transform of ``v`` to share across a sweep, and
+    ``moved`` one of ``pi(g) v``.
     """
     kind = geometry.kind
     forward, _, _ = kind_routes(geometry)
     ref = reference or forward(v, geometry)
-    moved = forward(apply_pi(g, v), geometry)
+    moved = moved or forward(apply_pi(g, v), geometry)
     factor = 1.0 if ablate_character else geometry.characters.chi(g)
     pushed = apply_pi_hat(g, ref)
     diff = type(ref)(moved.data - factor * pushed.data, geometry)
@@ -530,6 +532,13 @@ def run_all(
                 for geom in (plane_geom, line_geom):
                     guarded(name, lambda geom=geom, check=check: check(geom))
             mixture_spectrum.cache_clear()
+    # The intertwining sweep and the ablation control share the projection
+    # of the dilated compact phantom.
+    @functools.cache
+    def dilated(geom):
+        forward_transform, _, _ = kind_routes(geom)
+        return forward_transform(apply_pi(ABLATION_DILATION, phantom(compact_phantom)), geom)
+
     if "intertwining" in config.checks:
         for geom in (plane_geom, line_geom):
             for idx, g in enumerate(standard_intertwining_sweep()):
@@ -542,6 +551,7 @@ def run_all(
                         ablate_character=config.ablate_character,
                         label=f"{idx:02d}",
                         reference=forward(compact_phantom, geom),
+                        moved=dilated(geom) if g is ABLATION_DILATION else None,
                     ),
                 )
     if "fiber" in config.checks:
@@ -555,8 +565,6 @@ def run_all(
         )
         guarded("evenness", lambda: check_evenness_subspace(F, plane_geom, g))
     if "controls" in config.checks and not config.ablate_character:
-        dilation = GroupElement(np.zeros(3), np.eye(3), 1.25)
-
         def ablation_control() -> ReportEntry:
             # Pooled over geometries: the plane character a separates from 1
             # by 25% at a = 1.25, the line character sqrt(a) only by 12%, so
@@ -564,10 +572,11 @@ def run_all(
             results = [
                 check_intertwining(
                     geom,
-                    dilation,
+                    ABLATION_DILATION,
                     phantom(compact_phantom),
                     ablate_character=True,
                     reference=forward(compact_phantom, geom),
+                    moved=dilated(geom),
                 )
                 for geom in (plane_geom, line_geom)
             ]

@@ -68,10 +68,9 @@ from dataclasses import dataclass, fields
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GeometryMismatch
-from .grid import Spectrum3D, Volume, dft3, resample
+from .grid import Spectrum3D, Volume, _trilinear, dft3, resample
 from .group import (
     CharacterSet,
     LineLabel,
@@ -832,8 +831,8 @@ def _padded_spectrum(v: Volume, pad_factor: int) -> Spectrum3D:
 def _sample_spectrum3(spec: Spectrum3D, freqs: np.ndarray) -> np.ndarray:
     """Trilinear samples of a centered 3-D spectrum at (..., 3) frequency points."""
     idx = (freqs.reshape(-1, 3) / spec.freq_spacing) + spec.n // 2
-    re = ndimage.map_coordinates(spec.data.real, idx.T, order=1, mode="constant", cval=0.0)
-    im = ndimage.map_coordinates(spec.data.imag, idx.T, order=1, mode="constant", cval=0.0)
+    re = _trilinear(spec.data.real, idx)
+    im = _trilinear(spec.data.imag, idx)
     return (re + 1j * im).reshape(freqs.shape[:-1])
 
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simrad.grid as grid
 from simrad.errors import GeometryMismatch, SupportOverflow
 from simrad.grid import (
     Volume,
+    _trilinear,
     apply_pi,
     dft3,
     gaussian_mixture_phantom,
@@ -180,9 +182,40 @@ def test_resample_hits_voxel_centers_exactly():
 
 
 def test_resample_zero_outside():
+    # Zero from the outermost voxel centers on, with no fade past them.
     v = Volume(np.ones((8, 8, 8)), 0.5)
     far = np.array([[10.0, 0.0, 0.0], [0.0, -7.0, 3.0]])
     assert np.all(resample(v, far) == 0.0)
+    lo, hi = v.origin[0], v.origin[0] + 7 * 0.5
+    edges = np.array(
+        [[lo, 0.0, 0.0], [hi, 0.0, 0.0], [lo - 1e-9, 0.0, 0.0],
+         [0.0, hi + 1e-9, 0.0], [0.0, 0.0, hi + 0.25]]
+    )
+    assert resample(v, edges).tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        resample(v, np.array([[0.0, np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 9, 16])
+def test_trilinear_matches_map_coordinates_bitwise(n, monkeypatch):
+    # The sampler reproduces scipy's order-1 constant-mode interpolation bit
+    # for bit, on real data and on both parts of a complex spectrum, at
+    # random points, knots, 0 and n - 1 and just outside them on each axis,
+    # across several chunks.
+    from scipy import ndimage
+
+    monkeypatch.setattr(grid, "TRILINEAR_CHUNK", 1024)
+    rng = np.random.default_rng(n)
+    idx = rng.uniform(-1.5, n + 0.5, (6000, 3))
+    idx[:1000] = np.round(idx[:1000])
+    edges = (0.0, n - 1.0, np.nextafter(0.0, -1.0), np.nextafter(n - 1.0, n), -1.0, n)
+    for axis in range(3):
+        for j, value in enumerate(edges):
+            idx[1000 + 800 * axis + 100 * j : 1100 + 800 * axis + 100 * j, axis] = value
+    spec = dft3(Volume(rng.standard_normal((n, n, n)), 0.3)).data
+    for data in (rng.standard_normal((n, n, n)), spec.real, spec.imag):
+        ref = ndimage.map_coordinates(data, idx.T, order=1, mode="constant", cval=0.0)
+        assert _trilinear(data, idx).tobytes() == ref.tobytes()
 
 
 def test_apply_pi_identity_is_exact():

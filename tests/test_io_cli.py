@@ -583,3 +583,35 @@ def test_cli_import_does_not_load_numpy():
     package_root = Path(simrad.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], cwd=package_root)
     assert proc.returncode == 0
+
+
+def test_numpy_routes_do_not_load_scipy():
+    # Only the wavelet route needs scipy; importing the library modules and
+    # running the transforms, FBP, both direct-Fourier kinds, the quadrature
+    # integral, the point-space action and the Fourier slice load numpy alone,
+    # so every subcommand but invert-wavelet starts without it.
+    code = "\n".join(
+        [
+            "import sys",
+            "import numpy as np",
+            "from simrad import filters, grid, invert, io, verify, xform",
+            "from simrad.group import GroupElement, PlaneLabel",
+            "v = grid.gaussian_phantom(16, 0.3, scale=0.55)",
+            "plane = xform.PlaneGeometry(8, 8, 33, 3.0)",
+            "line = xform.LineGeometry(8, 8, 16, 16, 2.4)",
+            "ps = xform.radon_plane(v, plane)",
+            "invert.invert_fbp_plane(ps, 16, 0.3)",
+            "invert.invert_direct_fourier(ps, 16, 0.3)",
+            "invert.invert_direct_fourier(xform.xray(v, line), 16, 0.3)",
+            "xform.plane_integral(v, PlaneLabel(0.3, 0.4, 0.1))",
+            "grid.apply_pi(GroupElement(np.zeros(3), np.eye(3), 1.1), v)",
+            "xform.fourier_slice_plane(v, plane)",
+            "print(' '.join(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+        ]
+    )
+    package_root = Path(simrad.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=package_root, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import simrad.verify as verify
 from simrad.grid import gaussian_phantom
 from simrad.group import GroupElement
 from simrad.verify import (
@@ -372,3 +374,29 @@ def test_run_all_volume_override_feeds_checks():
     report = run_all(config, volume=gaussian_phantom(32, 0.3, center=[0.5, 0.2, -0.4]))
     assert [e.name for e in report.entries] == ["fiber_constancy"]
     assert report.all_passed
+
+
+def test_run_all_projects_the_shared_dilation_once(monkeypatch):
+    # The ablation control's a = 1.25 dilation is also in the sweep, so with
+    # both checks run_all projects its image of the compact phantom once per
+    # geometry, and the residuals are those of unshared checks.
+    dilation = verify.ABLATION_DILATION
+    assert any(g is dilation for g in standard_intertwining_sweep())
+    monkeypatch.setattr(verify, "standard_intertwining_sweep", lambda: [dilation])
+    moved = []
+    apply_pi = verify.apply_pi
+    monkeypatch.setattr(verify, "apply_pi", lambda g, v: moved.append(g.a) or apply_pi(g, v))
+    config = replace(
+        COARSE, n_theta=8, n_phi=8, n_t=33, n_u=24, checks=("intertwining", "controls")
+    )
+    by_name = {e.name: e for e in run_all(config).entries}
+    assert moved == [1.25, 1.25]
+    v = compact_phantom(config)
+    geoms = (config.plane_geometry(), config.line_geometry())
+    for geom in geoms:
+        entry = check_intertwining(geom, dilation, v, label="00")
+        assert by_name[entry.name].residual == entry.residual
+    ablated = min(
+        check_intertwining(geom, dilation, v, ablate_character=True).residual for geom in geoms
+    )
+    assert by_name["control_character_ablation"].residual == ablated
