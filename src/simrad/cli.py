@@ -162,10 +162,6 @@ def _cmd_invert_fbp(args: argparse.Namespace) -> int:
     from .io import read_sinogram, write_volume
 
     s = read_sinogram(args.infile)
-    if s.geometry.kind != "plane":
-        raise GeometryMismatch(
-            "filtered backprojection needs plane data; use invert-fourier for lines"
-        )
     start = time.perf_counter()
     v = invert_fbp_plane(s, args.n, args.h)
     runtime_ms = 1e3 * (time.perf_counter() - start)

@@ -94,6 +94,14 @@ ROLLOFF_FRACTION = 0.15
 # because those arrays stay in cache: at N=48 (17k active voxels) chunks of
 # one direction beat chunks of four by ~15% and chunks of sixteen by ~2x.
 SPLAT_CHUNK_BYTES = 256 << 10
+# Slab of the plane backprojection's (N^3, n_phi) offset block that every
+# direction of an azimuth row interpolates before the walk moves on
+# (``backproject_plane``).  It sits well inside a 2-4 MiB L2 while keeping the
+# per-call cost of np.interp small: on a 2-core Xeon (4 MiB L2 per core),
+# 256 KiB / 1 MiB / 2 MiB slabs took 1.44 / 1.08 / 1.12 s at N=48 (24x24
+# directions, 97 offsets) and 6.2 / 4.9 / 5.0 s at N=64 (32x32, 129), against
+# 1.66 s and 10.4 s for one pass over the whole block per direction.
+BACKPROJECT_SLAB_BYTES = 1 << 20
 # Internal refinement of projector detector grids.  Splatted samples taken at
 # the output rate alias voxel-lattice harmonics (at radii |m| / voxel, where
 # the projected comb carries O(1) energy for directions nearly aligned with a
@@ -748,16 +756,37 @@ def sample_line_sinogram(
 
 
 def backproject_plane(s: PlaneSinogram, n: int, spacing: float) -> Volume:
-    """Adjoint-style sum over directions: ``integral of F(n, n . x) dn`` (half-sphere)."""
+    """Adjoint-style sum over directions: ``integral of F(n, n . x) dn`` (half-sphere).
+
+    Each azimuth row's plane offsets come from one BLAS product over all
+    voxels, ``pts @ normals[i].T`` of shape (N^3, n_phi): a product over a
+    slab of voxels, or of the transposed operands, is not guaranteed to round
+    the same way.  The block is then walked in contiguous slabs of voxels of
+    ``BACKPROJECT_SLAB_BYTES`` (at least one voxel), and every direction of
+    the row is interpolated on one slab before the next, so the strided
+    column reads stay in cache instead of sweeping the whole block once per
+    direction.  Each voxel still adds its terms in the same direction order,
+    so the sum is bitwise that of one ``np.interp`` per direction over all
+    voxels.  Raises :class:`GeometryMismatch` for line data.
+    """
     g = s.geometry
+    if g.kind != "plane":
+        raise GeometryMismatch(
+            "filtered backprojection needs plane data; use invert-fourier for lines"
+        )
     grid = Volume(np.zeros((n, n, n)), spacing)
     pts = grid.coordinate_grid().reshape(-1, 3)
     acc = np.zeros(pts.shape[0])
     weights = g.direction_weights
+    slab = max(1, BACKPROJECT_SLAB_BYTES // (8 * g.n_phi))
     for i in range(g.n_theta):
         block = pts @ g.normals[i].T  # (npts, n_phi)
-        for j in range(g.n_phi):
-            acc += weights[i, j] * np.interp(block[:, j], g.ts, s.data[i, j], left=0.0, right=0.0)
+        for lo in range(0, len(acc), slab):
+            rows, out = block[lo : lo + slab], acc[lo : lo + slab]
+            for j in range(g.n_phi):
+                out += weights[i, j] * np.interp(
+                    rows[:, j], g.ts, s.data[i, j], left=0.0, right=0.0
+                )
     return Volume(acc.reshape(n, n, n), spacing)
 
 

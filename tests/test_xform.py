@@ -553,3 +553,46 @@ def test_backproject_plane_is_adjoint(volume, plane_sinogram, plane_geometry):
     bp = backproject_plane(s, 32, 0.3)
     rhs = float(0.3**3 * np.sum(volume.data * bp.data))
     assert abs(lhs - rhs) / abs(lhs) <= ADJOINT_TOL
+
+
+def _whole_block_backprojection(s: PlaneSinogram, n: int, spacing: float) -> np.ndarray:
+    # The loop before the slab walk: each direction's np.interp reads its
+    # column of the whole (N^3, n_phi) block.
+    g = s.geometry
+    pts = Volume(np.zeros((n, n, n)), spacing).coordinate_grid().reshape(-1, 3)
+    acc = np.zeros(pts.shape[0])
+    for i in range(g.n_theta):
+        block = pts @ g.normals[i].T
+        for j in range(g.n_phi):
+            acc += g.direction_weights[i, j] * np.interp(
+                block[:, j], g.ts, s.data[i, j], left=0.0, right=0.0
+            )
+    return acc.reshape(n, n, n)
+
+
+@pytest.mark.parametrize(
+    "n, spacing, geometry, slab_voxels",
+    [
+        (33, 0.3, PlaneGeometry(16, 16, 65, 4.8), None),  # default budget, ragged last slab
+        (16, 0.3, PlaneGeometry(8, 6, 33, 3.0), 37),  # 111 slabs, the last one partial
+        (5, 0.9, PlaneGeometry(3, 4, 9, 1.5), 0),  # a budget below one voxel
+    ],
+    ids=["odd_n", "many_slabs", "one_voxel_slabs"],
+)
+def test_backproject_plane_matches_whole_block_loop(n, spacing, geometry, slab_voxels, monkeypatch):
+    if slab_voxels is not None:
+        monkeypatch.setattr(xform, "BACKPROJECT_SLAB_BYTES", 8 * geometry.n_phi * slab_voxels + 3)
+    voxels = max(1, xform.BACKPROJECT_SLAB_BYTES // (8 * geometry.n_phi))
+    assert voxels == 1 or n**3 % voxels != 0
+    # Random samples with nonzero end values, on an offset axis that the
+    # cube's corners overrun: those voxels must read the zero left/right.
+    s = PlaneSinogram(np.random.default_rng(n).standard_normal(geometry.shape), geometry)
+    pts = Volume(np.zeros((n, n, n)), spacing).coordinate_grid().reshape(-1, 3)
+    assert np.abs(pts @ geometry.normals.reshape(-1, 3).T).max() > geometry.t_max
+    bp = backproject_plane(s, n, spacing)
+    assert bp.data.tobytes() == _whole_block_backprojection(s, n, spacing).tobytes()
+
+
+def test_backproject_plane_rejects_line_data(line_sinogram):
+    with pytest.raises(GeometryMismatch, match="filtered backprojection needs plane data"):
+        backproject_plane(line_sinogram, 16, 0.3)
