@@ -60,8 +60,7 @@ _EXPORTS = {
         "PlaneGeometry",
         "PlaneSinogram",
         "backproject_plane",
-        "fourier_slice_line",
-        "fourier_slice_plane",
+        "fourier_slice",
         "line_integral",
         "plane_integral",
         "radon_plane",

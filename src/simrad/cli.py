@@ -129,13 +129,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    from .invert import kind_steps
     from .io import read_volume, write_sinogram
-    from .xform import GEOMETRY_KINDS, kind_routes
+    from .xform import GEOMETRY_KINDS
 
     v = read_volume(args.infile)
     # the geometry flags are the geometry's short keys
     geometry = GEOMETRY_KINDS[args.kind].from_keys(vars(args))
-    forward, _, _ = kind_routes(geometry)
+    forward = kind_steps(geometry).forward
     start = time.perf_counter()
     s = forward(v, geometry)
     write_sinogram(args.out, s)

@@ -36,8 +36,12 @@ route to the same wavelet coefficients (used to cross-check the FFT path).
 
 The routes read what differs by kind (unitarization power, scale
 characters, projection-slice points) from the sinogram's geometry.  The
-math that differs (the two pi-hat actions, the two direct-Fourier gathers
-and the two coefficient routines) is selected in one place, ``_kind_steps``.
+math that differs (the forward transform, the padded sinogram spectra, the
+pi-hat action, the direct-Fourier gather and the frame coefficients) is
+selected in one place for the whole package, :func:`kind_steps`.  It lives
+here because this is the one module that can import every kind-specific
+step; the command line and the verification checks take their forward
+transforms from it too, and the Fourier-slice check its spectra.
 
 Only the wavelet route needs scipy, and it imports it where it is used
 (``_interp_matrix``, ``_plane_coefficients`` and ``_LatticeFrame``), so
@@ -48,9 +52,10 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -67,11 +72,10 @@ from .xform import (
     _padded_t_spectra,
     _padded_uv_spectra,
     backproject_plane,
-    kind_routes,
+    radon_plane,
     sample_line_images,
-    sample_line_sinogram,
     sample_plane_profiles,
-    sample_plane_sinogram,
+    xray,
 )
 
 if TYPE_CHECKING:
@@ -144,7 +148,7 @@ def apply_pi_hat_plane(g: GroupElement, s: PlaneSinogram) -> PlaneSinogram:
     geom = s.geometry
     dirs = geom.normals @ g.R  # rows: R^-1 n
     offs = (geom.ts[None, None, :] - (geom.normals @ g.b)[:, :, None]) / g.a
-    vals = sample_plane_sinogram(s, dirs[:, :, None, :], offs)
+    vals = sample_plane_profiles(s.data, dirs[:, :, None, :], offs, -geom.t_max, geom.dt)
     return PlaneSinogram(vals / np.sqrt(g.a), geom)
 
 
@@ -165,14 +169,13 @@ def apply_pi_hat_line(g: GroupElement, s: LineSinogram) -> LineSinogram:
         + e2[:, :, None, None, :] * geom.vs[None, None, None, :, None]
     )
     moved = ((w - g.b) @ g.R) / g.a
-    vals = sample_line_sinogram(s, dirs, moved)
+    vals = sample_line_images(s.data, geom, dirs, moved, geom.us[0], geom.du, geom.vs[0], geom.dv)
     return LineSinogram(vals / g.a, geom)
 
 
 def apply_pi_hat(g: GroupElement, s: Sinogram) -> Sinogram:
     """Unitary action of a group element on a sinogram of either kind."""
-    pi_hat, _, _ = _kind_steps(s)
-    return pi_hat(g, s)
+    return kind_steps(s.geometry).pi_hat(g, s)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +247,12 @@ def _splat_coverage(geometry: DirectionChart, freq_spacing: float, n: int) -> np
 
 def _gather_plane(s: PlaneSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
     """Spectrum at frequencies ``W`` (norms ``mag``), read on each one's own ray."""
-    geom = s.geometry
     spec, dtau, _ = _padded_t_spectra(s, PLANE_SPECTRAL_PAD)
     nz = mag > 0.0
     dirs = np.where(nz[:, None], W, [0.0, 0.0, 1.0])
     dirs = dirs / np.where(nz, mag, 1.0)[:, None]
     tau_lo = -(spec.shape[-1] // 2) * dtau
-    return sample_plane_profiles(spec, geom.n_theta, geom.n_phi, dirs, mag, tau_lo, dtau)
+    return sample_plane_profiles(spec, dirs, mag, tau_lo, dtau)
 
 
 def _gather_line(s: LineSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -310,9 +312,8 @@ def invert_direct_fourier(
             "increase the direction grid or lower the band limit"
         )
     # only the in-band frequencies are read; the rest of the grid stays zero
-    _, gather, _ = _kind_steps(s)
     grid = np.zeros(n * n * n, dtype=complex)
-    grid[in_band] = gather(s, W[in_band], mag[in_band])
+    grid[in_band] = kind_steps(geom).gather(s, W[in_band], mag[in_band])
     grid = grid.reshape(n, n, n)
     origin = -(n // 2) * spacing * np.ones(3)
     recon = idft3(Spectrum3D(grid, freq_spacing, spacing, origin))
@@ -768,8 +769,8 @@ def invert_wavelet(
     calderon = admissibility_constant(psi)
     norm_const = calderon / (4.0 * np.pi)
     geom = s.geometry
-    forward, _, _ = kind_routes(geom)
-    template = apply_multiplier(forward(psi, geom), MultiplierSpec(2.0 * geom.power))
+    steps = kind_steps(geom)
+    template = apply_multiplier(steps.forward(psi, geom), MultiplierSpec(2.0 * geom.power))
     views = template.data.reshape(geom.n_theta * geom.n_phi, -1)
     anisotropy = float(
         np.max(np.abs(views - views.mean(axis=0))) / np.max(np.abs(template.data))
@@ -777,8 +778,7 @@ def invert_wavelet(
     solved = lattice
     if anisotropy <= FRAME_RESIDUAL_TOL:
         solved = replace(lattice, rotations=lattice.rotations[:1])
-    _, _, coefficients = _kind_steps(s)
-    coefs = coefficients(s, template, solved)
+    coefs = steps.coefficients(s, template, solved)
     chi = solved.scales**geom.characters.chi_exp
     w_scale = solved.scale_weights()
     pairings = coefs / chi[:, None, None]
@@ -804,12 +804,25 @@ def invert_wavelet(
     return recon, metrics
 
 
-def _kind_steps(s: Sinogram) -> tuple:
-    """(pi-hat action, direct-Fourier gather, frame coefficients) of ``s``'s kind.
+class KindSteps(NamedTuple):
+    """The steps that differ between plane and line data."""
 
-    The one place this module selects between planes and lines; the names
-    resolve at each call, as in :func:`simrad.xform.kind_routes`.
+    forward: Callable  # volume -> sinogram
+    spectra: Callable  # sinogram -> zero-padded per-direction spectra
+    pi_hat: Callable  # label-space group action
+    gather: Callable  # direct-Fourier read of the spectra
+    coefficients: Callable  # wavelet frame coefficients
+
+
+def kind_steps(geometry: DirectionChart) -> KindSteps:
+    """The plane or line steps for data on ``geometry``.
+
+    The one place in the package that selects between planes and lines.  The
+    names resolve at each call, so a rebinding of this module's attributes
+    (as the benchmark's tracer does) reaches every caller.
     """
-    if s.geometry.kind == "plane":
-        return apply_pi_hat_plane, _gather_plane, _plane_coefficients
-    return apply_pi_hat_line, _gather_line, _line_coefficients
+    if geometry.kind == "plane":
+        return KindSteps(
+            radon_plane, _padded_t_spectra, apply_pi_hat_plane, _gather_plane, _plane_coefficients
+        )
+    return KindSteps(xray, _padded_uv_spectra, apply_pi_hat_line, _gather_line, _line_coefficients)

@@ -26,14 +26,14 @@ from .grid import (
     l2_norm,
 )
 from .group import GroupElement, PlaneLabel, unit_normal
-from .invert import apply_pi_hat
+from .invert import apply_pi_hat, kind_steps
 from .xform import (
     DirectionChart,
     LineGeometry,
     PlaneGeometry,
     Sinogram,
     _padded_spectrum,
-    kind_routes,
+    fourier_slice,
     plane_integral,
     sinogram_norm,
 )
@@ -183,9 +183,11 @@ def check_fourier_slice(
     the plane and line checks share.
     """
     kind = geometry.kind
-    forward, fourier_slice, spectra = kind_routes(geometry)
-    sino_side, *_ = spectra(sinogram or forward(v, geometry), 1)
-    vol_side = fourier_slice(v, geometry, pad_factor, spectrum=spectrum)
+    steps = kind_steps(geometry)
+    sino_side, *_ = steps.spectra(sinogram or steps.forward(v, geometry), 1)
+    if spectrum is None:
+        spectrum = _padded_spectrum(v, pad_factor)
+    vol_side = fourier_slice(spectrum, geometry)
     ref = np.linalg.norm(vol_side)
     if ref == 0.0:
         return make_entry(f"fourier_slice_{kind}", 0.0, SLICE_TOL, "zero input")
@@ -211,7 +213,7 @@ def check_intertwining(
     ``moved`` one of ``pi(g) v``.
     """
     kind = geometry.kind
-    forward, _, _ = kind_routes(geometry)
+    forward = kind_steps(geometry).forward
     ref = reference or forward(v, geometry)
     moved = moved or forward(apply_pi(g, v), geometry)
     factor = 1.0 if ablate_character else geometry.characters.chi(g)
@@ -237,8 +239,7 @@ def check_isometry(
 ) -> ReportEntry:
     """|norm(J forward(v)) / norm(v) - 1| with the geometry's own exponent."""
     kind = geometry.kind
-    forward, _, _ = kind_routes(geometry)
-    sino = sinogram or forward(v, geometry)
+    sino = sinogram or kind_steps(geometry).forward(v, geometry)
     nv = l2_norm(v)
     if nv == 0.0:
         return make_entry(f"isometry_{kind}", 0.0, ISOMETRY_TOL, "zero input: 0/0 reported as pass")
@@ -498,8 +499,7 @@ def run_all(
 
     @functools.cache
     def forward(build, geom):
-        forward_transform, _, _ = kind_routes(geom)
-        return forward_transform(phantom(build), geom)
+        return kind_steps(geom).forward(phantom(build), geom)
 
     needs_mix = {"fourier_slice", "isometry"} & set(config.checks)
     if needs_mix:
@@ -518,7 +518,7 @@ def run_all(
         def mixture_spectrum() -> Spectrum3D:
             return _padded_spectrum(phantom(mixture_phantom), SLICE_PAD_FACTOR)
 
-        def fourier_slice(geom):
+        def slice_check(geom):
             return check_fourier_slice(
                 geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom),
                 spectrum=mixture_spectrum(),
@@ -527,7 +527,7 @@ def run_all(
         def isometry(geom):
             return check_isometry(geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom))
 
-        for name, check in (("fourier_slice", fourier_slice), ("isometry", isometry)):
+        for name, check in (("fourier_slice", slice_check), ("isometry", isometry)):
             if name in config.checks:
                 for geom in (plane_geom, line_geom):
                     guarded(name, lambda geom=geom, check=check: check(geom))
@@ -536,8 +536,7 @@ def run_all(
     # of the dilated compact phantom.
     @functools.cache
     def dilated(geom):
-        forward_transform, _, _ = kind_routes(geom)
-        return forward_transform(apply_pi(ABLATION_DILATION, phantom(compact_phantom)), geom)
+        return kind_steps(geom).forward(apply_pi(ABLATION_DILATION, phantom(compact_phantom)), geom)
 
     if "intertwining" in config.checks:
         for geom in (plane_geom, line_geom):

@@ -37,8 +37,11 @@ The two transforms are two instances of one construction, and everything
 that differs by kind, short of the math itself, is a fact of the geometry:
 both geometries share one direction chart (:class:`DirectionChart`) and
 their sinograms one validated container (:class:`Sinogram`).  Where the math
-does differ (the projector front ends and the Fourier-slice pairs),
-``kind_routes`` is the one place that selects by kind.
+does differ (the projector front ends and the padded sinogram spectra), this
+module holds both versions, and :func:`simrad.invert.kind_steps` is the one
+place that selects between them; the volume-side Fourier slice
+(:func:`fourier_slice`) reads the kind from the geometry's
+``slice_frequencies`` alone.
 
 ``sample_plane_profiles`` and ``sample_line_images`` evaluate
 direction-indexed profiles or detector images (sinograms or their spectra)
@@ -46,11 +49,10 @@ at arbitrary (direction, offset) queries by reducing the direction to the
 chart and interpolating bilinearly across the gluing: interpolation cells
 that stick out of the chart square wrap to the matching rows/columns on the
 far side, flipping the signed plane offset whenever the represented normal
-flips sign.  ``sample_plane_sinogram`` and ``sample_line_sinogram`` are
-their front ends for sinograms.  The samplers and the wavelet coefficients
-read the chart through one stencil (``_chart_stencil``), and the samplers
-read the detector through one multilinear lookup (``_interp_nodes``), so the
-antipodal bookkeeping lives in exactly one place.  The lookup uses the
+flips sign.  The samplers and the wavelet coefficients read the chart
+through one stencil (``_chart_stencil``), and the samplers read the detector
+through one multilinear lookup (``_interp_nodes``), so the antipodal
+bookkeeping lives in exactly one place.  The lookup uses the
 splat's idiom in reverse: it gathers from a copy of the data with
 ``GATHER_GUARD`` zero cells past each end of every detector or offset axis
 (``_gather_window``; only the cells the queries can reach are copied), clamps
@@ -489,16 +491,15 @@ def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
     )
 
 
-def _quadrature_nodes(v: Volume, step: float | None) -> tuple[np.ndarray, float]:
-    """Midpoint nodes of spacing ``step`` (default half a voxel) spanning the volume's diagonal."""
-    if step is None:
-        step = 0.5 * v.spacing
+def _quadrature_nodes(v: Volume) -> tuple[np.ndarray, float]:
+    """Midpoint nodes half a voxel apart spanning the volume's diagonal, and their spacing."""
+    step = 0.5 * v.spacing
     half = v.half_extent * np.sqrt(3.0)
     m = int(np.ceil(2.0 * half / step))
     return (np.arange(m) + 0.5) * step - half, step
 
 
-def plane_integral(v: Volume, label: PlaneLabel, step: float | None = None) -> float:
+def plane_integral(v: Volume, label: PlaneLabel) -> float:
     """Integral of a volume over one labelled plane by direct 2-D quadrature.
 
     The in-plane frame is rebuilt from the chart representative of the label's
@@ -507,15 +508,15 @@ def plane_integral(v: Volume, label: PlaneLabel, step: float | None = None) -> f
     """
     theta, phi, sign = canonicalize_direction(unit_normal(label.theta, label.phi))
     e1, e2, normal = rotation_from_angles(theta, phi).T
-    s, step = _quadrature_nodes(v, step)
+    s, step = _quadrature_nodes(v)
     pts = sign * label.t * normal + s[:, None, None] * e1 + s[None, :, None] * e2
     return float(np.sum(resample(v, pts)) * step * step)
 
 
-def line_integral(v: Volume, label: LineLabel, step: float | None = None) -> float:
+def line_integral(v: Volume, label: LineLabel) -> float:
     """Integral of a volume along one labelled line by direct 1-D quadrature."""
     theta, phi, _ = canonicalize_direction(unit_normal(label.theta, label.phi))
-    s, step = _quadrature_nodes(v, step)
+    s, step = _quadrature_nodes(v)
     pts = label.offset[None, :] + s[:, None] * unit_normal(theta, phi)[None, :]
     return float(np.sum(resample(v, pts)) * step)
 
@@ -657,8 +658,6 @@ def _interp_nodes(
 
 def sample_plane_profiles(
     profiles: np.ndarray,
-    n_theta: int,
-    n_phi: int,
     directions: np.ndarray,
     radial: np.ndarray,
     radial_origin: float,
@@ -667,7 +666,8 @@ def sample_plane_profiles(
     """Sample direction-indexed radial profiles at arbitrary signed queries.
 
     ``profiles`` has shape (n_theta, n_phi, M) over the chart's midpoint
-    direction grid with a uniform signed radial axis (offset or frequency).
+    direction grid, whose size it gives, with a uniform signed radial axis
+    (offset or frequency).
     Queries are (direction, signed radial value) pairs; directions are reduced
     to the chart and the radial value flips sign together with the normal.
     """
@@ -681,23 +681,12 @@ def sample_plane_profiles(
         rad = _chunk(radial, index, len(shape))
         acc = 0.0
         for ii, jj, sign, w in _chart_stencil(
-            _chunk(directions, index, len(shape), 1), n_theta, n_phi
+            _chunk(directions, index, len(shape), 1), *profiles.shape[:2]
         ):
             pos = (sign * rad - radial_origin) / radial_step
             acc = acc + w * _interp_nodes(window, ii, jj, [pos])
         out[index] = acc
     return out
-
-
-def sample_plane_sinogram(
-    s: PlaneSinogram, directions: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Evaluate a plane sinogram at (direction, signed offset) queries."""
-    g = s.geometry
-    return sample_plane_profiles(
-        s.data, g.n_theta, g.n_phi, directions, np.asarray(offsets, dtype=float),
-        -g.t_max, g.dt,
-    )
 
 
 def sample_line_images(
@@ -738,16 +727,6 @@ def sample_line_images(
             acc = acc + w * _interp_nodes(window, ii, jj, [pu, pv])
         out[index] = acc
     return out
-
-
-def sample_line_sinogram(
-    s: LineSinogram, directions: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Evaluate a line sinogram at (direction, perpendicular offset) queries."""
-    g = s.geometry
-    return sample_line_images(
-        s.data, g, directions, offsets, g.us[0], g.du, g.vs[0], g.dv
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -865,46 +844,17 @@ def _sample_spectrum3(spec: Spectrum3D, freqs: np.ndarray) -> np.ndarray:
     return (re + 1j * im).reshape(freqs.shape[:-1])
 
 
-def fourier_slice_plane(
-    v: Volume, geometry: PlaneGeometry, pad_factor: int = 2, *, spectrum: Spectrum3D | None = None
-) -> np.ndarray:
-    """Volume spectrum sampled along each direction's frequency ray.
+def fourier_slice(spectrum: Spectrum3D, geometry: DirectionChart) -> np.ndarray:
+    """A volume's spectrum sampled at the geometry's projection-slice points.
 
-    Returns shape (n_theta, n_phi, n_t) complex on the centered radial
-    frequency axis of ``_padded_t_spectra`` at pad 1; equality of the two
-    (up to interpolation error) is the projection-slice property.
-    ``spectrum`` may carry ``v``'s spectrum zero-padded by ``pad_factor``
-    (``_padded_spectrum``) when the caller already holds it.
+    ``spectrum`` is the volume's spectrum, usually zero-padded
+    (``_padded_spectrum``).  Returns shape ``geometry.shape`` complex: the
+    frequency ray of each plane direction or the perpendicular frequency
+    plane of each line direction, on the centered axes of the sinogram
+    spectra at pad 1; equality of the two (up to interpolation error) is the
+    projection-slice property.
     """
-    if spectrum is None:
-        spectrum = _padded_spectrum(v, pad_factor)
     return _sample_spectrum3(spectrum, geometry.slice_frequencies())
-
-
-def fourier_slice_line(
-    v: Volume, geometry: LineGeometry, pad_factor: int = 2, *, spectrum: Spectrum3D | None = None
-) -> np.ndarray:
-    """Volume spectrum sampled on each direction's perpendicular frequency plane.
-
-    Returns shape (n_theta, n_phi, n_u, n_v) complex on the centered detector
-    frequency axes of ``_padded_uv_spectra`` at pad 1; ``spectrum`` as in
-    :func:`fourier_slice_plane`.
-    """
-    if spectrum is None:
-        spectrum = _padded_spectrum(v, pad_factor)
-    return _sample_spectrum3(spectrum, geometry.slice_frequencies())
-
-
-def kind_routes(geometry: DirectionChart) -> tuple:
-    """(forward transform, volume-side Fourier slice, sinogram-side spectra) of a kind.
-
-    The one place this module selects between planes and lines.  The names
-    resolve at each call, so a rebinding of this module's functions (as the
-    benchmark's tracer does) reaches the callers too.
-    """
-    if geometry.kind == "plane":
-        return radon_plane, fourier_slice_plane, _padded_t_spectra
-    return xray, fourier_slice_line, _padded_uv_spectra
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+import simrad.invert as invert
 from simrad.errors import InsufficientCoverage, LatticeTooCoarse, NotAdmissible
 from simrad.filters import MultiplierSpec, apply_multiplier
 from simrad.grid import (
@@ -48,6 +49,7 @@ from simrad.invert import (
     invert_fbp_plane,
     invert_wavelet,
 )
+from simrad.verify import VerifyConfig, run_all
 from simrad.xform import (
     LineGeometry,
     PlaneGeometry,
@@ -450,6 +452,32 @@ def test_wavelet_radial_solve_runs_on_one_rotation(wavelet_plane, plane_sino_ful
     assert rec.data.tobytes() == _full_lattice_solve(plane_sino_full, psi, first).tobytes()
     full = _full_lattice_solve(plane_sino_full, psi, reference_lattice)
     assert np.linalg.norm(rec.data - full) <= ONE_ROTATION_REL_TOL * np.linalg.norm(full)
+
+
+def test_kind_steps_resolve_forward_at_call_time(monkeypatch, plane_sino16, psi):
+    # The benchmark's tracer rebinds module attributes; the dispatcher must
+    # hand the rebinding to the wavelet template and the verification checks.
+    calls = []
+    forwards = {"plane": radon_plane, "line": xray}
+
+    def counting(v, geometry):
+        calls.append(geometry.kind)
+        return forwards[geometry.kind](v, geometry)
+
+    monkeypatch.setattr(invert, "radon_plane", counting)
+    monkeypatch.setattr(invert, "xray", counting)
+    lattice = GroupLattice.build(0.9, 2, 0.8, 1.6, 2, rotations=[np.eye(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LatticeTooCoarse)
+        invert_wavelet(plane_sino16, psi, lattice)
+    assert calls == ["plane"]
+    config = VerifyConfig(
+        n=32, spacing=0.3, n_theta=8, n_phi=8, n_t=33, t_max=4.8, n_u=16, u_max=4.8,
+        checks=("isometry",),
+    )
+    report = run_all(config)
+    assert sorted(e.name for e in report.entries) == ["isometry_line", "isometry_plane"]
+    assert calls == ["plane", "plane", "line"]
 
 
 def test_wavelet_solve_stops_by_discrepancy(wavelet_plane):

@@ -31,18 +31,16 @@ from simrad.xform import (
     PlaneSinogram,
     _active_voxels,
     _chart_stencil,
+    _padded_spectrum,
     _padded_t_spectra,
     _padded_uv_spectra,
     backproject_plane,
-    fourier_slice_line,
-    fourier_slice_plane,
+    fourier_slice,
     line_integral,
     plane_integral,
     radon_plane,
     sample_line_images,
-    sample_line_sinogram,
     sample_plane_profiles,
-    sample_plane_sinogram,
     sinogram_inner,
     sinogram_norm,
     xray,
@@ -368,17 +366,20 @@ def test_plane_integral_is_fiber_constant(volume):
 
 def test_plane_sampler_reproduces_nodes_and_antipodes(plane_sinogram, plane_geometry):
     g = plane_geometry
+    axis = (-g.t_max, g.dt)
     dirs = g.normals.reshape(-1, 3)
-    flat = plane_sinogram.data.reshape(-1, g.n_t)
+    data = plane_sinogram.data
+    flat = data.reshape(-1, g.n_t)
     for k in (0, 37, 133, 255):
-        vals = sample_plane_sinogram(plane_sinogram, np.tile(dirs[k], (g.n_t, 1)), g.ts)
+        vals = sample_plane_profiles(data, np.tile(dirs[k], (g.n_t, 1)), g.ts, *axis)
         assert np.max(np.abs(vals - flat[k])) <= GLUING_TOL
-        anti = sample_plane_sinogram(plane_sinogram, np.tile(-dirs[k], (g.n_t, 1)), -g.ts)
+        anti = sample_plane_profiles(data, np.tile(-dirs[k], (g.n_t, 1)), -g.ts, *axis)
         assert np.max(np.abs(anti - flat[k])) <= GLUING_TOL
 
 
 def test_line_sampler_reproduces_nodes_and_antipodes(line_sinogram, line_geometry):
     g = line_geometry
+    origins = (g.us[0], g.du, g.vs[0], g.dv)
     for i, j in ((0, 3), (7, 9), (15, 15)):
         frame = g.frames[i, j]
         offsets = (
@@ -386,9 +387,9 @@ def test_line_sampler_reproduces_nodes_and_antipodes(line_sinogram, line_geometr
             + g.vs[None, :, None] * frame[:, 1][None, None, :]
         )
         dirs = np.broadcast_to(frame[:, 2], offsets.shape)
-        vals = sample_line_sinogram(line_sinogram, dirs, offsets)
+        vals = sample_line_images(line_sinogram.data, g, dirs, offsets, *origins)
         assert np.max(np.abs(vals - line_sinogram.data[i, j])) <= GLUING_TOL
-        anti = sample_line_sinogram(line_sinogram, -dirs, offsets)
+        anti = sample_line_images(line_sinogram.data, g, -dirs, offsets, *origins)
         assert np.max(np.abs(anti - line_sinogram.data[i, j])) <= GLUING_TOL
 
 
@@ -396,7 +397,7 @@ def test_plane_sampler_interpolates_between_offsets(plane_sinogram, plane_geomet
     g = plane_geometry
     d = g.normals[4, 7]
     mid = 0.5 * (g.ts[30] + g.ts[31])
-    val = sample_plane_sinogram(plane_sinogram, d[None, :], np.array([mid]))
+    val = sample_plane_profiles(plane_sinogram.data, d[None, :], np.array([mid]), -g.t_max, g.dt)
     expected = 0.5 * (plane_sinogram.data[4, 7, 30] + plane_sinogram.data[4, 7, 31])
     assert abs(float(val[0]) - expected) <= GLUING_TOL
 
@@ -467,18 +468,18 @@ def _check_samplers_against_masked(plane_sinogram, line_sinogram):
     args = (pg.n_theta, pg.n_phi)
     radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, len(dirs))
     want = _masked_plane_profiles(profiles, *args, dirs, radial, -pg.t_max, pg.dt)
-    got = sample_plane_profiles(profiles, *args, dirs, radial, -pg.t_max, pg.dt)
+    got = sample_plane_profiles(profiles, dirs, radial, -pg.t_max, pg.dt)
     assert np.array_equal(got, want)
     assert np.max(np.abs(want[np.abs(radial) > pg.t_max + pg.dt])) == 0.0
     # a narrow query span: the sampler copies only the cells it can reach
     near = 0.2 * radial
     want = _masked_plane_profiles(profiles, *args, dirs, near, -pg.t_max, pg.dt)
-    got = sample_plane_profiles(profiles, *args, dirs, near, -pg.t_max, pg.dt)
+    got = sample_plane_profiles(profiles, dirs, near, -pg.t_max, pg.dt)
     assert np.array_equal(got, want)
     row_dirs = dirs[:64, None, :]
     row_radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, (64, pg.n_t))
     want = _masked_plane_profiles(profiles, *args, row_dirs, row_radial, -pg.t_max, pg.dt)
-    got = sample_plane_profiles(profiles, *args, row_dirs, row_radial, -pg.t_max, pg.dt)
+    got = sample_plane_profiles(profiles, row_dirs, row_radial, -pg.t_max, pg.dt)
     assert np.array_equal(got, want)
 
     images = line_sinogram.data * (1.0 - 0.5j)
@@ -512,14 +513,14 @@ def test_fourier_slice_plane_oracle(volume, plane_geometry):
     oracle = np.exp(-np.pi * taus[None, None, :] ** 2) * np.exp(
         -2j * np.pi * taus[None, None, :] * nc[:, :, None]
     )
-    sliced = fourier_slice_plane(volume, g, pad_factor=2)
+    sliced = fourier_slice(_padded_spectrum(volume, 2), g)
     assert np.max(np.abs(sliced - oracle)) <= SLICE_ORACLE_TOL
 
 
 def test_fourier_slice_matches_line_spectra(volume, line_sinogram, line_geometry):
     # Cross-path agreement in relative L2, the projection-slice property.
     measured, *_ = _padded_uv_spectra(line_sinogram, 1)
-    sliced = fourier_slice_line(volume, line_geometry, pad_factor=4)
+    sliced = fourier_slice(_padded_spectrum(volume, 4), line_geometry)
     rel = np.linalg.norm((measured - sliced).ravel()) / np.linalg.norm(sliced.ravel())
     assert rel <= SLICE_ORACLE_TOL
 
