@@ -95,11 +95,16 @@ def _print_metrics(**metrics: float | int | None) -> None:
 
 
 def _relative_error(v, reference_path: str) -> float:
+    import numpy as np
+
     from .grid import Volume, l2_norm
     from .io import read_volume
 
     ref = read_volume(reference_path)
-    if ref.data.shape != v.data.shape or abs(ref.spacing - v.spacing) > 1e-12:
+    # The .svol header keeps 9 significant digits of the spacing and origin.
+    if ref.data.shape != v.data.shape or not np.allclose(
+        [ref.spacing, *ref.origin], [v.spacing, *v.origin], rtol=1e-8, atol=1e-8 * v.spacing
+    ):
         raise GeometryMismatch(
             "reference volume grid does not match the reconstruction grid"
         )
@@ -436,11 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     apply_thread_cap(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    infile = getattr(args, "infile", None)
     out = getattr(args, "out", None)
-    if infile is not None and out is not None:
-        if os.path.abspath(infile) == os.path.abspath(out):
-            parser.error("--in and --out must name different files")
+    for flag, dest in (("--in", "infile"), ("--reference", "reference")):
+        path = getattr(args, dest, None)
+        if path is not None and out is not None and os.path.abspath(path) == os.path.abspath(out):
+            parser.error(f"{flag} and --out must name different files")
     try:
         return args.func(args)
     except FileNotFoundError:

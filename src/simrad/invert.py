@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import InsufficientCoverage, LatticeTooCoarse
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
-from .grid import Spectrum3D, Volume, dft3, idft3, l2_norm
+from .grid import Spectrum3D, Volume, idft3, l2_norm
 from .group import GroupElement, icosahedral_rotations
 from .xform import (
     DirectionChart,
@@ -69,6 +69,7 @@ from .xform import (
     PlaneSinogram,
     Sinogram,
     _chart_stencil,
+    _padded_spectrum,
     _padded_t_spectra,
     _padded_uv_spectra,
     backproject_plane,
@@ -616,10 +617,7 @@ class _LatticeFrame:
         # odd, so the spectrum grid is symmetric about 0 and the interpolated
         # atoms keep the conjugate symmetry of a real function's spectrum
         k = 2 * n + 1
-        lo = (k - n) // 2
-        padded = np.zeros((k, k, k))
-        padded[lo : lo + n, lo : lo + n, lo : lo + n] = psi.data
-        spec = dft3(Volume(padded, h, psi.origin - lo * h))
+        spec = _padded_spectrum(psi, k)
         # a wavelet that is even about the origin has a real spectrum; its
         # imaginary part is then roundoff, and the atoms are stored real
         parts = [(1.0, spec.data.real)]

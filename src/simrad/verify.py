@@ -1,10 +1,14 @@
 """Named residual checks tying the operator identities to runnable numbers.
 
 Every check reduces one identity to a single number (`ReportEntry.residual`)
-whose pass flag is literally ``residual <= tolerance``.  `run_all` assembles a
-deterministic report from a config: analytic phantoms, a fixed group-element
-sweep, and two negative controls (character ablation, non-admissible wavelet)
-that are required to break their nominal identity.
+whose pass flag is literally ``residual <= tolerance``.  A check is a pure
+function of the data it tests: it takes sinograms, spectra and volumes that
+its caller computed and reads the geometry from the sinograms.  `run_all` is
+the one place that builds those inputs, each once, and shares them between
+checks; it assembles a deterministic report from a config: analytic
+phantoms, a fixed group-element sweep, and two negative controls (character
+ablation, non-admissible wavelet) that are required to break their nominal
+identity.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .grid import (
 from .group import GroupElement, PlaneLabel, unit_normal
 from .invert import apply_pi_hat, kind_steps
 from .xform import (
-    DirectionChart,
     LineGeometry,
     PlaneGeometry,
     Sinogram,
@@ -168,58 +171,46 @@ def describe_element(g: GroupElement) -> str:
     return f"a={g.a:g} rot={angle:.0f}deg |b|={np.linalg.norm(g.b):.3g}"
 
 
-def check_fourier_slice(
-    geometry: DirectionChart,
-    v: Volume,
-    pad_factor: int = SLICE_PAD_FACTOR,
-    sinogram: Sinogram | None = None,
-    spectrum: Spectrum3D | None = None,
-) -> ReportEntry:
+def check_fourier_slice(sinogram: Sinogram, spectrum: Spectrum3D) -> ReportEntry:
     """Compare the sinogram-side and volume-side spectrum evaluations.
 
-    ``sinogram`` may carry a precomputed forward transform of ``v`` on the
-    same geometry to avoid repeating the projector between checks, and
-    ``spectrum`` the spectrum of ``v`` zero-padded by ``pad_factor``, which
-    the plane and line checks share.
+    ``sinogram`` is the forward transform of a volume and ``spectrum`` that
+    volume's spectrum zero-padded by `SLICE_PAD_FACTOR`.
     """
+    geometry = sinogram.geometry
     kind = geometry.kind
-    steps = kind_steps(geometry)
-    sino_side, *_ = steps.spectra(sinogram or steps.forward(v, geometry), 1)
-    if spectrum is None:
-        spectrum = _padded_spectrum(v, pad_factor)
+    sino_side, *_ = kind_steps(geometry).spectra(sinogram, 1)
     vol_side = fourier_slice(spectrum, geometry)
     ref = np.linalg.norm(vol_side)
     if ref == 0.0:
         return make_entry(f"fourier_slice_{kind}", 0.0, SLICE_TOL, "zero input")
     residual = np.linalg.norm(sino_side - vol_side) / ref
-    return make_entry(f"fourier_slice_{kind}", residual, SLICE_TOL, f"pad_factor={pad_factor}")
+    return make_entry(
+        f"fourier_slice_{kind}", residual, SLICE_TOL, f"pad_factor={SLICE_PAD_FACTOR}"
+    )
 
 
 def check_intertwining(
-    geometry: DirectionChart,
     g: GroupElement,
-    v: Volume,
+    reference: Sinogram,
+    moved: Sinogram,
     ablate_character: bool = False,
     label: str = "",
-    reference: Sinogram | None = None,
-    moved: Sinogram | None = None,
 ) -> ReportEntry:
     """Residual of forward(pi(g) v) against chi(g) * pi_hat(g) forward(v).
 
-    With ``ablate_character`` the scale factor is replaced by 1; for pure
-    dilations that must push the residual above `ABLATION_FLOOR`, encoded as
-    residual = floor - measured against tolerance 0.  ``reference`` may carry
-    a precomputed forward transform of ``v`` to share across a sweep, and
-    ``moved`` one of ``pi(g) v``.
+    ``reference`` is forward(v) and ``moved`` is forward(pi(g) v), on the
+    same geometry.  With ``ablate_character`` the scale factor is replaced by
+    1; for pure dilations that must push the residual above
+    `ABLATION_FLOOR`, encoded as residual = floor - measured against
+    tolerance 0.
     """
+    geometry = reference.geometry
     kind = geometry.kind
-    forward = kind_steps(geometry).forward
-    ref = reference or forward(v, geometry)
-    moved = moved or forward(apply_pi(g, v), geometry)
     factor = 1.0 if ablate_character else geometry.characters.chi(g)
-    pushed = apply_pi_hat(g, ref)
-    diff = type(ref)(moved.data - factor * pushed.data, geometry)
-    residual = sinogram_norm(diff) / sinogram_norm(ref)
+    pushed = apply_pi_hat(g, reference)
+    diff = type(reference)(moved.data - factor * pushed.data, geometry)
+    residual = sinogram_norm(diff) / sinogram_norm(reference)
     context = describe_element(g) + (f" {label}" if label else "")
     if ablate_character:
         return make_entry(
@@ -232,18 +223,17 @@ def check_intertwining(
     return make_entry(name, residual, INTERTWINING_TOL, context)
 
 
-def check_isometry(
-    geometry: DirectionChart,
-    v: Volume,
-    sinogram: Sinogram | None = None,
-) -> ReportEntry:
-    """|norm(J forward(v)) / norm(v) - 1| with the geometry's own exponent."""
+def check_isometry(sinogram: Sinogram, v: Volume) -> ReportEntry:
+    """|norm(J sinogram) / norm(v) - 1| for ``sinogram`` = forward(v).
+
+    J is the unitarization multiplier with the geometry's own exponent.
+    """
+    geometry = sinogram.geometry
     kind = geometry.kind
-    sino = sinogram or kind_steps(geometry).forward(v, geometry)
     nv = l2_norm(v)
     if nv == 0.0:
         return make_entry(f"isometry_{kind}", 0.0, ISOMETRY_TOL, "zero input: 0/0 reported as pass")
-    ratio = sinogram_norm(apply_multiplier(sino, MultiplierSpec(geometry.power))) / nv
+    ratio = sinogram_norm(apply_multiplier(sinogram, MultiplierSpec(geometry.power))) / nv
     return make_entry(f"isometry_{kind}", abs(ratio - 1.0), ISOMETRY_TOL, f"ratio={ratio:.6f}")
 
 
@@ -252,23 +242,22 @@ def _flip_plane_label(label: PlaneLabel) -> PlaneLabel:
     return PlaneLabel(label.theta + np.pi, np.pi - label.phi, -label.t)
 
 
-def check_fiber_constancy(v: Volume, labels: list[PlaneLabel] | None = None) -> ReportEntry:
+def check_fiber_constancy(v: Volume) -> ReportEntry:
     """Fresh plane quadratures at a label and its sign-flipped duplicate."""
-    if labels is None:
-        rng = np.random.default_rng(7)
-        labels = [
-            PlaneLabel(0.0, 0.5 * np.pi, 0.8),     # x = 0.8
-            PlaneLabel(0.5 * np.pi, 0.5 * np.pi, -0.6),
-            PlaneLabel(0.0, 1e-3, 1.1),            # near-pole chart edge
-        ]
-        for _ in range(5):
-            labels.append(
-                PlaneLabel(
-                    rng.uniform(0.0, np.pi),
-                    rng.uniform(0.1, np.pi - 0.1),
-                    rng.uniform(-2.0, 2.0),
-                )
+    rng = np.random.default_rng(7)
+    labels = [
+        PlaneLabel(0.0, 0.5 * np.pi, 0.8),     # x = 0.8
+        PlaneLabel(0.5 * np.pi, 0.5 * np.pi, -0.6),
+        PlaneLabel(0.0, 1e-3, 1.1),            # near-pole chart edge
+    ]
+    for _ in range(5):
+        labels.append(
+            PlaneLabel(
+                rng.uniform(0.0, np.pi),
+                rng.uniform(0.1, np.pi - 0.1),
+                rng.uniform(-2.0, 2.0),
             )
+        )
     worst = 0.0
     for label in labels:
         direct = plane_integral(v, label)
@@ -420,7 +409,6 @@ class VerifyConfig:
         "evenness",
         "controls",
     )
-    ablate_character: bool = False
 
     def plane_geometry(self) -> PlaneGeometry:
         return PlaneGeometry(self.n_theta, self.n_phi, self.n_t, self.t_max)
@@ -467,9 +455,12 @@ def run_all(
 ) -> ResidualReport:
     """Execute the configured checks; per-check errors become failed entries.
 
-    With ``volume`` the built-in phantoms are replaced by the given field
-    everywhere a check consumes one; reach violations for expanding group
-    elements then surface as failed ``*_error`` entries rather than aborts.
+    Each phantom, its projection on each geometry, the dilated compact
+    phantom's projection and the padded spectrum are computed once here and
+    handed to every check that reads them.  With ``volume`` the built-in
+    phantoms are replaced by the given field everywhere a check consumes
+    one; reach violations for expanding group elements then surface as
+    failed ``*_error`` entries rather than aborts.
     A phantom that does not fit the configured grid, or a reference
     transform that cannot be taken, fails the checks that need it the same
     way.
@@ -501,12 +492,19 @@ def run_all(
     def forward(build, geom):
         return kind_steps(geom).forward(phantom(build), geom)
 
-    needs_mix = {"fourier_slice", "isometry"} & set(config.checks)
-    if needs_mix:
-        mix_sinos = {}
+    def forward_moved(g: GroupElement, geom):
+        return kind_steps(geom).forward(apply_pi(g, phantom(compact_phantom)), geom)
+
+    # The intertwining sweep and the ablation control share the projection
+    # of the dilated compact phantom.
+    @functools.cache
+    def dilated(geom):
+        return forward_moved(ABLATION_DILATION, geom)
+
+    if {"fourier_slice", "isometry"} & set(config.checks):
         for geom in (plane_geom, line_geom):
             try:
-                mix_sinos[geom] = forward(mixture_phantom, geom)
+                forward(mixture_phantom, geom)
             except SimradError as exc:
                 report.add(
                     make_entry("forward_error", np.inf, 0.0, f"{type(exc).__name__}: {exc}")
@@ -516,41 +514,30 @@ def run_all(
         # released before the isometry checks.
         @functools.cache
         def mixture_spectrum() -> Spectrum3D:
-            return _padded_spectrum(phantom(mixture_phantom), SLICE_PAD_FACTOR)
+            v = phantom(mixture_phantom)
+            return _padded_spectrum(v, SLICE_PAD_FACTOR * v.n)
 
         def slice_check(geom):
-            return check_fourier_slice(
-                geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom),
-                spectrum=mixture_spectrum(),
-            )
+            return check_fourier_slice(forward(mixture_phantom, geom), mixture_spectrum())
 
         def isometry(geom):
-            return check_isometry(geom, phantom(mixture_phantom), sinogram=mix_sinos.get(geom))
+            return check_isometry(forward(mixture_phantom, geom), phantom(mixture_phantom))
 
         for name, check in (("fourier_slice", slice_check), ("isometry", isometry)):
             if name in config.checks:
                 for geom in (plane_geom, line_geom):
                     guarded(name, lambda geom=geom, check=check: check(geom))
             mixture_spectrum.cache_clear()
-    # The intertwining sweep and the ablation control share the projection
-    # of the dilated compact phantom.
-    @functools.cache
-    def dilated(geom):
-        return kind_steps(geom).forward(apply_pi(ABLATION_DILATION, phantom(compact_phantom)), geom)
-
     if "intertwining" in config.checks:
         for geom in (plane_geom, line_geom):
             for idx, g in enumerate(standard_intertwining_sweep()):
                 guarded(
                     f"intertwining_{idx:02d}",
                     lambda g=g, geom=geom: check_intertwining(
-                        geom,
                         g,
-                        phantom(compact_phantom),
-                        ablate_character=config.ablate_character,
+                        forward(compact_phantom, geom),
+                        dilated(geom) if g is ABLATION_DILATION else forward_moved(g, geom),
                         label=f"{idx:02d}",
-                        reference=forward(compact_phantom, geom),
-                        moved=dilated(geom) if g is ABLATION_DILATION else None,
                     ),
                 )
     if "fiber" in config.checks:
@@ -563,19 +550,17 @@ def run_all(
             0.9,
         )
         guarded("evenness", lambda: check_evenness_subspace(F, plane_geom, g))
-    if "controls" in config.checks and not config.ablate_character:
+    if "controls" in config.checks:
         def ablation_control() -> ReportEntry:
             # Pooled over geometries: the plane character a separates from 1
             # by 25% at a = 1.25, the line character sqrt(a) only by 12%, so
             # the pooled maximum carries the control.
             results = [
                 check_intertwining(
-                    geom,
                     ABLATION_DILATION,
-                    phantom(compact_phantom),
+                    forward(compact_phantom, geom),
+                    dilated(geom),
                     ablate_character=True,
-                    reference=forward(compact_phantom, geom),
-                    moved=dilated(geom),
                 )
                 for geom in (plane_geom, line_geom)
             ]

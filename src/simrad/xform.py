@@ -822,13 +822,9 @@ def _padded_uv_spectra(
     return spec, dnu, dnv, u0, v0
 
 
-def _padded_spectrum(v: Volume, pad_factor: int) -> Spectrum3D:
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
-    if pad_factor == 1:
-        return dft3(v)
+def _padded_spectrum(v: Volume, n_pad: int) -> Spectrum3D:
+    """Spectrum of ``v`` zero-padded to ``n_pad`` voxels per axis."""
     n = v.n
-    n_pad = pad_factor * n
     lo = (n_pad - n) // 2
     data = np.zeros((n_pad, n_pad, n_pad))
     data[lo : lo + n, lo : lo + n, lo : lo + n] = v.data

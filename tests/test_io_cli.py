@@ -365,6 +365,45 @@ def test_cli_fbp_pipeline(workdir, plane_path, vol_path, capsys):
     assert read_volume(out).n == 32
 
 
+def test_cli_reference_must_not_be_the_output(workdir, plane_path, vol_path):
+    # The reconstruction would overwrite the reference before it is read
+    # back, and the comparison would then report a zero error.
+    ref = workdir / "ref_is_out.svol"
+    ref.write_bytes(vol_path.read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["invert-fbp", "--in", str(plane_path), "--n", "32", "--h", "0.25",
+             "--reference", str(ref), "--out", str(ref)]
+        )
+    assert exc.value.code == 2
+    assert ref.read_bytes() == vol_path.read_bytes()
+
+
+def test_cli_reference_with_shifted_origin_is_refused(workdir, plane_path, vol_path, capsys):
+    v = read_volume(vol_path)
+    shifted = workdir / "vol_shifted.svol"
+    write_volume(shifted, Volume(v.data, v.spacing, v.origin + 0.9))
+    rc = cli.main(
+        ["invert-fbp", "--in", str(plane_path), "--n", "32", "--h", "0.25",
+         "--reference", str(shifted), "--out", str(workdir / "rec_shifted.svol")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "GeometryMismatch\n"
+
+
+@pytest.mark.parametrize("n, h", [(48, "0.2"), (64, "0.15"), (32, "0.3")])
+def test_cli_reference_grid_allows_header_rounding(workdir, n, h):
+    # gen writes the spacing and origin at 9 significant digits; a
+    # reconstruction on the same --n/--h, the demo's among them, still
+    # matches the reference it wrote.
+    ref = workdir / f"ref-{n}.svol"
+    assert cli.main(
+        ["gen", "--phantom", "gaussian", "--n", str(n), "--h", h, "--scale", "0.5",
+         "--out", str(ref)]
+    ) == 0
+    assert cli._relative_error(Volume(read_volume(ref).data, float(h)), str(ref)) == 0.0
+
+
 def test_cli_fourier_pipeline_line(workdir, line_path, vol_path, capsys):
     out = workdir / "rec_df.svol"
     rc = cli.main(
@@ -612,7 +651,7 @@ def test_numpy_routes_do_not_load_scipy():
             "invert.invert_direct_fourier(xform.xray(v, line), 16, 0.3)",
             "xform.plane_integral(v, PlaneLabel(0.3, 0.4, 0.1))",
             "grid.apply_pi(GroupElement(np.zeros(3), np.eye(3), 1.1), v)",
-            "xform.fourier_slice(xform._padded_spectrum(v, 2), plane)",
+            "xform.fourier_slice(xform._padded_spectrum(v, 2 * v.n), plane)",
             "print(' '.join(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
         ]
     )

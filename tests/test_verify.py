@@ -8,13 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import simrad.invert as invert
 import simrad.verify as verify
-from simrad.grid import gaussian_phantom
+from simrad.grid import apply_pi, gaussian_phantom
 from simrad.group import GroupElement
 from simrad.verify import (
     ABLATION_FLOOR,
     INTERTWINING_TOL,
     ISOMETRY_TOL,
+    SLICE_PAD_FACTOR,
     SLICE_TOL,
     ReportEntry,
     ResidualReport,
@@ -37,7 +39,7 @@ from simrad.verify import (
     smooth_doubled_field,
     standard_intertwining_sweep,
 )
-from simrad.xform import LineGeometry, PlaneGeometry, radon_plane, xray
+from simrad.xform import LineGeometry, PlaneGeometry, _padded_spectrum, radon_plane, xray
 
 # Permutation-level identities (roll / flip / exact-node sampling) hold to
 # rounding; measured at or below 4e-15.
@@ -178,8 +180,12 @@ def test_describe_element():
 
 def test_fourier_slice_check_structural():
     mix = mixture_phantom(COARSE)
-    for geometry, kind in ((COARSE.plane_geometry(), "plane"), (COARSE.line_geometry(), "line")):
-        entry = check_fourier_slice(geometry, mix)
+    spectrum = _padded_spectrum(mix, SLICE_PAD_FACTOR * mix.n)
+    for sinogram, kind in (
+        (radon_plane(mix, COARSE.plane_geometry()), "plane"),
+        (xray(mix, COARSE.line_geometry()), "line"),
+    ):
+        entry = check_fourier_slice(sinogram, spectrum)
         assert entry.name == f"fourier_slice_{kind}"
         assert entry.tolerance == SLICE_TOL
         assert entry.residual <= COARSE_SLICE_TOL
@@ -207,33 +213,26 @@ def test_intertwining_and_ablation_checks():
     dilation = GroupElement(np.zeros(3), np.eye(3), 1.25)
     plane_geom = COARSE.plane_geometry()
     line_geom = COARSE.line_geometry()
-    references = {
-        id(plane_geom): radon_plane(compact, plane_geom),
-        id(line_geom): xray(compact, line_geom),
+    moved = apply_pi(dilation, compact)
+    pairs = {
+        "plane": (radon_plane(compact, plane_geom), radon_plane(moved, plane_geom)),
+        "line": (xray(compact, line_geom), xray(moved, line_geom)),
     }
-    for geometry, kind in ((plane_geom, "plane"), (line_geom, "line")):
-        entry = check_intertwining(
-            geometry, dilation, compact, reference=references[id(geometry)]
-        )
+    for kind, (reference, moved_sino) in pairs.items():
+        entry = check_intertwining(dilation, reference, moved_sino)
         assert entry.name == f"intertwining_{kind}"
         assert entry.tolerance == INTERTWINING_TOL
         assert entry.residual <= COARSE_INTERTWINE_TOL
     # With the character ablated, the plane residual must clear the floor
     # (chi = a separates from 1 by 25%); the line character sqrt(a) moves only
     # 12% at a = 1.25, below the floor, which is why the harness pools the two.
-    ablated_plane = check_intertwining(
-        plane_geom, dilation, compact, ablate_character=True,
-        reference=references[id(plane_geom)],
-    )
+    ablated_plane = check_intertwining(dilation, *pairs["plane"], ablate_character=True)
     assert ablated_plane.name == "control_character_ablation_plane"
     assert ablated_plane.residual == pytest.approx(
         ABLATION_FLOOR - 0.2078, abs=5e-3
     )
     assert ablated_plane.passed
-    ablated_line = check_intertwining(
-        line_geom, dilation, compact, ablate_character=True,
-        reference=references[id(line_geom)],
-    )
+    ablated_line = check_intertwining(dilation, *pairs["line"], ablate_character=True)
     assert ablated_line.name == "control_character_ablation_line"
     assert not ablated_line.passed
 
@@ -392,11 +391,77 @@ def test_run_all_projects_the_shared_dilation_once(monkeypatch):
     by_name = {e.name: e for e in run_all(config).entries}
     assert moved == [1.25, 1.25]
     v = compact_phantom(config)
-    geoms = (config.plane_geometry(), config.line_geometry())
-    for geom in geoms:
-        entry = check_intertwining(geom, dilation, v, label="00")
+    kinds = ((config.plane_geometry(), radon_plane), (config.line_geometry(), xray))
+    pairs = [(forward(v, geom), forward(apply_pi(dilation, v), geom)) for geom, forward in kinds]
+    for reference, moved_sino in pairs:
+        entry = check_intertwining(dilation, reference, moved_sino, label="00")
         assert by_name[entry.name].residual == entry.residual
     ablated = min(
-        check_intertwining(geom, dilation, v, ablate_character=True).residual for geom in geoms
+        check_intertwining(dilation, *pair, ablate_character=True).residual for pair in pairs
     )
     assert by_name["control_character_ablation"].residual == ablated
+
+
+def test_checks_are_pure_functions_of_their_inputs(monkeypatch):
+    # Handed the projections and the padded spectrum, no check projects,
+    # moves or pads anything itself, and each returns run_all's entry.
+    config = replace(COARSE, checks=("fourier_slice", "isometry", "fiber", "controls"))
+    by_name = {e.name: e for e in run_all(config).entries}
+    mix, compact = mixture_phantom(config), compact_phantom(config)
+    dilation = verify.ABLATION_DILATION
+    spectrum = _padded_spectrum(mix, SLICE_PAD_FACTOR * mix.n)
+    kinds = ((config.plane_geometry(), radon_plane), (config.line_geometry(), xray))
+    moved = apply_pi(dilation, compact)
+    inputs = {
+        geom.kind: (forward(mix, geom), forward(compact, geom), forward(moved, geom))
+        for geom, forward in kinds
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check computed its own input")
+
+    for name in ("radon_plane", "xray"):
+        monkeypatch.setattr(invert, name, refuse)
+    monkeypatch.setattr(verify, "_padded_spectrum", refuse)
+    monkeypatch.setattr(verify, "apply_pi", refuse)
+    ablated = []
+    for kind, (mix_sino, reference, moved) in inputs.items():
+        assert check_fourier_slice(mix_sino, spectrum) == by_name[f"fourier_slice_{kind}"]
+        assert check_isometry(mix_sino, mix) == by_name[f"isometry_{kind}"]
+        ablated.append(check_intertwining(dilation, reference, moved, ablate_character=True))
+    assert min(e.residual for e in ablated) == by_name["control_character_ablation"].residual
+    assert check_fiber_constancy(mix) == by_name["fiber_constancy"]
+
+
+def test_run_all_computes_each_projection_and_spectrum_once(monkeypatch):
+    # Every check but the sweep: per geometry the mixture, the compact
+    # phantom and its dilation are each projected once, and one padded
+    # spectrum serves both Fourier-slice checks.
+    config = replace(
+        COARSE, n_theta=8, n_phi=8, n_t=33, n_u=24,
+        checks=("fourier_slice", "isometry", "fiber", "evenness", "controls"),
+    )
+    phantoms = {"mixture": mixture_phantom(config), "compact": compact_phantom(config)}
+    projected = []
+
+    def counted(forward):
+        def wrapper(v, geom):
+            name = next((k for k, p in phantoms.items() if np.array_equal(p.data, v.data)), "moved")
+            projected.append((geom.kind, name))
+            return forward(v, geom)
+
+        return wrapper
+
+    for name in ("radon_plane", "xray"):
+        monkeypatch.setattr(invert, name, counted(getattr(invert, name)))
+    padded = []
+    pad = verify._padded_spectrum
+    monkeypatch.setattr(
+        verify, "_padded_spectrum", lambda v, n_pad: padded.append(n_pad) or pad(v, n_pad)
+    )
+    report = run_all(config)
+    assert not any(e.name.endswith("_error") for e in report.entries)
+    assert sorted(projected) == sorted(
+        (kind, name) for kind in ("plane", "line") for name in ("mixture", "compact", "moved")
+    )
+    assert padded == [SLICE_PAD_FACTOR * config.n]
