@@ -1,0 +1,99 @@
+"""Print one ``name sha256`` line per library output, to compare two checkouts bit for bit.
+
+Usage, from the root of a simrad checkout:
+
+    PYTHONPATH=src python3 scripts/output_hashes.py > hashes.txt
+
+Run it in two checkouts on the same machine and ``diff`` the outputs: a
+change that keeps every line kept every output's bytes.  The sizes are those
+of ``scripts/reconstruction_demo.sh`` (the mixture phantom at N=48, h=0.2;
+24x24 directions, 97 offsets or a 48x48 detector), except the line-data
+wavelet synthesis, which runs at the sizes of the unit test
+``test_wavelet_line_synthesis``, and ``run_all``, which runs at the ``verify``
+benchmark workload's sizes.  The hashes depend on the machine's BLAS and
+FFT, so compare only runs from one machine, library build and BLAS thread
+count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+from simrad.grid import Volume, gaussian_phantom, log_wavelet
+from simrad.group import compose
+from simrad.invert import (
+    GroupLattice,
+    apply_pi_hat,
+    invert_direct_fourier,
+    invert_fbp_plane,
+    invert_wavelet,
+)
+from simrad.verify import (
+    ABLATION_DILATION,
+    VerifyConfig,
+    mixture_phantom,
+    run_all,
+    standard_intertwining_sweep,
+)
+from simrad.xform import LineGeometry, PlaneGeometry, radon_plane, xray
+
+N, H = 48, 0.2
+PLANE = PlaneGeometry(24, 24, 97, 4.8)
+LINE = LineGeometry(24, 24, 48, 48, 4.8)
+
+
+def digest(*parts) -> str:
+    """SHA-256 over arrays (shape, dtype and bytes), volumes and strings, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, Volume):
+            part = np.concatenate([part.data.ravel(), [part.spacing], part.origin])
+        if isinstance(part, str):
+            h.update(part.encode())
+        else:
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.shape}{a.dtype}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def main() -> int:
+    volume = mixture_phantom(VerifyConfig(n=N, spacing=H))
+    plane, line = radon_plane(volume, PLANE), xray(volume, LINE)
+    lines = [("radon_plane", digest(plane.data)), ("xray", digest(line.data))]
+    lines.append(("invert_fbp_plane", digest(invert_fbp_plane(plane, N, H))))
+    for kind, s in (("plane", plane), ("line", line)):
+        rec, coverage = invert_direct_fourier(s, N, H)
+        lines.append((f"invert_direct_fourier.{kind}", digest(rec)))
+        fraction = np.float64(coverage.covered_fraction)
+        lines.append((f"invert_direct_fourier.{kind}.covered_fraction", digest(fraction)))
+    # a rotation by 30 degrees about z, then the sweep's diagonal shift
+    sweep = standard_intertwining_sweep()
+    moved = compose(sweep[-1], sweep[3])
+    for kind, s in (("plane", plane), ("line", line)):
+        for label, g in (("dilation", ABLATION_DILATION), ("rotation_shift", moved)):
+            lines.append((f"apply_pi_hat.{kind}.{label}", digest(apply_pi_hat(g, s).data)))
+
+    wavelet_volume = gaussian_phantom(32, 0.3, center=(0.4, -0.3, 0.2))
+    rec, _ = invert_wavelet(
+        xray(wavelet_volume, LineGeometry(16, 16, 32, 32, 4.8)),
+        log_wavelet(32, 0.3, 1.0),
+        GroupLattice.build(0.9, 4, 0.8, 4.8, 4),
+    )
+    lines.append(("invert_wavelet.line", digest(rec)))
+
+    config = VerifyConfig(
+        n=N, spacing=H, n_theta=16, n_phi=16, n_t=97, t_max=4.8, n_u=48, u_max=4.8,
+        checks=("fourier_slice", "isometry", "fiber", "evenness", "controls"),
+    )
+    lines.append(("run_all.verify", digest(run_all(config).to_json())))
+    for name, value in lines:
+        print(name, value)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -451,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print("FileNotFound", file=sys.stderr)
         return 1
+    except MemoryError:  # numpy raises a private subclass
+        print("MemoryError", file=sys.stderr)
+        return 1
     except (SimradError, ValueError, OSError) as exc:
         print(type(exc).__name__, file=sys.stderr)
         return 1

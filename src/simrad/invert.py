@@ -74,8 +74,7 @@ from .xform import (
     _padded_uv_spectra,
     backproject_plane,
     radon_plane,
-    sample_line_images,
-    sample_plane_profiles,
+    sample_chart,
     xray,
 )
 
@@ -149,7 +148,8 @@ def apply_pi_hat_plane(g: GroupElement, s: PlaneSinogram) -> PlaneSinogram:
     geom = s.geometry
     dirs = geom.normals @ g.R  # rows: R^-1 n
     offs = (geom.ts[None, None, :] - (geom.normals @ g.b)[:, :, None]) / g.a
-    vals = sample_plane_profiles(s.data, dirs[:, :, None, :], offs, -geom.t_max, geom.dt)
+    axes = [(-geom.t_max, geom.dt)]
+    vals = sample_chart(s.data, geom, dirs[:, :, None, :], offs[..., None], axes)
     return PlaneSinogram(vals / np.sqrt(g.a), geom)
 
 
@@ -170,7 +170,7 @@ def apply_pi_hat_line(g: GroupElement, s: LineSinogram) -> LineSinogram:
         + e2[:, :, None, None, :] * geom.vs[None, None, None, :, None]
     )
     moved = ((w - g.b) @ g.R) / g.a
-    vals = sample_line_images(s.data, geom, dirs, moved, geom.us[0], geom.du, geom.vs[0], geom.dv)
+    vals = sample_chart(s.data, geom, dirs, moved, [(geom.us[0], geom.du), (geom.vs[0], geom.dv)])
     return LineSinogram(vals / g.a, geom)
 
 
@@ -253,12 +253,11 @@ def _gather_plane(s: PlaneSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarra
     dirs = np.where(nz[:, None], W, [0.0, 0.0, 1.0])
     dirs = dirs / np.where(nz, mag, 1.0)[:, None]
     tau_lo = -(spec.shape[-1] // 2) * dtau
-    return sample_plane_profiles(spec, dirs, mag, tau_lo, dtau)
+    return sample_chart(spec, s.geometry, dirs, mag[:, None], [(tau_lo, dtau)])
 
 
 def _gather_line(s: LineSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
     """Spectrum at frequencies ``W`` (norms ``mag``), read off detector spectra."""
-    geom = s.geometry
     spec, dnu, dnv, _, _ = _padded_uv_spectra(s, LINE_SPECTRAL_PAD)
     # query each frequency from a perpendicular direction, crossing with
     # whichever coordinate axis it is least aligned with
@@ -272,10 +271,8 @@ def _gather_line(s: LineSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
     ok = qn > 0.0
     q = np.where(ok[:, None], q, [0.0, 1.0, 0.0])
     q = q / np.where(ok, qn, 1.0)[:, None]
-    return sample_line_images(
-        spec, geom, q, W,
-        -(spec.shape[-2] // 2) * dnu, dnu, -(spec.shape[-1] // 2) * dnv, dnv,
-    )
+    axes = [(-(spec.shape[-2] // 2) * dnu, dnu), (-(spec.shape[-1] // 2) * dnv, dnv)]
+    return sample_chart(spec, s.geometry, q, W, axes)
 
 
 def invert_direct_fourier(
@@ -566,9 +563,7 @@ def _line_coefficients(
                 e1r[:, :, None, None, :] * nu_u[None, None, :, None, None]
                 + e2r[:, :, None, None, :] * nu_v[None, None, None, :, None]
             )
-            temp_spec = sample_line_images(
-                psihat, geom, dirs, vecs, nu_u[0], dnu, nu_v[0], dnv,
-            )
+            temp_spec = sample_chart(psihat, geom, dirs, vecs, [(nu_u[0], dnu), (nu_v[0], dnv)])
             prod = shat * np.conj(temp_spec) * phase0
             corr = (
                 np.fft.ifft2(np.fft.ifftshift(prod, axes=(-2, -1)), axes=(-2, -1))

@@ -6,7 +6,10 @@ bit-exactly and can be read from any language with two lines of code.
 
 Volume (`.svol`):  64-byte header
     ``SIMRAD-VOL v1 N=<int> h=<float> origin=<f,f,f> dtype=f64``
-followed by N^3 values with x varying fastest.
+followed by N^3 values with x varying fastest.  Without ``origin`` the grid
+is centred, ``-(N // 2) * h`` on every axis; the writer leaves the token out
+only when the header would not fit otherwise and the origin is that centred
+one at 9 significant digits.
 
 Sinogram (`.sgm`):  96-byte header
     ``SIMRAD-SGM v1 kind=plane ntheta=.. nphi=.. nt=.. tmax=..``   or
@@ -91,13 +94,17 @@ def _payload_count(fh, shape: tuple[int, ...], what: str) -> int:
 
 def write_volume(path: str, v: Volume) -> None:
     n = v.data.shape[0]
-    o = v.origin
-    text = (
-        f"{VOL_MAGIC} {FORMAT_VERSION} N={n} h={v.spacing:.9g} "
-        f"origin={o[0]:.9g},{o[1]:.9g},{o[2]:.9g} dtype=f64"
-    )
+    h = f"{v.spacing:.9g}"
+    origin = ",".join(f"{c:.9g}" for c in v.origin)
+    centred = ",".join([f"{-(n // 2) * float(h):.9g}"] * 3)
+    text = f"{VOL_MAGIC} {FORMAT_VERSION} N={n} h={h} origin={origin} dtype=f64"
+    # Without the token the reader centres the grid from N and the written h,
+    # so the token goes only where it does not fit and says nothing more.
+    if len(text) + 1 > VOL_HEADER_BYTES and origin == centred:
+        text = f"{VOL_MAGIC} {FORMAT_VERSION} N={n} h={h} dtype=f64"
+    header = _pack_header(text, VOL_HEADER_BYTES)  # before a refusal can leave a file
     with open(path, "wb") as fh:
-        fh.write(_pack_header(text, VOL_HEADER_BYTES))
+        fh.write(header)
         np.ascontiguousarray(v.data.transpose(2, 1, 0), dtype="<f8").tofile(fh)
 
 

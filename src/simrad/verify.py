@@ -268,7 +268,7 @@ def check_fiber_constancy(v: Volume) -> ReportEntry:
 
 # --- doubled-sphere parity checks ------------------------------------------
 #
-# The chart samplers glue antipodal labels; these checks instead keep the full
+# The chart sampler glues antipodal labels; these checks instead keep the full
 # sphere (azimuth in [0, 2pi)) so that evenness is a property to preserve, not
 # a representation invariant baked into storage.
 

@@ -43,23 +43,26 @@ place that selects between them; the volume-side Fourier slice
 (:func:`fourier_slice`) reads the kind from the geometry's
 ``slice_frequencies`` alone.
 
-``sample_plane_profiles`` and ``sample_line_images`` evaluate
-direction-indexed profiles or detector images (sinograms or their spectra)
-at arbitrary (direction, offset) queries by reducing the direction to the
-chart and interpolating bilinearly across the gluing: interpolation cells
-that stick out of the chart square wrap to the matching rows/columns on the
-far side, flipping the signed plane offset whenever the represented normal
-flips sign.  The samplers and the wavelet coefficients read the chart
-through one stencil (``_chart_stencil``), and the samplers read the detector
-through one multilinear lookup (``_interp_nodes``), so the antipodal
-bookkeeping lives in exactly one place.  The lookup uses the
-splat's idiom in reverse: it gathers from a copy of the data with
-``GATHER_GUARD`` zero cells past each end of every detector or offset axis
-(``_gather_window``; only the cells the queries can reach are copied), clamps
-each floor cell into the copy, computes one flat index per query and reads
-every tap at a constant offset from it.  The queries are taken in chunks
-sized by ``SPLAT_CHUNK_BYTES`` (``_query_chunks``), whole output directions or
-stencil rows at a time, so the per-query arrays stay in cache.
+``sample_chart`` evaluates direction-indexed profiles or detector images
+(sinograms or their spectra) at arbitrary (direction, query) pairs by
+reducing the direction to the chart and interpolating bilinearly across the
+gluing: cells that stick out of the chart square wrap to the matching
+rows/columns on the far side, where the represented normal may flip.  A
+query is a vector (a plane's signed offset, a line's 3-vector), placed on a
+stencil node's detector by its dot products with the node's axes, a fact of
+the kind (``node_axes``): the normal's sign for planes, so the offset flips
+with the normal, and the node's frame axes e1, e2 for lines.  The sampler
+and the wavelet coefficients read the chart through one stencil
+(``_chart_stencil``), and the sampler reads the detector through one
+multilinear lookup (``_interp_nodes``), so the antipodal bookkeeping lives
+in exactly one place.  The lookup uses the splat's idiom in reverse: it
+gathers from a copy of the data with ``GATHER_GUARD`` zero cells past each
+end of every axis (``_gather_window``; only the cells the queries can reach
+are copied), clamps each floor cell into the copy, computes one flat index
+per query and reads every tap at a constant offset from it.  Queries are
+taken in chunks sized by ``SPLAT_CHUNK_BYTES`` (``_query_chunks``), whole
+output directions or stencil rows at a time, so the per-query arrays stay in
+cache.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ SPLAT_REFINE = 3
 # offsets -1..2 around the floor cell, land in [-3, n_f + 2].
 SPLAT_GUARD = 4
 # Zero cells past each end of a detector or offset axis in the chart
-# samplers' copy of the data.  A query's floor cell is clamped to
+# sampler's copy of the data.  A query's floor cell is clamped to
 # [-GATHER_GUARD, n], so both of its linear taps land on the axis or in them.
 GATHER_GUARD = 2
 # Voxels with |f| below this fraction of the field's maximum are skipped by
@@ -135,8 +138,9 @@ class DirectionChart:
     Each geometry adds its detector and the facts of its kind that generic
     code reads instead of testing which kind it holds: ``kind``,
     ``sinogram_type``, unitarization ``power``, scale ``characters``,
-    ``detector`` axes, ``reach``, label-space ``cell_measure`` and the
-    projection-slice points ``slice_frequencies``.
+    ``detector`` axes, ``reach``, label-space ``cell_measure``, the
+    projection-slice points ``slice_frequencies`` and the sampler's per-node
+    detector axes ``node_axes``.
     """
 
     n_theta: int = 32
@@ -264,6 +268,10 @@ class PlaneGeometry(DirectionChart):
         taus = (np.arange(self.n_t) - self.n_t // 2) * dtau
         return self.normals[rows][:, :, None, :] * taus[None, None, :, None]
 
+    def node_axes(self, ii: np.ndarray, jj: np.ndarray, sign: np.ndarray) -> list:
+        """Offset axis of chart nodes ``(ii, jj)``: the sign by which a signed offset flips."""
+        return [[sign]]
+
 
 @dataclass(frozen=True)
 class LineGeometry(DirectionChart):
@@ -332,6 +340,10 @@ class LineGeometry(DirectionChart):
             e1[:, :, None, None, :] * nu_u[None, None, :, None, None]
             + e2[:, :, None, None, :] * nu_v[None, None, None, :, None]
         )
+
+    def node_axes(self, ii: np.ndarray, jj: np.ndarray, sign: np.ndarray) -> np.ndarray:
+        """Detector axes e1, e2 of chart nodes ``(ii, jj)``, (2, 3, ...); lines ignore ``sign``."""
+        return np.moveaxis(self.frames[ii, jj, :, :2], (-2, -1), (1, 0))
 
 
 # Geometry classes by the kind name that sinogram files store.
@@ -522,7 +534,7 @@ def line_integral(v: Volume, label: LineLabel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Chart-aware samplers
+# Chart-aware sampler
 # ---------------------------------------------------------------------------
 
 
@@ -569,7 +581,7 @@ def _query_chunks(shape: tuple[int, ...]):
 
     A chunk holds as many queries as fit one float64 each in
     ``SPLAT_CHUNK_BYTES`` (at least one), as whole trailing sub-arrays cut
-    along one axis, so the chart samplers' per-query arrays stay in cache.
+    along one axis, so the chart sampler's per-query arrays stay in cache.
     """
     limit = SPLAT_CHUNK_BYTES // 8
     axis, inner = len(shape), 1
@@ -585,13 +597,13 @@ def _query_chunks(shape: tuple[int, ...]):
             yield (*lead, slice(start, start + step))
 
 
-def _chunk(a: np.ndarray, index: tuple, ndim: int, trailing: int = 0) -> np.ndarray:
-    """The part of ``a`` that chunk ``index`` of an ``ndim``-axis query array covers.
+def _chunk(a: np.ndarray, index: tuple, ndim: int) -> np.ndarray:
+    """The part of (..., d) array ``a`` that chunk ``index`` of an ``ndim``-axis query covers.
 
-    The leading axes of ``a`` (all but ``trailing``) broadcast against the
-    query shape; an axis of length 1 is kept whole.
+    The leading axes of ``a`` (all but the last) broadcast against the query
+    shape; an axis of length 1 is kept whole.
     """
-    a = a.reshape((1,) * (ndim + trailing - a.ndim) + a.shape)
+    a = a.reshape((1,) * (ndim + 1 - a.ndim) + a.shape)
     return a[
         tuple(
             i if a.shape[ax] > 1 else (0 if isinstance(i, int) else slice(None))
@@ -656,75 +668,43 @@ def _interp_nodes(
     return acc
 
 
-def sample_plane_profiles(
-    profiles: np.ndarray,
+def sample_chart(
+    data: np.ndarray,
+    geometry: DirectionChart,
     directions: np.ndarray,
-    radial: np.ndarray,
-    radial_origin: float,
-    radial_step: float,
+    queries: np.ndarray,
+    axes: list[tuple[float, float]],
 ) -> np.ndarray:
-    """Sample direction-indexed radial profiles at arbitrary signed queries.
+    """Sample direction-indexed data at arbitrary (direction, query vector) pairs.
 
-    ``profiles`` has shape (n_theta, n_phi, M) over the chart's midpoint
-    direction grid, whose size it gives, with a uniform signed radial axis
-    (offset or frequency).
-    Queries are (direction, signed radial value) pairs; directions are reduced
-    to the chart and the radial value flips sign together with the normal.
+    ``data`` has shape (n_theta, n_phi, ...) over the chart's midpoint
+    direction grid, whose size it gives, and trailing axis ``a`` holds
+    samples at ``origin + k * step`` for ``axes[a] = (origin, step)``: plane
+    offsets or frequencies, or a line detector or its spectrum.  ``queries``
+    is a (..., d) array: the signed radial value (d = 1) for planes, a
+    3-vector for lines.  Directions are reduced to the chart, and at every
+    stencil node the query's position on axis ``a`` is its dot product with
+    the node's axis ``geometry.node_axes(ii, jj, sign)[a]``.
     """
     directions = np.asarray(directions, dtype=float)
-    radial = np.asarray(radial, dtype=float)
-    shape = np.broadcast_shapes(directions.shape[:-1], radial.shape)
-    reach = float(np.max(np.abs(radial), initial=0.0))
-    window = _gather_window(profiles, reach, [(radial_origin, radial_step)])
-    out = np.empty(shape, dtype=np.result_type(profiles, float))
+    queries = np.asarray(queries, dtype=float)
+    shape = np.broadcast_shapes(directions.shape[:-1], queries.shape[:-1])
+    # a unit node axis carries no query farther than its length
+    reach = float(np.sqrt(np.max(np.einsum("...i,...i->...", queries, queries), initial=0.0)))
+    window = _gather_window(data, reach, axes)
+    out = np.empty(shape, dtype=np.result_type(data, float))
     for index in _query_chunks(shape):
-        rad = _chunk(radial, index, len(shape))
+        q = np.ascontiguousarray(np.moveaxis(_chunk(queries, index, len(shape)), -1, 0))
         acc = 0.0
         for ii, jj, sign, w in _chart_stencil(
-            _chunk(directions, index, len(shape), 1), *profiles.shape[:2]
+            _chunk(directions, index, len(shape)), *data.shape[:2]
         ):
-            pos = (sign * rad - radial_origin) / radial_step
-            acc = acc + w * _interp_nodes(window, ii, jj, [pos])
-        out[index] = acc
-    return out
-
-
-def sample_line_images(
-    images: np.ndarray,
-    geometry: LineGeometry,
-    directions: np.ndarray,
-    vectors: np.ndarray,
-    u_origin: float,
-    du: float,
-    v_origin: float,
-    dv: float,
-) -> np.ndarray:
-    """Sample direction-indexed detector images at arbitrary queries.
-
-    ``vectors`` are 3-vectors perpendicular (or projected) to each queried
-    direction; at every stencil corner they are re-expressed in that node's
-    own detector frame before the in-image bilinear lookup.  Line labels are
-    insensitive to the normal's sign, so no sign flips apply.
-    """
-    g = geometry
-    directions = np.asarray(directions, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    shape = np.broadcast_shapes(directions.shape[:-1], vectors.shape[:-1])
-    # a unit frame axis carries no vector farther than its length
-    reach = float(np.sqrt(np.max(np.einsum("...i,...i->...", vectors, vectors), initial=0.0)))
-    window = _gather_window(images, reach, [(u_origin, du), (v_origin, dv)])
-    out = np.empty(shape, dtype=np.result_type(images, float))
-    for index in _query_chunks(shape):
-        vec = np.moveaxis(_chunk(vectors, index, len(shape), 1), -1, 0).copy()
-        acc = 0.0
-        for ii, jj, _sign, w in _chart_stencil(
-            _chunk(directions, index, len(shape), 1), g.n_theta, g.n_phi
-        ):
-            # dot products with the node's frame axes, summed in axis order
-            e1, e2 = np.moveaxis(g.frames[ii, jj, :, :2], (-2, -1), (1, 0))
-            pu = (vec[0] * e1[0] + vec[1] * e1[1] + vec[2] * e1[2] - u_origin) / du
-            pv = (vec[0] * e2[0] + vec[1] * e2[1] + vec[2] * e2[2] - v_origin) / dv
-            acc = acc + w * _interp_nodes(window, ii, jj, [pu, pv])
+            # dot products with the node's axes, summed in component order
+            positions = [
+                (reduce(np.add, (qc * ac for qc, ac in zip(q, axis))) - origin) / step
+                for axis, (origin, step) in zip(geometry.node_axes(ii, jj, sign), axes)
+            ]
+            acc = acc + w * _interp_nodes(window, ii, jj, positions)
         out[index] = acc
     return out
 

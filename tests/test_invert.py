@@ -54,7 +54,7 @@ from simrad.xform import (
     LineGeometry,
     PlaneGeometry,
     radon_plane,
-    sample_line_images,
+    sample_chart,
     sinogram_inner,
     sinogram_norm,
     xray,
@@ -607,7 +607,7 @@ def _reference_chart_corners(theta, phi, n_theta, n_phi):
         yield ii, jj, sign, w
 
 
-def _reference_sample_plane_profiles(profiles, directions, radial, radial_origin, radial_step):
+def _reference_plane_profiles(profiles, directions, radial, radial_origin, radial_step):
     """Chart-aware radial sampling, one zero-padded linear lookup per corner."""
     n_theta, n_phi, n = profiles.shape
     theta, phi, sign = canonicalize_directions(directions)
@@ -670,7 +670,7 @@ def _reference_plane_coefficients(s, template, lattice):
     for ir, R in enumerate(lattice.rotations):
         dirs = (geom.normals @ R)[:, :, None, :]
         for ia, a in enumerate(lattice.scales):
-            temp_spec = _reference_sample_plane_profiles(
+            temp_spec = _reference_plane_profiles(
                 psihat, dirs, a * taus[None, None, :], taus[0], dtau
             )
             prod = shat * np.conj(temp_spec) * phase0
@@ -708,7 +708,7 @@ def _reference_line_coefficients(s, template, lattice):
                 e1r[:, :, None, None, :] * nu_u[None, None, :, None, None]
                 + e2r[:, :, None, None, :] * nu_v[None, None, None, :, None]
             )
-            temp_spec = sample_line_images(psihat, geom, dirs, vecs, nu_u[0], dnu, nu_v[0], dnv)
+            temp_spec = sample_chart(psihat, geom, dirs, vecs, [(nu_u[0], dnu), (nu_v[0], dnv)])
             prod = shat * np.conj(temp_spec) * phase0
             corr = np.fft.ifft2(np.fft.ifftshift(prod, axes=(-2, -1)), axes=(-2, -1)) / (
                 geom.du * geom.dv

@@ -196,6 +196,16 @@ def test_read_sinogram_rejects_unknown_kind(tmp_path):
         read_sinogram(path)
 
 
+def test_write_volume_refuses_an_origin_that_does_not_fit(tmp_path):
+    # 9-digit spacing and origin overrun the 64-byte header; an origin other
+    # than the centred default cannot be left for the reader to rebuild.
+    v = Volume(np.zeros((40, 40, 40)), 0.123456789012, origin=[-2.3456789012] * 3)
+    path = tmp_path / "v.svol"
+    with pytest.raises(ValueError, match="does not fit"):
+        write_volume(path, v)
+    assert not path.exists()
+
+
 def test_pack_header_rejects_oversized_text():
     with pytest.raises(ValueError, match="does not fit"):
         _pack_header("x" * 64, 64)
@@ -402,6 +412,32 @@ def test_cli_reference_grid_allows_header_rounding(workdir, n, h):
          "--out", str(ref)]
     ) == 0
     assert cli._relative_error(Volume(read_volume(ref).data, float(h)), str(ref)) == 0.0
+
+
+def test_cli_gen_drops_a_centred_origin_that_does_not_fit(workdir):
+    # With its origin token this header is 86 bytes; the reader rebuilds the
+    # centred origin from N and the written spacing.
+    out = workdir / "long-h.svol"
+    h = 0.123456789012
+    assert cli.main(
+        ["gen", "--phantom", "wavelet", "--n", "40", "--h", str(h), "--out", str(out)]
+    ) == 0
+    assert b"origin=" not in out.read_bytes()[:VOL_HEADER_BYTES]
+    v = read_volume(out)
+    assert np.allclose(v.origin, -20 * h, rtol=1e-8, atol=0.0)
+    assert np.isclose(v.spacing, h, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("command", ["invert-fourier", "invert-fbp"])
+def test_cli_allocation_failure_reports_bare_name(command, workdir, plane_path, capsys):
+    # An n^3 grid at --n 100000 needs petabytes; numpy refuses it at once.
+    out = workdir / f"huge-{command}.svol"
+    rc = cli.main(
+        [command, "--in", str(plane_path), "--n", "100000", "--h", "0.2", "--out", str(out)]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "MemoryError\n"
+    assert not out.exists()
 
 
 def test_cli_fourier_pipeline_line(workdir, line_path, vol_path, capsys):

@@ -39,8 +39,7 @@ from simrad.xform import (
     line_integral,
     plane_integral,
     radon_plane,
-    sample_line_images,
-    sample_plane_profiles,
+    sample_chart,
     sinogram_inner,
     sinogram_norm,
     xray,
@@ -366,20 +365,20 @@ def test_plane_integral_is_fiber_constant(volume):
 
 def test_plane_sampler_reproduces_nodes_and_antipodes(plane_sinogram, plane_geometry):
     g = plane_geometry
-    axis = (-g.t_max, g.dt)
+    axes = [(-g.t_max, g.dt)]
     dirs = g.normals.reshape(-1, 3)
     data = plane_sinogram.data
     flat = data.reshape(-1, g.n_t)
     for k in (0, 37, 133, 255):
-        vals = sample_plane_profiles(data, np.tile(dirs[k], (g.n_t, 1)), g.ts, *axis)
+        vals = sample_chart(data, g, np.tile(dirs[k], (g.n_t, 1)), g.ts[:, None], axes)
         assert np.max(np.abs(vals - flat[k])) <= GLUING_TOL
-        anti = sample_plane_profiles(data, np.tile(-dirs[k], (g.n_t, 1)), -g.ts, *axis)
+        anti = sample_chart(data, g, np.tile(-dirs[k], (g.n_t, 1)), -g.ts[:, None], axes)
         assert np.max(np.abs(anti - flat[k])) <= GLUING_TOL
 
 
 def test_line_sampler_reproduces_nodes_and_antipodes(line_sinogram, line_geometry):
     g = line_geometry
-    origins = (g.us[0], g.du, g.vs[0], g.dv)
+    axes = [(g.us[0], g.du), (g.vs[0], g.dv)]
     for i, j in ((0, 3), (7, 9), (15, 15)):
         frame = g.frames[i, j]
         offsets = (
@@ -387,9 +386,9 @@ def test_line_sampler_reproduces_nodes_and_antipodes(line_sinogram, line_geometr
             + g.vs[None, :, None] * frame[:, 1][None, None, :]
         )
         dirs = np.broadcast_to(frame[:, 2], offsets.shape)
-        vals = sample_line_images(line_sinogram.data, g, dirs, offsets, *origins)
+        vals = sample_chart(line_sinogram.data, g, dirs, offsets, axes)
         assert np.max(np.abs(vals - line_sinogram.data[i, j])) <= GLUING_TOL
-        anti = sample_line_images(line_sinogram.data, g, -dirs, offsets, *origins)
+        anti = sample_chart(line_sinogram.data, g, -dirs, offsets, axes)
         assert np.max(np.abs(anti - line_sinogram.data[i, j])) <= GLUING_TOL
 
 
@@ -397,7 +396,7 @@ def test_plane_sampler_interpolates_between_offsets(plane_sinogram, plane_geomet
     g = plane_geometry
     d = g.normals[4, 7]
     mid = 0.5 * (g.ts[30] + g.ts[31])
-    val = sample_plane_profiles(plane_sinogram.data, d[None, :], np.array([mid]), -g.t_max, g.dt)
+    val = sample_chart(plane_sinogram.data, g, d[None, :], np.array([[mid]]), [(-g.t_max, g.dt)])
     expected = 0.5 * (plane_sinogram.data[4, 7, 30] + plane_sinogram.data[4, 7, 31])
     assert abs(float(val[0]) - expected) <= GLUING_TOL
 
@@ -466,31 +465,33 @@ def _check_samplers_against_masked(plane_sinogram, line_sinogram):
 
     profiles = plane_sinogram.data + 1j * plane_sinogram.data[:, :, ::-1]
     args = (pg.n_theta, pg.n_phi)
+    axes = [(-pg.t_max, pg.dt)]
     radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, len(dirs))
     want = _masked_plane_profiles(profiles, *args, dirs, radial, -pg.t_max, pg.dt)
-    got = sample_plane_profiles(profiles, dirs, radial, -pg.t_max, pg.dt)
+    got = sample_chart(profiles, pg, dirs, radial[:, None], axes)
     assert np.array_equal(got, want)
     assert np.max(np.abs(want[np.abs(radial) > pg.t_max + pg.dt])) == 0.0
     # a narrow query span: the sampler copies only the cells it can reach
     near = 0.2 * radial
     want = _masked_plane_profiles(profiles, *args, dirs, near, -pg.t_max, pg.dt)
-    got = sample_plane_profiles(profiles, dirs, near, -pg.t_max, pg.dt)
+    got = sample_chart(profiles, pg, dirs, near[:, None], axes)
     assert np.array_equal(got, want)
     row_dirs = dirs[:64, None, :]
     row_radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, (64, pg.n_t))
     want = _masked_plane_profiles(profiles, *args, row_dirs, row_radial, -pg.t_max, pg.dt)
-    got = sample_plane_profiles(profiles, row_dirs, row_radial, -pg.t_max, pg.dt)
+    got = sample_chart(profiles, pg, row_dirs, row_radial[..., None], axes)
     assert np.array_equal(got, want)
 
     images = line_sinogram.data * (1.0 - 0.5j)
     origins = (lg.us[0], lg.du, lg.vs[0], lg.dv)
+    axes = [(lg.us[0], lg.du), (lg.vs[0], lg.dv)]
     vectors = rng.uniform(-1.3 * lg.u_max, 1.3 * lg.u_max, (len(dirs), 3))
     want = _masked_line_images(images, lg, dirs, vectors, *origins)
-    assert np.array_equal(sample_line_images(images, lg, dirs, vectors, *origins), want)
+    assert np.array_equal(sample_chart(images, lg, dirs, vectors, axes), want)
     vectors = rng.uniform(-1.3 * lg.u_max, 1.3 * lg.u_max, (8, 1, 24, 24, 3))
     row_dirs = dirs[:8, None, None, None, :]
     want = _masked_line_images(images, lg, row_dirs, vectors, *origins)
-    assert np.array_equal(sample_line_images(images, lg, row_dirs, vectors, *origins), want)
+    assert np.array_equal(sample_chart(images, lg, row_dirs, vectors, axes), want)
 
 
 def test_t_spectra_convention_oracle(plane_sinogram, plane_geometry):
