@@ -7,10 +7,12 @@ Usage, from the root of a simrad checkout:
 Run it in two checkouts on the same machine and ``diff`` the outputs: a
 change that keeps every line kept every output's bytes.  The sizes are those
 of ``scripts/reconstruction_demo.sh`` (the mixture phantom at N=48, h=0.2;
-24x24 directions, 97 offsets or a 48x48 detector), except the line-data
-wavelet synthesis, which runs at the sizes of the unit test
-``test_wavelet_line_synthesis``, and ``run_all``, which runs at the ``verify``
-benchmark workload's sizes.  The hashes depend on the machine's BLAS and
+24x24 directions, 97 offsets or a 48x48 detector), except the wavelet
+syntheses and ``run_all``.  The plane-data synthesis is level 0 of the
+criterion-7 ladder at the ``wavelet`` benchmark workload's sizes, the
+line-data synthesis runs at the sizes of the unit test
+``test_wavelet_line_synthesis``, and ``run_all`` at the ``verify`` benchmark
+workload's sizes.  The hashes depend on the machine's BLAS and
 FFT, so compare only runs from one machine, library build and BLAS thread
 count.
 """
@@ -76,6 +78,14 @@ def main() -> int:
     for kind, s in (("plane", plane), ("line", line)):
         for label, g in (("dilation", ABLATION_DILATION), ("rotation_shift", moved)):
             lines.append((f"apply_pi_hat.{kind}.{label}", digest(apply_pi_hat(g, s).data)))
+
+    # level 0 of the criterion-7 ladder
+    rec, _ = invert_wavelet(
+        radon_plane(gaussian_phantom(32, 0.3, scale=1.25), PlaneGeometry(32, 32, 129, 6.0)),
+        log_wavelet(32, 0.3, 1.0),
+        GroupLattice.build(0.9, 4, 0.8, 4.8, 4),
+    )
+    lines.append(("invert_wavelet.plane", digest(rec)))
 
     wavelet_volume = gaussian_phantom(32, 0.3, center=(0.4, -0.3, 0.2))
     rec, _ = invert_wavelet(

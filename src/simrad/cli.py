@@ -108,7 +108,10 @@ def _relative_error(v, reference_path: str) -> float:
         raise GeometryMismatch(
             "reference volume grid does not match the reconstruction grid"
         )
-    return l2_norm(Volume(v.data - ref.data, v.spacing)) / l2_norm(ref)
+    norm = l2_norm(ref)
+    if norm == 0.0:
+        raise ValueError("the reference volume is zero; a relative error is undefined")
+    return l2_norm(Volume(v.data - ref.data, v.spacing)) / norm
 
 
 # --- command handlers -------------------------------------------------------

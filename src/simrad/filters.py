@@ -72,10 +72,10 @@ def apply_multiplier(s: Sinogram, spec: MultiplierSpec) -> Sinogram:
     g = s.geometry
     axes = tuple(range(-len(g.detector), 0))
     freqs = np.meshgrid(
-        *(np.fft.fftfreq(n, step) for n, step in g.detector), indexing="ij", sparse=True
+        *(np.fft.fftfreq(n, step) for n, _, step in g.detector), indexing="ij", sparse=True
     )
     mag = np.sqrt(sum(f * f for f in freqs))
-    sym = spec.symbol(mag, min(0.5 / step for _, step in g.detector))
+    sym = spec.symbol(mag, min(0.5 / step for _, _, step in g.detector))
     out = np.fft.ifftn(np.fft.fftn(s.data, axes=axes) * sym, axes=axes).real
     return type(s)(out, g)
 

@@ -35,13 +35,14 @@ conjugated action the transforms intertwine with, and the slow-but-direct
 route to the same wavelet coefficients (used to cross-check the FFT path).
 
 The routes read what differs by kind (unitarization power, scale
-characters, projection-slice points) from the sinogram's geometry.  The
-math that differs (the forward transform, the padded sinogram spectra, the
-pi-hat action, the direct-Fourier gather and the frame coefficients) is
-selected in one place for the whole package, :func:`kind_steps`.  It lives
-here because this is the one module that can import every kind-specific
-step; the command line and the verification checks take their forward
-transforms from it too, and the Fourier-slice check its spectra.
+characters, detector axes, projection-slice points and their inverse, the
+direct-Fourier padding) from the sinogram's geometry.  The four steps whose
+math differs (the forward transform, the padded sinogram spectra, the
+pi-hat action and the frame coefficients) are selected in one place for the
+whole package, :func:`kind_steps`.  It lives here because this is the one
+module that can import every kind-specific step; the command line and the
+verification checks take their forward transforms from it too, and the
+Fourier-slice check its spectra.
 
 Only the wavelet route needs scipy, and it imports it where it is used
 (``_interp_matrix``, ``_plane_coefficients`` and ``_LatticeFrame``), so
@@ -69,6 +70,7 @@ from .xform import (
     PlaneSinogram,
     Sinogram,
     _chart_stencil,
+    _detector_points,
     _padded_spectrum,
     _padded_t_spectra,
     _padded_uv_spectra,
@@ -89,16 +91,6 @@ COVERAGE_TOL = 0.01
 SPLAT_WEIGHT_FLOOR = 1e-12
 # Zero cells past each end of every axis of the coverage splat's grid.
 COVERAGE_GUARD = 2
-
-# Zero-padding factors for the per-direction spectra read by the direct
-# Fourier gather.  Off-center content makes the spectra oscillate (about 0.7
-# rad per unpadded frequency cell for a unit-offset feature), and linear
-# interpolation between samples that far apart in phase biases magnitudes by
-# several percent; padding refines the frequency step until the residual is
-# dominated by the direction grid instead.  The line factor is smaller only
-# because the padded 2-D spectra grow quadratically in memory.
-PLANE_SPECTRAL_PAD = 4.0
-LINE_SPECTRAL_PAD = 2.0
 
 # Zero-padding for the wavelet-coefficient correlations.  The FFT correlation
 # is circular; without padding, templates translated near the lattice edge
@@ -148,8 +140,7 @@ def apply_pi_hat_plane(g: GroupElement, s: PlaneSinogram) -> PlaneSinogram:
     geom = s.geometry
     dirs = geom.normals @ g.R  # rows: R^-1 n
     offs = (geom.ts[None, None, :] - (geom.normals @ g.b)[:, :, None]) / g.a
-    axes = [(-geom.t_max, geom.dt)]
-    vals = sample_chart(s.data, geom, dirs[:, :, None, :], offs[..., None], axes)
+    vals = sample_chart(s.data, geom, dirs[:, :, None, :], offs[..., None], geom.detector)
     return PlaneSinogram(vals / np.sqrt(g.a), geom)
 
 
@@ -163,14 +154,9 @@ def apply_pi_hat_line(g: GroupElement, s: LineSinogram) -> LineSinogram:
     """
     geom = s.geometry
     dirs = (geom.normals @ g.R)[:, :, None, None, :]
-    e1 = geom.frames[:, :, :, 0]
-    e2 = geom.frames[:, :, :, 1]
-    w = (
-        e1[:, :, None, None, :] * geom.us[None, None, :, None, None]
-        + e2[:, :, None, None, :] * geom.vs[None, None, None, :, None]
-    )
+    w = _detector_points(*geom.detector_directions, geom.us, geom.vs)
     moved = ((w - g.b) @ g.R) / g.a
-    vals = sample_chart(s.data, geom, dirs, moved, [(geom.us[0], geom.du), (geom.vs[0], geom.dv)])
+    vals = sample_chart(s.data, geom, dirs, moved, geom.detector)
     return LineSinogram(vals / g.a, geom)
 
 
@@ -246,35 +232,6 @@ def _splat_coverage(geometry: DirectionChart, freq_spacing: float, n: int) -> np
     return wsum.reshape(m, m, m)[core, core, core]
 
 
-def _gather_plane(s: PlaneSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    """Spectrum at frequencies ``W`` (norms ``mag``), read on each one's own ray."""
-    spec, dtau, _ = _padded_t_spectra(s, PLANE_SPECTRAL_PAD)
-    nz = mag > 0.0
-    dirs = np.where(nz[:, None], W, [0.0, 0.0, 1.0])
-    dirs = dirs / np.where(nz, mag, 1.0)[:, None]
-    tau_lo = -(spec.shape[-1] // 2) * dtau
-    return sample_chart(spec, s.geometry, dirs, mag[:, None], [(tau_lo, dtau)])
-
-
-def _gather_line(s: LineSinogram, W: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    """Spectrum at frequencies ``W`` (norms ``mag``), read off detector spectra."""
-    spec, dnu, dnv, _, _ = _padded_uv_spectra(s, LINE_SPECTRAL_PAD)
-    # query each frequency from a perpendicular direction, crossing with
-    # whichever coordinate axis it is least aligned with
-    ref = np.where(
-        np.abs(W[:, 2:3]) < 0.9 * np.maximum(mag[:, None], 1e-300),
-        [[0.0, 0.0, 1.0]],
-        [[1.0, 0.0, 0.0]],
-    )
-    q = np.cross(ref, W)
-    qn = np.linalg.norm(q, axis=-1)
-    ok = qn > 0.0
-    q = np.where(ok[:, None], q, [0.0, 1.0, 0.0])
-    q = q / np.where(ok, qn, 1.0)[:, None]
-    axes = [(-(spec.shape[-2] // 2) * dnu, dnu), (-(spec.shape[-1] // 2) * dnv, dnv)]
-    return sample_chart(spec, s.geometry, q, W, axes)
-
-
 def invert_direct_fourier(
     s: Sinogram,
     n: int,
@@ -288,8 +245,9 @@ def invert_direct_fourier(
     records which frequency voxels actually receive samples, and more than
     ``COVERAGE_TOL`` unhit voxels inside the band raises
     :class:`InsufficientCoverage`.  Values are then gathered through the
-    chart sampler from zero-padded spectra (see the padding constants above)
-    at the in-band frequencies only; the others stay zero, so the
+    chart sampler from spectra zero-padded by the geometry's
+    ``spectral_pad``, at the in-band frequencies only, each where the
+    geometry's ``slice_query`` reads it; the others stay zero, so the
     reconstruction is band-limited.
     """
     freq_spacing = 1.0 / (n * spacing)
@@ -311,7 +269,8 @@ def invert_direct_fourier(
         )
     # only the in-band frequencies are read; the rest of the grid stays zero
     grid = np.zeros(n * n * n, dtype=complex)
-    grid[in_band] = kind_steps(geom).gather(s, W[in_band], mag[in_band])
+    spec, axes, _ = kind_steps(geom).spectra(s, geom.spectral_pad)
+    grid[in_band] = sample_chart(spec, geom, *geom.slice_query(W[in_band], mag[in_band]), axes)
     grid = grid.reshape(n, n, n)
     origin = -(n // 2) * spacing * np.ones(3)
     recon = idft3(Spectrum3D(grid, freq_spacing, spacing, origin))
@@ -410,6 +369,9 @@ class WaveletMetrics:
 
     @property
     def energy_ratio(self) -> float:
+        """``coefficient_energy / reconstruction_norm ** 2``; nan for a zero reconstruction."""
+        if self.reconstruction_norm == 0.0:
+            return float("nan")
         return self.coefficient_energy / self.reconstruction_norm**2
 
 
@@ -482,12 +444,11 @@ def _plane_coefficients(
 
     geom = s.geometry
     n_dir = geom.n_theta * geom.n_phi
-    shat, dtau, t0 = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
-    psihat, _, _ = _padded_t_spectra(template, PLANE_CORRELATION_PAD)
+    shat, [(tau0, dtau)], [t0] = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
+    psihat, *_ = _padded_t_spectra(template, PLANE_CORRELATION_PAD)
     n_pad = shat.shape[-1]
     # frequencies in FFT order, so no correlation needs a shift of its own
     taus = np.fft.ifftshift((np.arange(n_pad) - n_pad // 2) * dtau)
-    tau0 = -(n_pad // 2) * dtau
     shat = np.fft.ifftshift(shat, axes=-1) * np.exp(2j * np.pi * taus * t0)
     shat = shat.reshape(n_dir, n_pad)
     psihat_conj = np.conj(psihat.reshape(n_dir, n_pad)).T  # dilated from the left
@@ -532,24 +493,22 @@ def _line_coefficients(
     reads it in its own detector frame; the shift sampling is one matrix.
     """
     geom = s.geometry
-    shat, dnu, dnv, u0, v0 = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
-    psihat, _, _, _, _ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
-    nu_pad, nv_pad = shat.shape[-2], shat.shape[-1]
-    nu_u = (np.arange(nu_pad) - nu_pad // 2) * dnu
-    nu_v = (np.arange(nv_pad) - nv_pad // 2) * dnv
+    shat, axes, origins = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
+    psihat, *_ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
+    nu_u, nu_v = ((np.arange(n) - n // 2) * step for n, (_, step) in zip(shat.shape[-2:], axes))
+    u0, v0 = origins
     phase0 = np.exp(2j * np.pi * nu_u * u0)[:, None] * np.exp(2j * np.pi * nu_v * v0)
-    e1 = geom.frames[:, :, :, 0]
-    e2 = geom.frames[:, :, :, 1]
+    e1, e2 = geom.detector_directions
     shifts = lattice.shifts
     # The line-space inner product carries a 1/pi direction factor (see
     # sinogram_inner); the coefficients must use the same measure or the
     # synthesis comes out a factor of pi too large.
     sample = _interp_matrix(
         [
-            (shifts @ e1.reshape(-1, 3).T - u0) / geom.du,
-            (shifts @ e2.reshape(-1, 3).T - v0) / geom.dv,
+            (shifts @ e.reshape(-1, 3).T - x0) / step
+            for e, x0, (_, _, step) in zip(geom.detector_directions, origins, geom.detector)
         ],
-        (nu_pad, nv_pad),
+        shat.shape[-2:],
         True,
         geom.direction_weights.ravel() / np.pi,
     )
@@ -559,11 +518,8 @@ def _line_coefficients(
         e1r = e1 @ R
         e2r = e2 @ R
         for ia, a in enumerate(lattice.scales):
-            vecs = a * (
-                e1r[:, :, None, None, :] * nu_u[None, None, :, None, None]
-                + e2r[:, :, None, None, :] * nu_v[None, None, None, :, None]
-            )
-            temp_spec = sample_chart(psihat, geom, dirs, vecs, [(nu_u[0], dnu), (nu_v[0], dnv)])
+            vecs = a * _detector_points(e1r, e2r, nu_u, nu_v)
+            temp_spec = sample_chart(psihat, geom, dirs, vecs, axes)
             prod = shat * np.conj(temp_spec) * phase0
             corr = (
                 np.fft.ifft2(np.fft.ifftshift(prod, axes=(-2, -1)), axes=(-2, -1))
@@ -803,7 +759,6 @@ class KindSteps(NamedTuple):
     forward: Callable  # volume -> sinogram
     spectra: Callable  # sinogram -> zero-padded per-direction spectra
     pi_hat: Callable  # label-space group action
-    gather: Callable  # direct-Fourier read of the spectra
     coefficients: Callable  # wavelet frame coefficients
 
 
@@ -815,7 +770,5 @@ def kind_steps(geometry: DirectionChart) -> KindSteps:
     (as the benchmark's tracer does) reaches every caller.
     """
     if geometry.kind == "plane":
-        return KindSteps(
-            radon_plane, _padded_t_spectra, apply_pi_hat_plane, _gather_plane, _plane_coefficients
-        )
-    return KindSteps(xray, _padded_uv_spectra, apply_pi_hat_line, _gather_line, _line_coefficients)
+        return KindSteps(radon_plane, _padded_t_spectra, apply_pi_hat_plane, _plane_coefficients)
+    return KindSteps(xray, _padded_uv_spectra, apply_pi_hat_line, _line_coefficients)

@@ -208,10 +208,14 @@ def check_intertwining(
     geometry = reference.geometry
     kind = geometry.kind
     factor = 1.0 if ablate_character else geometry.characters.chi(g)
-    pushed = apply_pi_hat(g, reference)
-    diff = type(reference)(moved.data - factor * pushed.data, geometry)
-    residual = sinogram_norm(diff) / sinogram_norm(reference)
     context = describe_element(g) + (f" {label}" if label else "")
+    norm = sinogram_norm(reference)
+    if norm == 0.0:
+        residual, context = 0.0, "zero input"
+    else:
+        pushed = apply_pi_hat(g, reference)
+        diff = type(reference)(moved.data - factor * pushed.data, geometry)
+        residual = sinogram_norm(diff) / norm
     if ablate_character:
         return make_entry(
             f"control_character_ablation_{kind}",
@@ -311,7 +315,8 @@ def apply_pi_hat_doubled(g: GroupElement, F: np.ndarray, geometry: PlaneGeometry
     pp = phi_q / geom.dphi - 0.5
     j0 = np.floor(pp).astype(int)
     wp = pp - j0
-    po = (off_q + geom.t_max) / geom.dt
+    ((_, t0, dt),) = geom.detector
+    po = (off_q - t0) / dt
     k0 = np.floor(po).astype(int)
     wo = po - k0
 

@@ -36,12 +36,16 @@ detector or in the guard cells just past its ends, which the matrices ignore.
 The two transforms are two instances of one construction, and everything
 that differs by kind, short of the math itself, is a fact of the geometry:
 both geometries share one direction chart (:class:`DirectionChart`) and
-their sinograms one validated container (:class:`Sinogram`).  Where the math
-does differ (the projector front ends and the padded sinogram spectra), this
-module holds both versions, and :func:`simrad.invert.kind_steps` is the one
-place that selects between them; the volume-side Fourier slice
-(:func:`fourier_slice`) reads the kind from the geometry's
-``slice_frequencies`` alone.
+their sinograms one validated container (:class:`Sinogram`).  The geometry
+owns its detector, ``(n, first sample, step)`` per axis, and the axes' unit
+vectors at every chart direction (``detector_directions``: the normals for
+planes, the frame axes e1 and e2 for lines), so both projectors are one
+``_project`` call.  It owns the projection-slice map too:
+``slice_frequencies`` places the detector spectra in 3-D, and
+``slice_query`` names the direction and query that read a 3-D frequency.
+Where the math does differ (the padded sinogram spectra), this module holds
+both versions, and :func:`simrad.invert.kind_steps` is the one place that
+selects between them.
 
 ``sample_chart`` evaluates direction-indexed profiles or detector images
 (sinograms or their spectra) at arbitrary (direction, query) pairs by
@@ -137,10 +141,13 @@ class DirectionChart:
 
     Each geometry adds its detector and the facts of its kind that generic
     code reads instead of testing which kind it holds: ``kind``,
-    ``sinogram_type``, unitarization ``power``, scale ``characters``,
-    ``detector`` axes, ``reach``, label-space ``cell_measure``, the
-    projection-slice points ``slice_frequencies`` and the sampler's per-node
-    detector axes ``node_axes``.
+    ``sinogram_type``, unitarization ``power``, the direct-Fourier
+    ``spectral_pad``, scale ``characters``, the ``detector`` axes as ``(n,
+    first sample, step)`` triples, their unit vectors at every chart
+    direction ``detector_directions`` (each (n_theta, n_phi, 3)), ``reach``,
+    label-space ``cell_measure``, the projection-slice points
+    ``slice_frequencies`` and their inverse ``slice_query``, and the
+    sampler's per-node detector axes ``node_axes``.
     """
 
     n_theta: int = 32
@@ -173,7 +180,7 @@ class DirectionChart:
     @property
     def shape(self) -> tuple[int, ...]:
         """Sinogram shape: the direction grid, then the detector axes."""
-        return (self.n_theta, self.n_phi, *(n for n, _ in self.detector))
+        return (self.n_theta, self.n_phi, *(n for n, _, _ in self.detector))
 
     @cached_property
     def thetas(self) -> np.ndarray:
@@ -233,6 +240,13 @@ class PlaneGeometry(DirectionChart):
     kind = "plane"
     sinogram_type = PlaneSinogram
     power = 1.0  # |tau| along the offset axis unitarizes the plane transform
+    # Zero-padding factor of the offset spectra that direct Fourier inversion
+    # reads.  Off-center content makes the spectra oscillate (about 0.7 rad
+    # per unpadded frequency cell for a unit-offset feature), and linear
+    # interpolation between samples that far apart in phase biases magnitudes
+    # by several percent; padding refines the frequency step until the
+    # residual is dominated by the direction grid instead.
+    spectral_pad = 4.0
     characters = CharacterSet.plane()
 
     def __post_init__(self) -> None:
@@ -247,8 +261,12 @@ class PlaneGeometry(DirectionChart):
         return 2.0 * self.t_max / (self.n_t - 1)
 
     @property
-    def detector(self) -> tuple[tuple[int, float], ...]:
-        return ((self.n_t, self.dt),)
+    def detector(self) -> tuple[tuple[int, float, float], ...]:
+        return ((self.n_t, -self.t_max, self.dt),)
+
+    @property
+    def detector_directions(self) -> tuple[np.ndarray, ...]:
+        return (self.normals,)
 
     @property
     def reach(self) -> float:
@@ -268,6 +286,12 @@ class PlaneGeometry(DirectionChart):
         taus = (np.arange(self.n_t) - self.n_t // 2) * dtau
         return self.normals[rows][:, :, None, :] * taus[None, None, :, None]
 
+    def slice_query(self, W: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Directions and queries that read frequencies ``W`` (norms ``mag``): its ray, ``|W|``."""
+        nz = mag > 0.0
+        dirs = np.where(nz[:, None], W, [0.0, 0.0, 1.0])
+        return dirs / np.where(nz, mag, 1.0)[:, None], mag[:, None]
+
     def node_axes(self, ii: np.ndarray, jj: np.ndarray, sign: np.ndarray) -> list:
         """Offset axis of chart nodes ``(ii, jj)``: the sign by which a signed offset flips."""
         return [[sign]]
@@ -284,6 +308,9 @@ class LineGeometry(DirectionChart):
     kind = "line"
     sinogram_type = LineSinogram
     power = 0.5  # |nu|^(1/2) across the detector unitarizes the line transform
+    # Smaller than the plane factor only because the padded 2-D spectra grow
+    # quadratically in memory.
+    spectral_pad = 2.0
     characters = CharacterSet.line()
 
     def __post_init__(self) -> None:
@@ -302,8 +329,16 @@ class LineGeometry(DirectionChart):
         return 2.0 * self.u_max / self.n_v
 
     @property
-    def detector(self) -> tuple[tuple[int, float], ...]:
-        return ((self.n_u, self.du), (self.n_v, self.dv))
+    def detector(self) -> tuple[tuple[int, float, float], ...]:
+        # us[0] and vs[0] bit for bit, without building the axes that shape does not need
+        return (
+            (self.n_u, -(self.n_u - 1) / 2.0 * self.du, self.du),
+            (self.n_v, -(self.n_v - 1) / 2.0 * self.dv, self.dv),
+        )
+
+    @property
+    def detector_directions(self) -> tuple[np.ndarray, ...]:
+        return (self.frames[:, :, :, 0], self.frames[:, :, :, 1])
 
     @property
     def reach(self) -> float:
@@ -334,12 +369,25 @@ class LineGeometry(DirectionChart):
         """Frequencies of the centered detector spectra of azimuth ``rows``, (..., n_u, n_v, 3)."""
         nu_u = (np.arange(self.n_u) - self.n_u // 2) / (self.n_u * self.du)
         nu_v = (np.arange(self.n_v) - self.n_v // 2) / (self.n_v * self.dv)
-        e1 = self.frames[rows, :, :, 0]
-        e2 = self.frames[rows, :, :, 1]
-        return (
-            e1[:, :, None, None, :] * nu_u[None, None, :, None, None]
-            + e2[:, :, None, None, :] * nu_v[None, None, None, :, None]
+        e1, e2 = (d[rows] for d in self.detector_directions)
+        return _detector_points(e1, e2, nu_u, nu_v)
+
+    def slice_query(self, W: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Directions and queries that read frequencies ``W`` (norms ``mag``): ``W`` itself.
+
+        The direction is perpendicular to ``W``: its cross product with
+        whichever of z or x it is least aligned with.
+        """
+        ref = np.where(
+            np.abs(W[:, 2:3]) < 0.9 * np.maximum(mag[:, None], 1e-300),
+            [[0.0, 0.0, 1.0]],
+            [[1.0, 0.0, 0.0]],
         )
+        q = np.cross(ref, W)
+        qn = np.linalg.norm(q, axis=-1)
+        ok = qn > 0.0
+        q = np.where(ok[:, None], q, [0.0, 1.0, 0.0])
+        return q / np.where(ok, qn, 1.0)[:, None], W
 
     def node_axes(self, ii: np.ndarray, jj: np.ndarray, sign: np.ndarray) -> np.ndarray:
         """Detector axes e1, e2 of chart nodes ``(ii, jj)``, (2, 3, ...); lines ignore ``sign``."""
@@ -348,6 +396,11 @@ class LineGeometry(DirectionChart):
 
 # Geometry classes by the kind name that sinogram files store.
 GEOMETRY_KINDS = {g.kind: g for g in (PlaneGeometry, LineGeometry)}
+
+
+def _detector_points(e1, e2, us, vs) -> np.ndarray:
+    """``u e1 + v e2`` for each ``(u, v)`` in ``us x vs`` on (..., 3) axes: (..., n_u, n_v, 3)."""
+    return e1[..., None, None, :] * us[:, None, None] + e2[..., None, None, :] * vs[:, None]
 
 
 def _lowpass(freq_abs: np.ndarray, cutoff: float) -> np.ndarray:
@@ -436,15 +489,13 @@ def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np
     return acc.reshape(m, *shape)
 
 
-def _project(
-    v: Volume, geometry: DirectionChart, axes: list[tuple[np.ndarray, float, float, int]]
-) -> Sinogram:
+def _project(v: Volume, geometry: DirectionChart) -> Sinogram:
     """Splat-and-deconvolve projection shared by the plane and line transforms.
 
-    Each detector axis is ``(directions, origin, step, n)``: ``directions``
-    holds one unit vector per direction of the chart in C order, shape
-    (n_dir, 3), and the detector samples along that axis sit at ``origin + k
-    * step`` for ``k < n``.  Raises :class:`GeometryMismatch` when an active
+    Detector axis ``a`` has ``n`` samples at ``origin + k * step`` for
+    ``geometry.detector[a] = (n, origin, step)``, and a voxel at ``x`` lies at
+    ``x . d`` on it, for ``d`` its unit vector ``geometry.detector_directions[a]``
+    at the chart direction.  Raises :class:`GeometryMismatch` when an active
     voxel lies farther from the coordinate origin than the geometry's reach.
     """
     pts, f = _active_voxels(v)
@@ -454,23 +505,26 @@ def _project(
             f"the {geometry.kind} detector extends to {geometry.reach:g} but the "
             f"field is nonzero out to radius {radius:g}; integrals would be truncated"
         )
-    lengths = [SPLAT_REFINE * (n - 1) + 1 for *_, n in axes]
+    detector = geometry.detector
+    # (n_dir, 3) views in the chart's C order
+    directions = [d.reshape(-1, 3) for d in geometry.detector_directions]
+    lengths = [SPLAT_REFINE * (n - 1) + 1 for n, _, _ in detector]
     mats = [
         _deconvolution_matrix(
             n, step / SPLAT_REFINE, CUTOFF_FRACTION * min(0.5 / v.spacing, 0.5 / step)
         )
-        for _, _, step, n in axes
+        for n, _, step in detector
     ]
-    mats[0] *= v.spacing**3 / np.prod([step / SPLAT_REFINE for _, _, step, _ in axes])
+    mats[0] *= v.spacing**3 / np.prod([step / SPLAT_REFINE for _, _, step in detector])
 
-    n_dir = axes[0][0].shape[0]
-    out = np.empty((n_dir, *(n for *_, n in axes)))
+    n_dir = geometry.n_theta * geometry.n_phi
+    out = np.empty((n_dir, *(n for n, _, _ in detector)))
     cells = int(np.prod([n + 2 * SPLAT_GUARD for n in lengths]))
     chunk = max(1, SPLAT_CHUNK_BYTES // (8 * (len(f) + cells)))
     for c0 in range(0, n_dir, chunk):
         positions = [
             (pts @ dirs[c0 : c0 + chunk].T - origin) / (step / SPLAT_REFINE)
-            for dirs, origin, step, _ in axes
+            for dirs, (_, origin, step) in zip(directions, detector)
         ]
         block = _splat(f, positions, lengths) @ mats[-1].T
         if len(mats) == 2:
@@ -485,22 +539,12 @@ def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
     Raises :class:`GeometryMismatch` when a nonzero voxel lies farther than
     ``t_max`` from the coordinate origin.
     """
-    g = geometry
-    return _project(v, g, [(g.normals.reshape(-1, 3), -g.t_max, g.dt, g.n_t)])
+    return _project(v, geometry)
 
 
 def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
     """Line-integral (X-ray) transform of a volume."""
-    g = geometry
-    frames = g.frames.reshape(-1, 3, 3)
-    return _project(
-        v,
-        g,
-        [
-            (frames[:, :, 0], g.us[0], g.du, g.n_u),
-            (frames[:, :, 1], g.vs[0], g.dv, g.n_v),
-        ],
-    )
+    return _project(v, geometry)
 
 
 def _quadrature_nodes(v: Volume) -> tuple[np.ndarray, float]:
@@ -612,11 +656,11 @@ def _chunk(a: np.ndarray, index: tuple, ndim: int) -> np.ndarray:
     ]
 
 
-def _gather_window(data: np.ndarray, reach: float, axes: list[tuple[float, float]]) -> tuple:
+def _gather_window(data: np.ndarray, reach: float, axes: list[tuple]) -> tuple:
     """Zero-guarded copy of the cells of ``data``'s trailing axes that queries can read.
 
     Trailing axis ``a`` has ``n`` samples at ``origin + k * step`` for
-    ``axes[a] = (origin, step)``, and no query lies farther than ``reach``
+    ``axes[a]`` ending in ``(origin, step)``, and no query lies farther than ``reach``
     from 0 along it.  The copy covers the cells ``[lo, hi)`` of the
     zero-extended axis, one cell wider than the queried span on each side and
     within ``[-GATHER_GUARD, n + GATHER_GUARD)``, so with the whole axis in
@@ -624,7 +668,7 @@ def _gather_window(data: np.ndarray, reach: float, axes: list[tuple[float, float
     Returns the copy and the ``lo`` of each axis.
     """
     lows, lengths, src, dst = [], [], [], []
-    for (origin, step), n in zip(axes, data.shape[2:]):
+    for (*_, origin, step), n in zip(axes, data.shape[2:]):
         lo = int(np.clip(np.floor((-reach - origin) / step) - 1, -GATHER_GUARD, n))
         hi = int(np.clip(np.floor((reach - origin) / step) + 3, lo + 2, n + GATHER_GUARD))
         a = max(lo, 0)
@@ -673,14 +717,15 @@ def sample_chart(
     geometry: DirectionChart,
     directions: np.ndarray,
     queries: np.ndarray,
-    axes: list[tuple[float, float]],
+    axes: list[tuple],
 ) -> np.ndarray:
     """Sample direction-indexed data at arbitrary (direction, query vector) pairs.
 
     ``data`` has shape (n_theta, n_phi, ...) over the chart's midpoint
     direction grid, whose size it gives, and trailing axis ``a`` holds
-    samples at ``origin + k * step`` for ``axes[a] = (origin, step)``: plane
-    offsets or frequencies, or a line detector or its spectrum.  ``queries``
+    samples at ``origin + k * step`` for ``axes[a]`` ending in ``(origin,
+    step)``: a geometry's ``detector`` (plane offsets or a line detector) or
+    the frequency axes of its padded spectra.  ``queries``
     is a (..., d) array: the signed radial value (d = 1) for planes, a
     3-vector for lines.  Directions are reduced to the chart, and at every
     stencil node the query's position on axis ``a`` is its dot product with
@@ -702,7 +747,7 @@ def sample_chart(
             # dot products with the node's axes, summed in component order
             positions = [
                 (reduce(np.add, (qc * ac for qc, ac in zip(q, axis))) - origin) / step
-                for axis, (origin, step) in zip(geometry.node_axes(ii, jj, sign), axes)
+                for axis, (*_, origin, step) in zip(geometry.node_axes(ii, jj, sign), axes)
             ]
             acc = acc + w * _interp_nodes(window, ii, jj, positions)
         out[index] = acc
@@ -749,48 +794,48 @@ def backproject_plane(s: PlaneSinogram, n: int, spacing: float) -> Volume:
     return Volume(acc.reshape(n, n, n), spacing)
 
 
-def _padded_t_spectra(s: PlaneSinogram, pad: float) -> tuple[np.ndarray, float, float]:
+def _padded_axes(g: DirectionChart, pad: float) -> list[tuple]:
+    """Per detector axis, zero-padded to ``round(pad * n)`` samples from index ``lead`` on:
+    ``(n_pad, lead, (first frequency, step), first padded sample)``."""
+    out = []
+    for n, origin, step in g.detector:
+        n_pad = int(round(pad * n))
+        lead = (n_pad - n) // 2
+        df = 1.0 / (n_pad * step)
+        out.append((n_pad, lead, (-(n_pad // 2) * df, df), origin - lead * step))
+    return out
+
+
+def _origin_phase(n_pad: int, df: float, x0: float) -> np.ndarray:
+    """Phase that moves a padded spectrum's origin from the first padded sample ``x0`` to 0."""
+    return np.exp(-2j * np.pi * df * (np.arange(n_pad) - n_pad // 2) * x0)
+
+
+def _padded_t_spectra(s: PlaneSinogram, pad: float) -> tuple[np.ndarray, list, list]:
     """Per-direction offset spectra on a pad-times finer frequency axis.
 
-    The offsets are zero-padded to ``n_pad = round(pad * n_t)`` samples, and
-    index ``k`` holds frequency ``(k - n_pad // 2) / (n_pad * dt)`` in the
+    Frequency index ``k`` holds ``(k - n_pad // 2) / (n_pad * dt)`` in the
     ``exp(-2 pi i tau t)`` convention of :func:`simrad.grid.dft3`.  Returns
-    (spectra, frequency step, offset of the padded grid's first node).
+    (spectra, ``[(first frequency, step)]``, ``[first padded offset]``).
     """
     g = s.geometry
-    n_pad = int(round(pad * g.n_t))
+    ((n_pad, lead, axis, t0),) = _padded_axes(g, pad)
     data = np.zeros((g.n_theta, g.n_phi, n_pad))
-    lo = (n_pad - g.n_t) // 2
-    data[:, :, lo : lo + g.n_t] = s.data
-    t0 = g.ts[0] - lo * g.dt
-    dtau = 1.0 / (n_pad * g.dt)
-    k = np.arange(n_pad) - n_pad // 2
+    data[:, :, lead : lead + g.n_t] = s.data
     spec = np.fft.fftshift(np.fft.fft(data, axis=-1), axes=-1)
-    return spec * g.dt * np.exp(-2j * np.pi * dtau * k * t0), dtau, t0
+    return spec * g.dt * _origin_phase(n_pad, axis[1], t0), [axis], [t0]
 
 
-def _padded_uv_spectra(
-    s: LineSinogram, pad: float
-) -> tuple[np.ndarray, float, float, float, float]:
+def _padded_uv_spectra(s: LineSinogram, pad: float) -> tuple[np.ndarray, list, list]:
     """Per-direction detector spectra on pad-times finer frequency axes.
 
-    The 2-D analog of :func:`_padded_t_spectra`.  Returns (spectra, both
-    frequency steps, both padded-grid origins).
+    The 2-D analog of :func:`_padded_t_spectra`, with the same return layout.
     """
     g = s.geometry
-    nu_pad = int(round(pad * g.n_u))
-    nv_pad = int(round(pad * g.n_v))
-    lou = (nu_pad - g.n_u) // 2
-    lov = (nv_pad - g.n_v) // 2
-    dnu = 1.0 / (nu_pad * g.du)
-    dnv = 1.0 / (nv_pad * g.dv)
-    ku = np.arange(nu_pad) - nu_pad // 2
-    kv = np.arange(nv_pad) - nv_pad // 2
-    u0 = g.us[0] - lou * g.du
-    v0 = g.vs[0] - lov * g.dv
+    (nu_pad, lou, u_axis, u0), (nv_pad, lov, v_axis, v0) = _padded_axes(g, pad)
     phase = (
-        np.exp(-2j * np.pi * dnu * ku * u0)[:, None]
-        * np.exp(-2j * np.pi * dnv * kv * v0)
+        _origin_phase(nu_pad, u_axis[1], u0)[:, None]
+        * _origin_phase(nv_pad, v_axis[1], v0)
         * (g.du * g.dv)
     )
     spec = np.zeros((g.n_theta, g.n_phi, nu_pad, nv_pad), dtype=complex)
@@ -799,7 +844,7 @@ def _padded_uv_spectra(
         buf[:] = 0.0
         buf[:, lou : lou + g.n_u, lov : lov + g.n_v] = s.data[i]
         spec[i] = np.fft.fftshift(np.fft.fft2(buf, axes=(-2, -1)), axes=(-2, -1)) * phase
-    return spec, dnu, dnv, u0, v0
+    return spec, [u_axis, v_axis], [u0, v0]
 
 
 def _padded_spectrum(v: Volume, n_pad: int) -> Spectrum3D:

@@ -422,6 +422,17 @@ def test_wavelet_plane_synthesis(wavelet_plane, volume, psi):
     )
 
 
+def test_wavelet_of_a_zero_field_is_zero_with_nan_energy_ratio(psi):
+    zero = radon_plane(Volume(np.zeros((32, 32, 32)), 0.3), PLANE16)
+    lattice = GroupLattice.build(0.9, 2, 0.8, 1.6, 2, rotations=[np.eye(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LatticeTooCoarse)
+        rec, metrics = invert_wavelet(zero, psi, lattice)
+    assert not np.any(rec.data)
+    assert (metrics.coefficient_energy, metrics.reconstruction_norm) == (0.0, 0.0)
+    assert np.isnan(metrics.energy_ratio)
+
+
 def _full_lattice_solve(s, psi, lattice):
     # invert_wavelet's steps for plane data on every node of the lattice
     geom = s.geometry
@@ -658,7 +669,7 @@ def _reference_plane_coefficients(s, template, lattice):
     """Per (rotation, scale) node: resample the dilated template spectrum, one
     inverse FFT per direction, periodic linear lookup at ``n . b``."""
     geom = s.geometry
-    shat, dtau, t0 = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
+    shat, [(_, dtau)], [t0] = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
     psihat, _, _ = _padded_t_spectra(template, PLANE_CORRELATION_PAD)
     n_pad = shat.shape[-1]
     taus = (np.arange(n_pad) - n_pad // 2) * dtau
@@ -684,8 +695,8 @@ def _reference_plane_coefficients(s, template, lattice):
 
 def _reference_line_coefficients(s, template, lattice):
     geom = s.geometry
-    shat, dnu, dnv, u0, v0 = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
-    psihat, _, _, _, _ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
+    shat, [(_, dnu), (_, dnv)], [u0, v0] = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
+    psihat, _, _ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
     nu_pad, nv_pad = shat.shape[-2], shat.shape[-1]
     nu_u = (np.arange(nu_pad) - nu_pad // 2) * dnu
     nu_v = (np.arange(nv_pad) - nv_pad // 2) * dnv

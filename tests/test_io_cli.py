@@ -26,6 +26,7 @@ from simrad.io import (
     write_sinogram,
     write_volume,
 )
+from simrad.verify import standard_intertwining_sweep
 from simrad.xform import LineGeometry, LineSinogram, PlaneGeometry, PlaneSinogram
 
 # Reconstruction-quality thresholds for the pipeline smoke runs.  These are
@@ -438,6 +439,55 @@ def test_cli_allocation_failure_reports_bare_name(command, workdir, plane_path, 
     assert rc == 1
     assert capsys.readouterr().err == "MemoryError\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def zero_path(workdir):
+    path = workdir / "zero.svol"
+    write_volume(path, Volume(np.zeros((32, 32, 32)), 0.25))
+    return path
+
+
+def test_cli_zero_reference_reports_bare_name(workdir, plane_path, zero_path, capsys):
+    # A relative error against a zero field is 0/0.
+    rc = cli.main(
+        ["invert-fbp", "--in", str(plane_path), "--n", "32", "--h", "0.25",
+         "--reference", str(zero_path), "--out", str(workdir / "rec_zero_ref.svol")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "ValueError\n"
+
+
+def test_cli_verify_reports_a_zero_field_as_zero_input(workdir, zero_path):
+    summary = workdir / "zero_report.json"
+    rc = cli.main(
+        ["verify", "--in", str(zero_path), "--n", "32", "--h", "0.25", "--ntheta", "12",
+         "--nphi", "12", "--nt", "49", "--tmax", "4.0", "--nu", "32", "--umax", "4.0",
+         "--check", "intertwining", "--summary-out", str(summary)]
+    )
+    assert rc == 0
+    entries = json.loads(summary.read_text())["entries"]
+    assert len(entries) == 2 * len(standard_intertwining_sweep())
+    assert all(e["residual"] == 0.0 and e["context"] == "zero input" for e in entries)
+
+
+def test_cli_wavelet_of_a_zero_field_writes_zeros(workdir, zero_path, capsys):
+    sino = workdir / "zero_plane.sgm"
+    assert cli.main(
+        ["radon", "--in", str(zero_path), "--ntheta", "16", "--nphi", "16",
+         "--nt", "49", "--tmax", "4.0", "--out", str(sino)]
+    ) == 0
+    out = workdir / "rec_wav_zero.svol"
+    rc = cli.main(
+        ["invert-wavelet", "--in", str(sino), "--wavelet-n", "28",
+         "--wavelet-h", "0.2", "--wavelet-scale", "0.6",
+         "--lattice-extent", "0.4", "--lattice-shifts", "2",
+         "--scale-min", "0.9", "--scale-max", "1.8", "--nscales", "2",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    assert "energy_ratio=nan" in capsys.readouterr().out.splitlines()
+    assert not np.any(read_volume(out).data)
 
 
 def test_cli_fourier_pipeline_line(workdir, line_path, vol_path, capsys):

@@ -10,9 +10,10 @@ import pytest
 
 import simrad.invert as invert
 import simrad.verify as verify
-from simrad.grid import apply_pi, gaussian_phantom
+from simrad.grid import Volume, apply_pi, gaussian_phantom
 from simrad.group import GroupElement
 from simrad.verify import (
+    ABLATION_DILATION,
     ABLATION_FLOOR,
     INTERTWINING_TOL,
     ISOMETRY_TOL,
@@ -235,6 +236,28 @@ def test_intertwining_and_ablation_checks():
     ablated_line = check_intertwining(dilation, *pairs["line"], ablate_character=True)
     assert ablated_line.name == "control_character_ablation_line"
     assert not ablated_line.passed
+
+
+def test_intertwining_reports_a_zero_reference_as_zero_input():
+    # A zero field cannot show the character: the identity holds trivially,
+    # and the ablation control, which needs the character to show, fails.
+    geometry = COARSE.plane_geometry()
+    zero = radon_plane(Volume(np.zeros((32, 32, 32)), 0.3), geometry)
+    entry = check_intertwining(standard_intertwining_sweep()[3], zero, zero)
+    assert (entry.residual, entry.context, entry.passed) == (0.0, "zero input", True)
+    ablated = check_intertwining(ABLATION_DILATION, zero, zero, ablate_character=True)
+    assert ablated.residual == ABLATION_FLOOR
+    assert not ablated.passed
+    report = run_all(
+        replace(COARSE, checks=("controls",)), volume=Volume(np.zeros((32, 32, 32)), 0.3)
+    )
+    entries = {e.name: e for e in report.entries}
+    assert sorted(entries) == [
+        "control_admissibility_rejects_gaussian",
+        "control_character_ablation",
+    ]
+    assert entries["control_character_ablation"].residual == ABLATION_FLOOR
+    assert not entries["control_character_ablation"].passed
 
 
 # ---------------------------------------------------------------------------

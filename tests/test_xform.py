@@ -151,6 +151,53 @@ def test_offset_grids_are_centered(plane_geometry, line_geometry):
     assert plane_geometry.ts[-1] == plane_geometry.t_max
 
 
+@pytest.mark.parametrize("n", [32, 33, 48, 65])
+def test_detector_origins_are_the_first_samples(n):
+    pg = PlaneGeometry(4, 4, n, 4.8)
+    assert pg.detector == ((n, pg.ts[0], pg.dt),)
+    assert pg.detector[0][1].hex() == pg.ts[0].hex()
+    lg = LineGeometry(4, 4, n, n + 1, 4.8)
+    (n_u, u0, du), (n_v, v0, dv) = lg.detector
+    assert (n_u, du, n_v, dv) == (lg.n_u, lg.du, lg.n_v, lg.dv)
+    assert (u0.hex(), v0.hex()) == (lg.us[0].hex(), lg.vs[0].hex())
+
+
+def test_detector_directions_are_the_projector_axes(plane_geometry, line_geometry):
+    (normals,) = plane_geometry.detector_directions
+    assert np.array_equal(normals, plane_geometry.normals)
+    e1, e2 = line_geometry.detector_directions
+    frames = line_geometry.frames.reshape(-1, 3, 3)
+    for a, d in enumerate((e1, e2)):
+        # the strided view of the frames, so BLAS sees the layout it always saw
+        flat = d.reshape(-1, 3)
+        assert np.shares_memory(flat, line_geometry.frames)
+        assert flat.strides == frames[:, :, a].strides
+        assert np.array_equal(flat, frames[:, :, a])
+
+
+def _slice_query_frequencies() -> np.ndarray:
+    rng = np.random.default_rng(5)
+    extra = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.7], [0.0, 0.0, -0.4], [1e-3, 0.0, 2.0]]
+    return np.concatenate([rng.standard_normal((500, 3)), extra])
+
+
+@pytest.mark.parametrize("kind", ["plane", "line"])
+def test_slice_query_reads_each_frequency_on_its_slice(kind, plane_geometry, line_geometry):
+    W = _slice_query_frequencies()
+    mag = np.linalg.norm(W, axis=-1)
+    geometry = plane_geometry if kind == "plane" else line_geometry
+    dirs, queries = geometry.slice_query(W, mag)
+    assert np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) <= 1e-12
+    if kind == "plane":
+        # the frequency's own ray, at offset frequency |W|
+        assert np.array_equal(queries, mag[:, None])
+        assert np.max(np.abs(dirs * mag[:, None] - W)) <= 1e-12 * np.max(mag)
+    else:
+        # a perpendicular direction, whose detector plane holds W
+        assert np.array_equal(queries, W)
+        assert np.all(np.abs(np.sum(dirs * W, axis=-1)) <= 1e-12 * mag)
+
+
 def test_geometry_validation():
     with pytest.raises(GeometryMismatch):
         PlaneGeometry(1, 16, 65, 4.8)
@@ -492,6 +539,26 @@ def _check_samplers_against_masked(plane_sinogram, line_sinogram):
     row_dirs = dirs[:8, None, None, None, :]
     want = _masked_line_images(images, lg, row_dirs, vectors, *origins)
     assert np.array_equal(sample_chart(images, lg, row_dirs, vectors, axes), want)
+
+
+@pytest.mark.parametrize("pad", [1, 1.5, 2, 4])
+def test_spectra_axes_start_at_the_padded_first_frequency(pad):
+    pg = PlaneGeometry(4, 4, 33, 4.8)
+    lg = LineGeometry(4, 4, 15, 16, 4.8)
+    for spectra, s in (
+        (_padded_t_spectra, PlaneSinogram(np.zeros(pg.shape), pg)),
+        (_padded_uv_spectra, LineSinogram(np.zeros(lg.shape), lg)),
+    ):
+        spec, axes, origins = spectra(s, pad)
+        detector = s.geometry.detector
+        assert len(axes) == len(origins) == len(detector)
+        for n_pad, (first, step), x0, (n, origin, pitch) in zip(
+            spec.shape[2:], axes, origins, detector
+        ):
+            assert n_pad == int(round(pad * n))
+            assert step == 1.0 / (n_pad * pitch)
+            assert first == -(n_pad // 2) * step
+            assert x0 == origin - (n_pad - n) // 2 * pitch
 
 
 def test_t_spectra_convention_oracle(plane_sinogram, plane_geometry):
