@@ -11,10 +11,12 @@ of ``scripts/reconstruction_demo.sh`` (the mixture phantom at N=48, h=0.2;
 syntheses and ``run_all``.  The plane-data synthesis is level 0 of the
 criterion-7 ladder at the ``wavelet`` benchmark workload's sizes, the
 line-data synthesis runs at the sizes of the unit test
-``test_wavelet_line_synthesis``, and ``run_all`` at the ``verify`` benchmark
-workload's sizes.  The hashes depend on the machine's BLAS and
-FFT, so compare only runs from one machine, library build and BLAS thread
-count.
+``test_wavelet_line_synthesis``, and ``run_all`` and the action on the
+doubled sphere of its evenness check at the ``verify`` benchmark workload's
+sizes.  The hashes depend on the machine's BLAS and FFT, so compare only runs
+from one machine, library build and BLAS thread count.  Two runs of one
+checkout on one machine must print the same lines: CI runs it twice and
+``diff``s the outputs, a determinism check that holds whatever the BLAS.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from simrad.invert import (
 )
 from simrad.verify import (
     ABLATION_DILATION,
+    EVENNESS_ELEMENT,
     VerifyConfig,
     mixture_phantom,
     run_all,
+    smooth_doubled_field,
     standard_intertwining_sweep,
 )
 from simrad.xform import LineGeometry, PlaneGeometry, radon_plane, xray
@@ -99,6 +103,10 @@ def main() -> int:
         n=N, spacing=H, n_theta=16, n_phi=16, n_t=97, t_max=4.8, n_u=48, u_max=4.8,
         checks=("fourier_slice", "isometry", "fiber", "evenness", "controls"),
     )
+    # the chart sampler on an unglued geometry, which only the evenness check reads
+    doubled = smooth_doubled_field(config.plane_geometry(), config.seed)
+    pushed = apply_pi_hat(EVENNESS_ELEMENT, doubled)
+    lines.append(("apply_pi_hat.plane.doubled", digest(pushed.data)))
     lines.append(("run_all.verify", digest(run_all(config).to_json())))
     for name, value in lines:
         print(name, value)

@@ -29,15 +29,17 @@ from .grid import (
     gaussian_phantom,
     l2_norm,
 )
-from .group import GroupElement, PlaneLabel, unit_normal
+from .group import GroupElement, PlaneLabel
 from .invert import apply_pi_hat, kind_steps
 from .xform import (
     LineGeometry,
     PlaneGeometry,
+    PlaneSinogram,
     Sinogram,
     _padded_spectrum,
     fourier_slice,
     plane_integral,
+    sinogram_inner,
     sinogram_norm,
 )
 
@@ -69,8 +71,10 @@ ABLATION_DILATION = GroupElement(np.zeros(3), np.eye(3), 1.25)
 # anything above this signals a chart/orientation bug, not quadrature error.
 AGREEMENT_TOL = 1e-6
 
-# Parity preservation on the doubled sphere is exact by symmetry of the
-# resampling stencils, so this bound is loose by design.
+# Parity preservation on the doubled sphere rests on one condition: the chart
+# sampler's stencil of -d is the antipodal image of its stencil of d (the same
+# weights at the nodes (i + n_theta, n_phi - 1 - j)).  It holds to rounding, so
+# this bound is loose by design.
 PARITY_TOL = 1e-6
 
 
@@ -272,15 +276,30 @@ def check_fiber_constancy(v: Volume) -> ReportEntry:
 
 # --- doubled-sphere parity checks ------------------------------------------
 #
-# The chart sampler glues antipodal labels; these checks instead keep the full
-# sphere (azimuth in [0, 2pi)) so that evenness is a property to preserve, not
-# a representation invariant baked into storage.
+# The doubled sphere labels every plane twice, as (n, t) and (-n, -t): a plane
+# geometry whose azimuth runs over [0, 2 pi) and whose chart is not glued.
+# The production action `apply_pi_hat` runs on it through the one chart
+# sampler.  This labelling is not injective, so the antipodal parity commutes
+# with the action and the even and odd parts are invariant subspaces: a
+# property the action has to preserve, not one the storage bakes in.
+
+# The element of the evenness check: a dilation, rotations about z and x and
+# a shift, so the direction and the offset of every label move.
+EVENNESS_ELEMENT = GroupElement(
+    np.array([0.3, -0.15, 0.2]),
+    _axis_rotation(2, np.deg2rad(30.0)) @ _axis_rotation(0, np.deg2rad(20.0)),
+    0.9,
+)
 
 
-def doubled_sphere_directions(geometry: PlaneGeometry) -> np.ndarray:
-    """Unit normals on the doubled azimuth grid, shape (2 n_theta, n_phi, 3)."""
-    thetas = (np.arange(2 * geometry.n_theta) + 0.5) * geometry.dtheta
-    return unit_normal(thetas[:, None], geometry.phis[None, :])
+class _DoubledPlaneGeometry(PlaneGeometry):
+    """``n_theta`` azimuth rows over [0, 2 pi): the chart's rows, then their antipodes."""
+
+    glued = False
+
+    @property
+    def dtheta(self) -> float:
+        return 2.0 * np.pi / self.n_theta
 
 
 def antipodal_image(F: np.ndarray) -> np.ndarray:
@@ -294,63 +313,9 @@ def parity_split(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (F + image), 0.5 * (F - image)
 
 
-def apply_pi_hat_doubled(g: GroupElement, F: np.ndarray, geometry: PlaneGeometry) -> np.ndarray:
-    """The plane representation on full-sphere samples, no antipodal gluing.
-
-    Output point (n, t) reads F at (R^-1 n, (t - n.b) / a) scaled by a^-1/2;
-    azimuth is periodic over 2 pi, pole crossings flip azimuth by pi, and
-    offsets outside the stored range read as zero.
-    """
-    geom = geometry
-    two_nt = 2 * geom.n_theta
-    dirs = doubled_sphere_directions(geom)
-    rotated = dirs @ g.R  # row-convention R^-1 n
-    theta_q = np.mod(np.arctan2(rotated[..., 1], rotated[..., 0]), 2.0 * np.pi)
-    phi_q = np.arccos(np.clip(rotated[..., 2], -1.0, 1.0))
-    off_q = (geom.ts[None, None, :] - (dirs @ g.b)[:, :, None]) / g.a
-
-    pt = theta_q / geom.dtheta - 0.5
-    i0 = np.floor(pt).astype(int)
-    wt = pt - i0
-    pp = phi_q / geom.dphi - 0.5
-    j0 = np.floor(pp).astype(int)
-    wp = pp - j0
-    ((_, t0, dt),) = geom.detector
-    po = (off_q - t0) / dt
-    k0 = np.floor(po).astype(int)
-    wo = po - k0
-
-    out = np.zeros((two_nt, geom.n_phi, geom.n_t))
-    for di in (0, 1):
-        ii = np.mod(i0 + di, two_nt)
-        wi = (1.0 - wt) if di == 0 else wt
-        for dj in (0, 1):
-            jj = j0 + dj
-            # Pole reflection: phi -> -phi lands on +phi with azimuth + pi.
-            lo = jj < 0
-            hi = jj > geom.n_phi - 1
-            jj_fix = np.where(lo, -1 - jj, np.where(hi, 2 * geom.n_phi - 1 - jj, jj))
-            ii_fix = np.where(lo | hi, np.mod(ii + geom.n_theta, two_nt), ii)
-            wj = (1.0 - wp) if dj == 0 else wp
-            plane_vals = F[ii_fix, jj_fix, :]  # (2 n_theta, n_phi, n_t) gather
-            for dk in (0, 1):
-                kk = k0 + dk
-                valid = (kk >= 0) & (kk < geom.n_t)
-                kk_safe = np.clip(kk, 0, geom.n_t - 1)
-                wk = (1.0 - wo) if dk == 0 else wo
-                vals = np.take_along_axis(plane_vals, kk_safe, axis=2)
-                out += np.where(valid, vals * wk, 0.0) * (wi * wj)[:, :, None]
-    return out / np.sqrt(g.a)
-
-
-def check_evenness_subspace(
-    F: np.ndarray, geometry: PlaneGeometry, g: GroupElement
-) -> list[ReportEntry]:
-    """Parity preservation and parity orthogonality under the doubled action."""
-    even, odd = parity_split(F)
-    out_even = apply_pi_hat_doubled(g, even, geometry)
-    out_odd = apply_pi_hat_doubled(g, odd, geometry)
-    context = describe_element(g)
+def check_evenness_subspace(F: PlaneSinogram, g: GroupElement) -> list[ReportEntry]:
+    """Parity preservation and parity orthogonality of ``apply_pi_hat`` on the doubled sphere."""
+    even, odd = (apply_pi_hat(g, PlaneSinogram(part, F.geometry)) for part in parity_split(F.data))
 
     def parity_residual(out: np.ndarray, sign: float) -> float:
         peak = np.max(np.abs(out))
@@ -358,27 +323,28 @@ def check_evenness_subspace(
             return 0.0
         return float(np.max(np.abs(out - sign * antipodal_image(out))) / peak)
 
-    w = np.concatenate([geometry.cell_measure] * 2)  # the doubled grid holds the chart twice
-    ne = np.sqrt(np.sum(w * out_even**2))
-    no = np.sqrt(np.sum(w * out_odd**2))
-    cross = 0.0 if ne == 0.0 or no == 0.0 else abs(np.sum(w * out_even * out_odd)) / (ne * no)
+    ne, no = sinogram_norm(even), sinogram_norm(odd)
+    cross = 0.0 if ne == 0.0 or no == 0.0 else abs(sinogram_inner(even, odd)) / (ne * no)
+    context = describe_element(g)
     return [
-        make_entry("evenness_even_preserved", parity_residual(out_even, 1.0), PARITY_TOL, context),
-        make_entry("evenness_odd_preserved", parity_residual(out_odd, -1.0), PARITY_TOL, context),
+        make_entry("evenness_even_preserved", parity_residual(even.data, 1.0), PARITY_TOL, context),
+        make_entry("evenness_odd_preserved", parity_residual(odd.data, -1.0), PARITY_TOL, context),
         make_entry("evenness_parity_orthogonal", cross, PARITY_TOL, context),
     ]
 
 
-def smooth_doubled_field(geometry: PlaneGeometry, seed: int = 0) -> np.ndarray:
-    """Deterministic smooth test field on the doubled sphere, mixed parity.
+def smooth_doubled_field(geometry: PlaneGeometry, seed: int = 0) -> PlaneSinogram:
+    """Deterministic smooth test field on the doubled sphere of ``geometry``, mixed parity.
 
     Built from low-degree polynomials in the direction vector (smooth on the
     sphere by construction) times Gaussian bumps in the offset.
     """
     rng = np.random.default_rng(seed)
-    dirs = doubled_sphere_directions(geometry)
-    ts = geometry.ts
-    out = np.zeros((dirs.shape[0], dirs.shape[1], ts.size))
+    doubled = _DoubledPlaneGeometry(
+        2 * geometry.n_theta, geometry.n_phi, geometry.n_t, geometry.t_max
+    )
+    dirs, ts = doubled.normals, doubled.ts
+    out = np.zeros(doubled.shape)
     for _ in range(4):
         u1 = rng.standard_normal(3)
         u2 = rng.standard_normal(3)
@@ -387,7 +353,7 @@ def smooth_doubled_field(geometry: PlaneGeometry, seed: int = 0) -> np.ndarray:
         width = rng.uniform(0.8, 1.6)
         angular = c0 + c1 * (dirs @ u1) + c2 * (dirs @ u1) * (dirs @ u2)
         out += angular[:, :, None] * np.exp(-((ts[None, None, :] - center) / width) ** 2)
-    return out
+    return PlaneSinogram(out, doubled)
 
 
 # --- aggregation ------------------------------------------------------------
@@ -549,12 +515,7 @@ def run_all(
         guarded("fiber_constancy", lambda: check_fiber_constancy(phantom(mixture_phantom)))
     if "evenness" in config.checks:
         F = smooth_doubled_field(plane_geom, config.seed)
-        g = GroupElement(
-            np.array([0.3, -0.15, 0.2]),
-            _axis_rotation(2, np.deg2rad(30.0)) @ _axis_rotation(0, np.deg2rad(20.0)),
-            0.9,
-        )
-        guarded("evenness", lambda: check_evenness_subspace(F, plane_geom, g))
+        guarded("evenness", lambda: check_evenness_subspace(F, EVENNESS_ELEMENT))
     if "controls" in config.checks:
         def ablation_control() -> ReportEntry:
             # Pooled over geometries: the plane character a separates from 1

@@ -51,11 +51,12 @@ selects between them.
 (sinograms or their spectra) at arbitrary (direction, query) pairs by
 reducing the direction to the chart and interpolating bilinearly across the
 gluing: cells that stick out of the chart square wrap to the matching
-rows/columns on the far side, where the represented normal may flip.  A
-query is a vector (a plane's signed offset, a line's 3-vector), placed on a
-stencil node's detector by its dot products with the node's axes, a fact of
-the kind (``node_axes``): the normal's sign for planes, so the offset flips
-with the normal, and the node's frame axes e1, e2 for lines.  The sampler
+rows/columns on the far side, where the represented normal may flip; the
+gluing is a fact of the geometry (``glued``).  A query is a vector (a
+plane's signed offset, a line's 3-vector), placed on a stencil node's
+detector by its dot products with the node's axes, a fact of the kind
+(``node_axes``): the normal's sign for planes, so the offset flips with the
+normal, and the node's frame axes e1, e2 for lines.  The sampler
 and the wavelet coefficients read the chart through one stencil
 (``_chart_stencil``), and the sampler reads the detector through one
 multilinear lookup (``_interp_nodes``), so the antipodal bookkeeping lives
@@ -147,8 +148,12 @@ class DirectionChart:
     direction ``detector_directions`` (each (n_theta, n_phi, 3)), ``reach``,
     label-space ``cell_measure``, the projection-slice points
     ``slice_frequencies`` and their inverse ``slice_query``, and the
-    sampler's per-node detector axes ``node_axes``.
+    sampler's per-node detector axes ``node_axes``.  ``glued`` (a class
+    attribute, so ``from_keys`` never reads it) is False on a grid that
+    stores each chart row's antipodes after the chart, azimuth over [0, 2 pi).
     """
+
+    glued = True
 
     n_theta: int = 32
     n_phi: int = 32
@@ -582,16 +587,19 @@ def line_integral(v: Volume, label: LineLabel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chart_stencil(directions: np.ndarray, n_theta: int, n_phi: int) -> list[tuple]:
-    """Bilinear stencil of (..., 3) direction queries on the glued chart grid.
+def _chart_stencil(directions: np.ndarray, n_theta: int, n_phi: int, glued=True) -> list[tuple]:
+    """Bilinear stencil of (..., 3) direction queries on the chart grid.
 
     Returns four corners as ``(row, col, sign, weight)`` arrays of the
     queries' shape.  Cells that stick out of the chart square wrap according
     to the antipodal gluing: crossing an azimuth edge reflects the polar row
     and flips the represented normal; crossing a polar edge (through a pole)
     keeps the column but flips the normal.  ``sign`` is +1 where the stored
-    normal equals the queried direction and -1 where it is the antipode.
+    normal equals the queried direction and -1 where it is the antipode.  An
+    unglued grid's corners of sign -1 move to the antipodal node ``(i + n, n_phi
+    - 1 - j)`` with sign +1, for ``n = n_theta // 2`` rows in the chart.
     """
+    n_theta = n_theta if glued else n_theta // 2
     theta, phi, query_sign = canonicalize_directions(directions)
     ci = theta / (np.pi / n_theta) - 0.5
     cj = phi / (np.pi / n_phi) - 0.5
@@ -616,6 +624,11 @@ def _chart_stencil(directions: np.ndarray, n_theta: int, n_phi: int) -> list[tup
         wrap_phi = (jj < 0) | (jj >= n_phi)
         sign = np.where(wrap_phi, -sign, sign)
         jj = np.mod(jj, n_phi)
+        if not glued:
+            flip = sign < 0
+            ii = np.where(flip, ii + n_theta, ii)
+            jj = np.where(flip, n_phi - 1 - jj, jj)
+            sign = np.abs(sign)
         corners.append((ii, jj, sign, w))
     return corners
 
@@ -742,7 +755,7 @@ def sample_chart(
         q = np.ascontiguousarray(np.moveaxis(_chunk(queries, index, len(shape)), -1, 0))
         acc = 0.0
         for ii, jj, sign, w in _chart_stencil(
-            _chunk(directions, index, len(shape)), *data.shape[:2]
+            _chunk(directions, index, len(shape)), *data.shape[:2], geometry.glued
         ):
             # dot products with the node's axes, summed in component order
             positions = [

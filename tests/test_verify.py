@@ -11,20 +11,23 @@ import pytest
 import simrad.invert as invert
 import simrad.verify as verify
 from simrad.grid import Volume, apply_pi, gaussian_phantom
-from simrad.group import GroupElement
+from simrad.group import GroupElement, PlaneLabel, unit_normal
+from simrad.invert import apply_pi_hat
 from simrad.verify import (
     ABLATION_DILATION,
     ABLATION_FLOOR,
+    EVENNESS_ELEMENT,
     INTERTWINING_TOL,
     ISOMETRY_TOL,
+    PARITY_TOL,
     SLICE_PAD_FACTOR,
     SLICE_TOL,
     ReportEntry,
     ResidualReport,
     VerifyConfig,
     _axis_rotation,
+    _flip_plane_label,
     antipodal_image,
-    apply_pi_hat_doubled,
     check_evenness_subspace,
     check_fiber_constancy,
     check_fourier_slice,
@@ -32,7 +35,6 @@ from simrad.verify import (
     check_isometry,
     compact_phantom,
     describe_element,
-    doubled_sphere_directions,
     make_entry,
     mixture_phantom,
     parity_split,
@@ -40,7 +42,15 @@ from simrad.verify import (
     smooth_doubled_field,
     standard_intertwining_sweep,
 )
-from simrad.xform import LineGeometry, PlaneGeometry, _padded_spectrum, radon_plane, xray
+from simrad.xform import (
+    LineGeometry,
+    PlaneGeometry,
+    PlaneSinogram,
+    _padded_spectrum,
+    radon_plane,
+    sinogram_norm,
+    xray,
+)
 
 # Permutation-level identities (roll / flip / exact-node sampling) hold to
 # rounding; measured at or below 4e-15.
@@ -64,6 +74,12 @@ COARSE = VerifyConfig(
     n_u=48,
     u_max=4.8,
 )
+# The sizes of the ``verify`` benchmark workload (the demo grid, 16x16 directions).
+VERIFY_SIZES = VerifyConfig(
+    n=48, spacing=0.2, n_theta=16, n_phi=16, n_t=97, t_max=4.8, n_u=48, u_max=4.8
+)
+# A check that can fail reads at least this much on a wrong input.
+CONTROL_FLOOR = 0.1
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +225,29 @@ def test_fiber_constancy_check():
     assert entry.passed
 
 
+def test_flip_plane_label_names_the_antipodal_label():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        theta, phi, t = rng.uniform(0.0, np.pi), rng.uniform(0.0, np.pi), rng.uniform(-2.0, 2.0)
+        flipped = _flip_plane_label(PlaneLabel(theta, phi, t))
+        n = unit_normal(theta, phi)
+        assert np.max(np.abs(unit_normal(flipped.theta, flipped.phi) + n)) <= EXACT_TOL
+        assert flipped.t == -t
+
+
+@pytest.mark.parametrize("n, spacing", [(32, 0.3), (48, 0.2), (64, 0.15)])
+def test_fiber_check_fails_on_a_relabel_that_keeps_the_offset(monkeypatch, n, spacing):
+    # The normal flips but the offset does not: the plane n.x = -t, a different one.
+    monkeypatch.setattr(
+        verify,
+        "_flip_plane_label",
+        lambda label: PlaneLabel(label.theta + np.pi, np.pi - label.phi, label.t),
+    )
+    entry = check_fiber_constancy(mixture_phantom(VerifyConfig(n=n, spacing=spacing)))
+    assert entry.residual >= CONTROL_FLOOR
+    assert not entry.passed
+
+
 def test_intertwining_and_ablation_checks():
     compact = compact_phantom(COARSE)
     dilation = GroupElement(np.zeros(3), np.eye(3), 1.25)
@@ -266,13 +305,13 @@ def test_intertwining_reports_a_zero_reference_as_zero_input():
 
 
 def test_antipodal_image_is_an_involution():
-    F = smooth_doubled_field(COARSE.plane_geometry(), seed=3)
+    F = smooth_doubled_field(COARSE.plane_geometry(), seed=3).data
     assert np.array_equal(antipodal_image(antipodal_image(F)), F)
 
 
 def test_antipodal_image_maps_negated_arguments():
     geometry = COARSE.plane_geometry()
-    dirs = doubled_sphere_directions(geometry)
+    dirs = smooth_doubled_field(geometry).geometry.normals
     u = np.array([0.3, -1.1, 0.7])
     F = (dirs @ u)[:, :, None] * np.exp(-((geometry.ts[None, None, :] - 0.3) ** 2))
     expected = (-dirs @ u)[:, :, None] * np.exp(
@@ -282,7 +321,7 @@ def test_antipodal_image_maps_negated_arguments():
 
 
 def test_parity_split_reconstructs_and_commutes():
-    F = smooth_doubled_field(COARSE.plane_geometry(), seed=5)
+    F = smooth_doubled_field(COARSE.plane_geometry(), seed=5).data
     even, odd = parity_split(F)
     assert np.max(np.abs(even + odd - F)) <= EXACT_TOL
     assert np.array_equal(antipodal_image(even), even)
@@ -290,21 +329,33 @@ def test_parity_split_reconstructs_and_commutes():
 
 
 def test_doubled_action_identity_is_exact():
+    F = smooth_doubled_field(COARSE.plane_geometry(), seed=0)
+    out = apply_pi_hat(GroupElement.identity(), F)
+    assert np.max(np.abs(out.data - F.data)) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("rows", [5, 19, -7])
+def test_doubled_action_rotating_by_whole_rows_is_a_roll(rows):
+    # azimuth rows are pi / n_theta apart on the doubled sphere too, and the
+    # roll carries rows across the 2 pi seam
     geometry = COARSE.plane_geometry()
-    F = smooth_doubled_field(geometry, seed=0)
-    out = apply_pi_hat_doubled(GroupElement.identity(), F, geometry)
-    assert np.max(np.abs(out - F)) <= EXACT_TOL
+    F = smooth_doubled_field(geometry, seed=1)
+    g = GroupElement(np.zeros(3), _axis_rotation(2, rows * geometry.dtheta), 1.0)
+    out = apply_pi_hat(g, F)
+    assert np.max(np.abs(out.data - np.roll(F.data, rows, axis=0))) <= EXACT_TOL
+
+
+def test_doubled_action_half_turn_about_x_reverses_both_angles():
+    # (theta, phi) -> (-theta, pi - phi): the chart's rows read the antipodal
+    # rows, where the polar row is mirrored, and the other way round
+    F = smooth_doubled_field(COARSE.plane_geometry(), seed=2)
+    out = apply_pi_hat(GroupElement(np.zeros(3), _axis_rotation(0, np.pi), 1.0), F)
+    assert np.max(np.abs(out.data - F.data[::-1, ::-1, :])) <= EXACT_TOL
 
 
 def test_evenness_subspace_check():
-    geometry = COARSE.plane_geometry()
-    F = smooth_doubled_field(geometry, seed=0)
-    g = GroupElement(
-        np.array([0.3, -0.15, 0.2]),
-        _axis_rotation(2, np.deg2rad(30.0)) @ _axis_rotation(0, np.deg2rad(20.0)),
-        0.9,
-    )
-    entries = check_evenness_subspace(F, geometry, g)
+    F = smooth_doubled_field(COARSE.plane_geometry(), seed=0)
+    entries = check_evenness_subspace(F, EVENNESS_ELEMENT)
     assert [e.name for e in entries] == [
         "evenness_even_preserved",
         "evenness_odd_preserved",
@@ -313,13 +364,38 @@ def test_evenness_subspace_check():
     assert all(e.passed for e in entries)
 
 
+def test_evenness_element_of_run_all_moves_the_field():
+    # An element that leaves the field in place would pass the check vacuously.
+    config = replace(VERIFY_SIZES, checks=("evenness",))
+    report = run_all(config)
+    assert {e.context for e in report.entries} == {describe_element(EVENNESS_ELEMENT)}
+    F = smooth_doubled_field(config.plane_geometry(), config.seed)
+    moved = apply_pi_hat(EVENNESS_ELEMENT, F)
+    change = PlaneSinogram(moved.data - F.data, F.geometry)
+    assert sinogram_norm(change) / sinogram_norm(F) >= CONTROL_FLOOR
+
+
+def test_evenness_check_fails_without_the_offset_reversal(monkeypatch):
+    F = smooth_doubled_field(VERIFY_SIZES.plane_geometry(), seed=0)
+    even, *_ = check_evenness_subspace(F, EVENNESS_ELEMENT)
+    assert even.residual <= PARITY_TOL
+    # F(-n, t) instead of F(-n, -t): the shift moves t by n.b, so this map
+    # does not commute with the action
+    monkeypatch.setattr(
+        verify, "antipodal_image", lambda F: np.roll(F, F.shape[0] // 2, axis=0)[:, ::-1, :]
+    )
+    even, *_ = check_evenness_subspace(F, EVENNESS_ELEMENT)
+    assert even.residual >= CONTROL_FLOOR
+    assert not even.passed
+
+
 def test_smooth_doubled_field_is_seed_deterministic():
     geometry = COARSE.plane_geometry()
     assert np.array_equal(
-        smooth_doubled_field(geometry, 11), smooth_doubled_field(geometry, 11)
+        smooth_doubled_field(geometry, 11).data, smooth_doubled_field(geometry, 11).data
     )
     assert not np.array_equal(
-        smooth_doubled_field(geometry, 11), smooth_doubled_field(geometry, 12)
+        smooth_doubled_field(geometry, 11).data, smooth_doubled_field(geometry, 12).data
     )
 
 
