@@ -10,10 +10,10 @@ of ``scripts/reconstruction_demo.sh`` (the mixture phantom at N=48, h=0.2;
 24x24 directions, 97 offsets or a 48x48 detector), except the wavelet
 syntheses and ``run_all``.  The plane-data synthesis is level 0 of the
 criterion-7 ladder at the ``wavelet`` benchmark workload's sizes, the
-line-data synthesis runs at the sizes of the unit test
-``test_wavelet_line_synthesis``, and ``run_all`` and the action on the
-doubled sphere of its evenness check at the ``verify`` benchmark workload's
-sizes.  The hashes depend on the machine's BLAS and FFT, so compare only runs
+line-data synthesis and a second line ``invert_direct_fourier`` run at the
+sizes of the unit test ``test_wavelet_line_synthesis``, and ``run_all`` and
+the action on the doubled sphere of its evenness check at the ``verify``
+benchmark workload's sizes.  The hashes depend on the machine's BLAS and FFT, so compare only runs
 from one machine, library build and BLAS thread count.  Two runs of one
 checkout on one machine must print the same lines: CI runs it twice and
 ``diff``s the outputs, a determinism check that holds whatever the BLAS.
@@ -92,12 +92,16 @@ def main() -> int:
     lines.append(("invert_wavelet.plane", digest(rec)))
 
     wavelet_volume = gaussian_phantom(32, 0.3, center=(0.4, -0.3, 0.2))
+    line16 = xray(wavelet_volume, LineGeometry(16, 16, 32, 32, 4.8))
     rec, _ = invert_wavelet(
-        xray(wavelet_volume, LineGeometry(16, 16, 32, 32, 4.8)),
-        log_wavelet(32, 0.3, 1.0),
-        GroupLattice.build(0.9, 4, 0.8, 4.8, 4),
+        line16, log_wavelet(32, 0.3, 1.0), GroupLattice.build(0.9, 4, 0.8, 4.8, 4)
     )
     lines.append(("invert_wavelet.line", digest(rec)))
+    # a second node set for the line route's stencil
+    rec, coverage = invert_direct_fourier(line16, 32, 0.3)
+    lines.append(("invert_direct_fourier.line16", digest(rec)))
+    fraction = np.float64(coverage.covered_fraction)
+    lines.append(("invert_direct_fourier.line16.covered_fraction", digest(fraction)))
 
     config = VerifyConfig(
         n=N, spacing=H, n_theta=16, n_phi=16, n_t=97, t_max=4.8, n_u=48, u_max=4.8,

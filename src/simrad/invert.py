@@ -74,6 +74,7 @@ from .xform import (
     _padded_spectrum,
     _padded_t_spectra,
     _padded_uv_spectra,
+    _stencil_nodes,
     backproject_plane,
     radon_plane,
     sample_chart,
@@ -248,7 +249,11 @@ def invert_direct_fourier(
     chart sampler from spectra zero-padded by the geometry's
     ``spectral_pad``, at the in-band frequencies only, each where the
     geometry's ``slice_query`` reads it; the others stay zero, so the
-    reconstruction is band-limited.
+    reconstruction is band-limited.  The chart nodes that the sampler's
+    stencil reaches from those directions are found first, and the spectra
+    and the sampler's window hold those nodes only: for lines the nodes next
+    to the equator and the y-z plane (60 of 576 directions at 24x24), for
+    planes most of the chart.
     """
     freq_spacing = 1.0 / (n * spacing)
     geom = s.geometry
@@ -269,8 +274,10 @@ def invert_direct_fourier(
         )
     # only the in-band frequencies are read; the rest of the grid stays zero
     grid = np.zeros(n * n * n, dtype=complex)
-    spec, axes, _ = kind_steps(geom).spectra(s, geom.spectral_pad)
-    grid[in_band] = sample_chart(spec, geom, *geom.slice_query(W[in_band], mag[in_band]), axes)
+    dirs, queries = geom.slice_query(W[in_band], mag[in_band])
+    nodes = _stencil_nodes(geom, dirs)
+    spec, axes, _ = kind_steps(geom).spectra(s, geom.spectral_pad, nodes)
+    grid[in_band] = sample_chart(spec, geom, dirs, queries, axes, nodes)
     grid = grid.reshape(n, n, n)
     origin = -(n // 2) * spacing * np.ones(3)
     recon = idft3(Spectrum3D(grid, freq_spacing, spacing, origin))
@@ -757,7 +764,7 @@ class KindSteps(NamedTuple):
     """The steps that differ between plane and line data."""
 
     forward: Callable  # volume -> sinogram
-    spectra: Callable  # sinogram -> zero-padded per-direction spectra
+    spectra: Callable  # sinogram, pad[, chart nodes] -> zero-padded per-node spectra
     pi_hat: Callable  # label-space group action
     coefficients: Callable  # wavelet frame coefficients
 

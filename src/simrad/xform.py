@@ -67,7 +67,12 @@ are copied), clamps each floor cell into the copy, computes one flat index
 per query and reads every tap at a constant offset from it.  Queries are
 taken in chunks sized by ``SPLAT_CHUNK_BYTES`` (``_query_chunks``), whole
 output directions or stencil rows at a time, so the per-query arrays stay in
-cache.
+cache.  The data need not hold the whole chart: it holds the nodes named by
+their flat indices, and a slot table maps each node the stencil reaches to
+its row.  Direct Fourier inversion reads line spectra only at the nodes
+around the directions ``slice_query`` returns (``_stencil_nodes``: for
+lines, those near the equator or the y-z plane), so it builds the padded
+spectra, and the sampler's window holds them, for those nodes only.
 """
 
 from __future__ import annotations
@@ -669,19 +674,33 @@ def _chunk(a: np.ndarray, index: tuple, ndim: int) -> np.ndarray:
     ]
 
 
+def _every_node(g: DirectionChart) -> np.ndarray:
+    """Flat index ``ii * n_phi + jj`` of every chart node, as an (n_theta, n_phi) array."""
+    return np.arange(g.n_theta * g.n_phi).reshape(g.n_theta, g.n_phi)
+
+
+def _stencil_nodes(g: DirectionChart, directions: np.ndarray) -> np.ndarray:
+    """Flat indices, ascending, of the chart nodes that the stencil of ``directions`` reads."""
+    read = np.zeros(g.n_theta * g.n_phi, dtype=bool)
+    for ii, jj, _, _ in _chart_stencil(directions, g.n_theta, g.n_phi, g.glued):
+        read[ii * g.n_phi + jj] = True
+    return np.flatnonzero(read)
+
+
 def _gather_window(data: np.ndarray, reach: float, axes: list[tuple]) -> tuple:
     """Zero-guarded copy of the cells of ``data``'s trailing axes that queries can read.
 
-    Trailing axis ``a`` has ``n`` samples at ``origin + k * step`` for
-    ``axes[a]`` ending in ``(origin, step)``, and no query lies farther than ``reach``
-    from 0 along it.  The copy covers the cells ``[lo, hi)`` of the
+    ``data`` holds one chart node per row of its first axis.  Trailing axis
+    ``a`` has ``n`` samples at ``origin + k * step`` for ``axes[a]`` ending in
+    ``(origin, step)``, and no query lies farther than ``reach`` from 0 along
+    it.  The copy covers the cells ``[lo, hi)`` of the
     zero-extended axis, one cell wider than the queried span on each side and
     within ``[-GATHER_GUARD, n + GATHER_GUARD)``, so with the whole axis in
     reach it is the axis plus ``GATHER_GUARD`` zero cells at each end.
     Returns the copy and the ``lo`` of each axis.
     """
     lows, lengths, src, dst = [], [], [], []
-    for (*_, origin, step), n in zip(axes, data.shape[2:]):
+    for (*_, origin, step), n in zip(axes, data.shape[1:]):
         lo = int(np.clip(np.floor((-reach - origin) / step) - 1, -GATHER_GUARD, n))
         hi = int(np.clip(np.floor((reach - origin) / step) + 3, lo + 2, n + GATHER_GUARD))
         a = max(lo, 0)
@@ -690,15 +709,13 @@ def _gather_window(data: np.ndarray, reach: float, axes: list[tuple]) -> tuple:
         lengths.append(hi - lo)
         src.append(slice(a, b))
         dst.append(slice(a - lo, b - lo))
-    window = np.zeros(data.shape[:2] + tuple(lengths), dtype=data.dtype)
-    window[(slice(None), slice(None), *dst)] = data[(slice(None), slice(None), *src)]
+    window = np.zeros(data.shape[:1] + tuple(lengths), dtype=data.dtype)
+    window[(slice(None), *dst)] = data[(slice(None), *src)]
     return window, lows
 
 
-def _interp_nodes(
-    window: tuple, ii: np.ndarray, jj: np.ndarray, positions: list[np.ndarray]
-) -> np.ndarray:
-    """Multilinear interpolation, zero outside, on the trailing axes of windowed ``data[ii, jj]``.
+def _interp_nodes(window: tuple, rows: np.ndarray, positions: list[np.ndarray]) -> np.ndarray:
+    """Multilinear interpolation, zero outside, on the trailing axes of windowed ``data[rows]``.
 
     ``window`` is ``_gather_window``'s copy of ``data``, and ``positions``
     holds the fractional indices along each trailing axis of ``data``.  Each
@@ -708,9 +725,9 @@ def _interp_nodes(
     """
     copy, lows = window
     strides = [int(np.prod(copy.shape[a + 1 :])) for a in range(copy.ndim)]
-    k = (ii * copy.shape[1] + jj) * strides[1]
+    k = rows * strides[0]
     axes = []
-    for pos, lo, m, stride in zip(positions, lows, copy.shape[2:], strides[2:]):
+    for pos, lo, m, stride in zip(positions, lows, copy.shape[1:], strides[1:]):
         cell = np.floor(pos)
         w = pos - cell
         k = k + (np.clip(cell, lo, lo + m - 2) - lo).astype(np.int64) * stride
@@ -731,21 +748,30 @@ def sample_chart(
     directions: np.ndarray,
     queries: np.ndarray,
     axes: list[tuple],
+    nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample direction-indexed data at arbitrary (direction, query vector) pairs.
 
-    ``data`` has shape (n_theta, n_phi, ...) over the chart's midpoint
-    direction grid, whose size it gives, and trailing axis ``a`` holds
+    ``data`` holds samples at nodes of the geometry's midpoint direction grid
+    along its leading axes, of the shape of ``nodes``, the nodes' flat
+    indices ``ii * n_phi + jj``: by default the whole (n_theta, n_phi) chart,
+    or any set that holds ``_stencil_nodes(geometry, directions)``; a slot
+    table maps each node to its row.  Trailing axis ``a`` holds
     samples at ``origin + k * step`` for ``axes[a]`` ending in ``(origin,
     step)``: a geometry's ``detector`` (plane offsets or a line detector) or
     the frequency axes of its padded spectra.  ``queries``
     is a (..., d) array: the signed radial value (d = 1) for planes, a
     3-vector for lines.  Directions are reduced to the chart, and at every
     stencil node the query's position on axis ``a`` is its dot product with
-    the node's axis ``geometry.node_axes(ii, jj, sign)[a]``.
+    the node's axis ``geometry.node_axes(ii, jj, sign)[a]``.  Raises
+    ``ValueError`` if a query reads a node that ``nodes`` does not hold.
     """
     directions = np.asarray(directions, dtype=float)
     queries = np.asarray(queries, dtype=float)
+    nodes = _every_node(geometry) if nodes is None else nodes
+    data = data.reshape(nodes.size, *data.shape[nodes.ndim :])
+    slots = np.full(geometry.n_theta * geometry.n_phi, -1)
+    slots[nodes.ravel()] = np.arange(nodes.size)
     shape = np.broadcast_shapes(directions.shape[:-1], queries.shape[:-1])
     # a unit node axis carries no query farther than its length
     reach = float(np.sqrt(np.max(np.einsum("...i,...i->...", queries, queries), initial=0.0)))
@@ -755,14 +781,17 @@ def sample_chart(
         q = np.ascontiguousarray(np.moveaxis(_chunk(queries, index, len(shape)), -1, 0))
         acc = 0.0
         for ii, jj, sign, w in _chart_stencil(
-            _chunk(directions, index, len(shape)), *data.shape[:2], geometry.glued
+            _chunk(directions, index, len(shape)), geometry.n_theta, geometry.n_phi, geometry.glued
         ):
+            rows = slots[ii * geometry.n_phi + jj]
+            if np.any(rows < 0):
+                raise ValueError("a query reads a chart node that the data does not hold")
             # dot products with the node's axes, summed in component order
             positions = [
                 (reduce(np.add, (qc * ac for qc, ac in zip(q, axis))) - origin) / step
                 for axis, (*_, origin, step) in zip(geometry.node_axes(ii, jj, sign), axes)
             ]
-            acc = acc + w * _interp_nodes(window, ii, jj, positions)
+            acc = acc + w * _interp_nodes(window, rows, positions)
         out[index] = acc
     return out
 
@@ -824,40 +853,54 @@ def _origin_phase(n_pad: int, df: float, x0: float) -> np.ndarray:
     return np.exp(-2j * np.pi * df * (np.arange(n_pad) - n_pad // 2) * x0)
 
 
-def _padded_t_spectra(s: PlaneSinogram, pad: float) -> tuple[np.ndarray, list, list]:
-    """Per-direction offset spectra on a pad-times finer frequency axis.
+def _padded_t_spectra(
+    s: PlaneSinogram, pad: float, nodes: np.ndarray | None = None
+) -> tuple[np.ndarray, list, list]:
+    """Offset spectra of chart ``nodes`` on a pad-times finer frequency axis.
 
+    ``nodes`` holds flat chart indices ``ii * n_phi + jj``, by default every
+    node as an (n_theta, n_phi) array, and the spectra take its shape.
     Frequency index ``k`` holds ``(k - n_pad // 2) / (n_pad * dt)`` in the
     ``exp(-2 pi i tau t)`` convention of :func:`simrad.grid.dft3`.  Returns
     (spectra, ``[(first frequency, step)]``, ``[first padded offset]``).
     """
     g = s.geometry
+    nodes = _every_node(g) if nodes is None else nodes
     ((n_pad, lead, axis, t0),) = _padded_axes(g, pad)
-    data = np.zeros((g.n_theta, g.n_phi, n_pad))
-    data[:, :, lead : lead + g.n_t] = s.data
+    data = np.zeros((*nodes.shape, n_pad))
+    data[..., lead : lead + g.n_t] = s.data.reshape(-1, g.n_t)[nodes]
     spec = np.fft.fftshift(np.fft.fft(data, axis=-1), axes=-1)
     return spec * g.dt * _origin_phase(n_pad, axis[1], t0), [axis], [t0]
 
 
-def _padded_uv_spectra(s: LineSinogram, pad: float) -> tuple[np.ndarray, list, list]:
-    """Per-direction detector spectra on pad-times finer frequency axes.
+def _padded_uv_spectra(
+    s: LineSinogram, pad: float, nodes: np.ndarray | None = None
+) -> tuple[np.ndarray, list, list]:
+    """Detector spectra of chart ``nodes`` on pad-times finer frequency axes.
 
-    The 2-D analog of :func:`_padded_t_spectra`, with the same return layout.
+    The 2-D analog of :func:`_padded_t_spectra`, with the same arguments and
+    return layout.  The nodes are transformed ``n_phi`` at a time, one azimuth
+    row's worth, so the padded real images never exist for more than one chunk.
     """
     g = s.geometry
+    nodes = _every_node(g) if nodes is None else nodes
     (nu_pad, lou, u_axis, u0), (nv_pad, lov, v_axis, v0) = _padded_axes(g, pad)
     phase = (
         _origin_phase(nu_pad, u_axis[1], u0)[:, None]
         * _origin_phase(nv_pad, v_axis[1], v0)
         * (g.du * g.dv)
     )
-    spec = np.zeros((g.n_theta, g.n_phi, nu_pad, nv_pad), dtype=complex)
-    buf = np.zeros((g.n_phi, nu_pad, nv_pad))
-    for i in range(g.n_theta):
-        buf[:] = 0.0
-        buf[:, lou : lou + g.n_u, lov : lov + g.n_v] = s.data[i]
-        spec[i] = np.fft.fftshift(np.fft.fft2(buf, axes=(-2, -1)), axes=(-2, -1)) * phase
-    return spec, [u_axis, v_axis], [u0, v0]
+    images = s.data.reshape(-1, g.n_u, g.n_v)
+    flat = nodes.ravel()
+    spec = np.empty((flat.size, nu_pad, nv_pad), dtype=complex)
+    for c0 in range(0, flat.size, g.n_phi):
+        chunk = flat[c0 : c0 + g.n_phi]
+        buf = np.zeros((chunk.size, nu_pad, nv_pad))
+        buf[:, lou : lou + g.n_u, lov : lov + g.n_v] = images[chunk]
+        spec[c0 : c0 + chunk.size] = (
+            np.fft.fftshift(np.fft.fft2(buf, axes=(-2, -1)), axes=(-2, -1)) * phase
+        )
+    return spec.reshape(*nodes.shape, nu_pad, nv_pad), [u_axis, v_axis], [u0, v0]
 
 
 def _padded_spectrum(v: Volume, n_pad: int) -> Spectrum3D:

@@ -14,10 +14,12 @@ import simrad.invert as invert
 from simrad.errors import InsufficientCoverage, LatticeTooCoarse, NotAdmissible
 from simrad.filters import MultiplierSpec, apply_multiplier
 from simrad.grid import (
+    Spectrum3D,
     Volume,
     apply_pi,
     gaussian_mixture_phantom,
     gaussian_phantom,
+    idft3,
     l2_norm,
     log_wavelet,
 )
@@ -30,12 +32,15 @@ from simrad.group import (
     random_rotation,
 )
 from simrad.invert import (
+    COVERAGE_TOL,
     FRAME_MAX_ITER,
     FRAME_RESIDUAL_TOL,
     LINE_CORRELATION_PAD,
     PLANE_CORRELATION_PAD,
+    SPLAT_WEIGHT_FLOOR,
     GroupLattice,
     _LatticeFrame,
+    _default_band_limit,
     _dual_frame_solve,
     _line_coefficients,
     _padded_t_spectra,
@@ -53,6 +58,7 @@ from simrad.verify import VerifyConfig, run_all
 from simrad.xform import (
     LineGeometry,
     PlaneGeometry,
+    PlaneSinogram,
     radon_plane,
     sample_chart,
     sinogram_inner,
@@ -128,6 +134,10 @@ COEF_REFERENCE_TOL = 1e-12
 # finest lattice (ladder level 2); measured 57 MiB, 65 MiB for the per-node
 # resampling it replaced.
 PLANE_COEF_PEAK_MIB = 80
+# tracemalloc peak of line direct Fourier inversion at the demo sizes (N=48,
+# h=0.2, 24x24 directions, 48x48 detector); measured 23 MiB, 129 MiB when the
+# spectra of every chart direction were built and windowed.
+LINE_DF_PEAK_MIB = 40
 
 CENTER = np.array([0.4, -0.3, 0.2])
 PLANE16 = PlaneGeometry(16, 16, 65, 4.8)
@@ -325,6 +335,83 @@ def test_direct_fourier_insufficient_coverage(volume):
     sparse = radon_plane(volume, PlaneGeometry(6, 6, 65, 4.8))
     with pytest.raises(InsufficientCoverage):
         invert_direct_fourier(sparse, 32, 0.3, band_limit=1.5)
+
+
+def test_direct_fourier_insufficient_coverage_near_the_tolerance():
+    # Coverage well above one half but short of 1 - COVERAGE_TOL: only the
+    # tolerance itself decides that the route refuses.
+    g = PlaneGeometry(8, 8, 33, 6.0)
+    n, spacing = 24, 0.3
+    freq_spacing = 1.0 / (n * spacing)
+    band = 1.3 * _default_band_limit(g.dtheta, g.dphi, freq_spacing)
+    axis = (np.arange(n) - n // 2) * freq_spacing
+    W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    in_band = np.linalg.norm(W, axis=-1) <= band
+    hit = _splat_coverage(g, freq_spacing, n).reshape(-1) > SPLAT_WEIGHT_FLOOR
+    covered = np.count_nonzero(in_band & hit) / np.count_nonzero(in_band)
+    assert 0.9 < covered < 1.0 - COVERAGE_TOL
+    with pytest.raises(InsufficientCoverage):
+        invert_direct_fourier(PlaneSinogram(np.zeros(g.shape), g), n, spacing, band_limit=band)
+
+
+def _full_chart_direct_fourier(s, n, spacing, band_limit):
+    # The direct Fourier route as it ran on the spectra of every chart node,
+    # read through the sampler's default (whole-chart) node set.
+    geom = s.geometry
+    freq_spacing = 1.0 / (n * spacing)
+    axis = (np.arange(n) - n // 2) * freq_spacing
+    W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    mag = np.linalg.norm(W, axis=-1)
+    in_band = mag <= band_limit
+    hit = _splat_coverage(geom, freq_spacing, n).reshape(-1) > SPLAT_WEIGHT_FLOOR
+    covered = float(np.count_nonzero(in_band & hit)) / float(np.count_nonzero(in_band))
+    spectra = _padded_t_spectra if geom.kind == "plane" else _padded_uv_spectra
+    spec, axes, _ = spectra(s, geom.spectral_pad)
+    assert spec.shape[:2] == (geom.n_theta, geom.n_phi)
+    grid = np.zeros(n**3, dtype=complex)
+    dirs, queries = geom.slice_query(W[in_band], mag[in_band])
+    grid[in_band] = sample_chart(spec, geom, dirs, queries, axes)
+    origin = -(n // 2) * spacing * np.ones(3)
+    recon = idft3(Spectrum3D(grid.reshape(n, n, n), freq_spacing, spacing, origin))
+    return recon, covered, W[in_band], dirs
+
+
+def test_direct_fourier_matches_full_chart_gather(volume, monkeypatch):
+    # The route transforms and windows only the chart nodes its stencil
+    # reads; the volume and the covered fraction must be those of the gather
+    # from every node's spectrum, bit for bit.  The line queries take both
+    # branches of slice_query (ref = x near the z axis) and wrap across both
+    # azimuth edges at the wider band; line queries lie at polar angles within
+    # [64, 116] degrees, so the pole wraps are reached by the plane route,
+    # which takes the same path.
+    line = xray(volume, LineGeometry(9, 7, 32, 30, 4.8))
+    plane = radon_plane(volume, PlaneGeometry(9, 7, 33, 4.8))
+    n, spacing = 24, 0.4
+    default = _default_band_limit(np.pi / 9, np.pi / 7, 1.0 / (n * spacing))
+    held = []
+    uv_spectra = invert._padded_uv_spectra
+
+    def spy(s, pad, nodes=None):
+        held.append(nodes.size)
+        return uv_spectra(s, pad, nodes)
+
+    monkeypatch.setattr(invert, "_padded_uv_spectra", spy)
+    for s, band in ((line, None), (line, 1.6 * default), (plane, None)):
+        geom = s.geometry
+        rec, cov = invert_direct_fourier(s, n, spacing, band_limit=band)
+        assert (band is None) == (cov.band_limit == default)
+        want, covered, W, dirs = _full_chart_direct_fourier(s, n, spacing, cov.band_limit)
+        assert rec.data.tobytes() == want.data.tobytes()
+        assert float(cov.covered_fraction).hex() == covered.hex()
+        theta, phi, _ = canonicalize_directions(dirs)
+        ci, cj = theta / geom.dtheta - 0.5, phi / geom.dphi - 0.5
+        if geom.kind == "line":
+            assert np.any(np.abs(W[:, 2]) >= 0.9 * np.linalg.norm(W, axis=-1))
+            assert np.any(ci < 0.0)
+            assert band is None or np.any(ci > geom.n_theta - 1)
+            assert 0 < held.pop() < geom.n_theta * geom.n_phi
+        else:
+            assert np.any((cj < 0.0) | (cj > geom.n_phi - 1))
 
 
 def _masked_coverage(geometry, freq_spacing, n):
@@ -759,3 +846,16 @@ def test_plane_coefficients_peak_memory(plane_sino_full, plane_template_full):
     finally:
         tracemalloc.stop()
     assert peak <= PLANE_COEF_PEAK_MIB * 2**20
+
+
+def test_line_direct_fourier_peak_memory():
+    # the demo sizes: spectra and window hold only the stencil's nodes
+    n, spacing = 48, 0.2
+    s = xray(gaussian_phantom(n, spacing), LineGeometry(24, 24, 48, 48, 4.8))
+    tracemalloc.start()
+    try:
+        invert_direct_fourier(s, n, spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LINE_DF_PEAK_MIB * 2**20

@@ -34,6 +34,7 @@ from simrad.xform import (
     _padded_spectrum,
     _padded_t_spectra,
     _padded_uv_spectra,
+    _stencil_nodes,
     backproject_plane,
     fourier_slice,
     line_integral,
@@ -539,6 +540,46 @@ def _check_samplers_against_masked(plane_sinogram, line_sinogram):
     row_dirs = dirs[:8, None, None, None, :]
     want = _masked_line_images(images, lg, row_dirs, vectors, *origins)
     assert np.array_equal(sample_chart(images, lg, row_dirs, vectors, axes), want)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(96, 96), (128, 128), (132,), (388,), (516,)],
+    ids=["uv96", "uv128", "t132", "t388", "t516"],
+)
+def test_batched_fft_equals_per_slice_fft_bitwise(shape):
+    # Direct Fourier inversion transforms only the chart nodes its stencil
+    # reads, in batches that differ from the whole chart's: each node's
+    # spectrum must not depend on the batch it is transformed in.  The sizes
+    # are the padded line detectors of the demo and acceptance sizes (48 and
+    # 64 at pad 2) and the padded offset axes of 33, 97 and 129 offsets at pad 4.
+    data = np.random.default_rng(5).standard_normal((7, *shape))
+    fft = np.fft.fft2 if len(shape) == 2 else np.fft.fft  # over the trailing axes
+    batch = fft(data)
+    for k in range(len(data)):
+        assert batch[k].tobytes() == fft(data[k]).tobytes()
+    subset = [5, 0, 3]
+    assert fft(data[subset]).tobytes() == batch[subset].tobytes()
+
+
+def test_sampler_reads_a_node_subset_through_its_slot_table(line_sinogram):
+    # Directions next to both poles and both azimuth edges of the chart, and
+    # random ones: the data of the nodes their stencil reads, in any order,
+    # gives the whole chart's bits, and data without one of them is refused.
+    g = line_sinogram.geometry
+    rng = np.random.default_rng(3)
+    edges = [[0.02, 0.01, 1.0], [0.01, 0.03, -1.0], [1.0, 0.01, 0.3], [-1.0, 0.01, -0.2]]
+    dirs = np.concatenate([edges, rng.standard_normal((40, 3))])
+    vectors = rng.uniform(-g.u_max, g.u_max, (len(dirs), 3))
+    axes = g.detector
+    want = sample_chart(line_sinogram.data, g, dirs, vectors, axes)
+    nodes = _stencil_nodes(g, dirs)
+    assert len(nodes) < g.n_theta * g.n_phi
+    nodes = rng.permutation(nodes)
+    rows = line_sinogram.data.reshape(-1, g.n_u, g.n_v)[nodes]
+    assert sample_chart(rows, g, dirs, vectors, axes, nodes).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="does not hold"):
+        sample_chart(rows[1:], g, dirs, vectors, axes, nodes[1:])
 
 
 @pytest.mark.parametrize("pad", [1, 1.5, 2, 4])
