@@ -126,25 +126,36 @@ class Spectrum3D:
         return (np.arange(n) - n // 2) * self.freq_spacing
 
 
-def _origin_phase(n: int, freq_spacing: float, origin: np.ndarray, sign: float) -> list[np.ndarray]:
-    k = np.arange(n) - n // 2
-    return [np.exp(sign * 2j * np.pi * freq_spacing * k * origin[axis]) for axis in range(3)]
+def _origin_phase(n: int, freq_spacing: float, x0: float, sign: float = -1.0) -> np.ndarray:
+    """``exp(sign 2 pi i w_k x0)`` on the centered axis ``w_k = (k - n // 2) * freq_spacing``."""
+    return np.exp(sign * 2j * np.pi * freq_spacing * (np.arange(n) - n // 2) * x0)
+
+
+def _centered_dft(data: np.ndarray, axes: list[tuple[float, float]], cell: float) -> np.ndarray:
+    """``fftshift(fftn(data)) * cell`` over the ``len(axes)`` trailing axes, then times
+    each one's origin phase in axis order; ``axes[a]`` is (frequency step, first sample)."""
+    trailing = tuple(range(-len(axes), 0))
+    spec = np.fft.fftshift(np.fft.fftn(data, axes=trailing), axes=trailing) * cell
+    for a, (df, x0) in zip(trailing, axes):
+        n = data.shape[a]
+        spec = spec * _origin_phase(n, df, x0).reshape(n, *(1,) * (-a - 1))
+    return spec
 
 
 def dft3(v: Volume) -> Spectrum3D:
-    """Unitary-convention Fourier transform ``h^3 sum f(x) exp(-2 pi i w . x)``."""
-    n = v.n
-    dfreq = 1.0 / (n * v.spacing)
-    spec = np.fft.fftshift(np.fft.fftn(v.data))
-    px, py, pz = _origin_phase(n, dfreq, v.origin, -1.0)
-    spec = spec * (v.spacing**3) * px[:, None, None] * py[None, :, None] * pz[None, None, :]
+    """Unitary-convention Fourier transform ``h^3 sum f(x) exp(-2 pi i w . x)``.
+
+    Its centered-DFT formula (``_centered_dft``) also gives the padded sinogram spectra.
+    """
+    dfreq = 1.0 / (v.n * v.spacing)
+    spec = _centered_dft(v.data, [(dfreq, x0) for x0 in v.origin], v.spacing**3)
     return Spectrum3D(spec, dfreq, v.spacing, v.origin)
 
 
 def idft3(s: Spectrum3D) -> Volume:
     """Inverse of :func:`dft3`; returns the real part of the reconstruction."""
     n = s.n
-    px, py, pz = _origin_phase(n, s.freq_spacing, s.spatial_origin, +1.0)
+    px, py, pz = (_origin_phase(n, s.freq_spacing, x0, +1.0) for x0 in s.spatial_origin)
     spec = s.data * px[:, None, None] * py[None, :, None] * pz[None, None, :]
     spec /= s.spatial_spacing**3
     data = np.fft.ifftn(np.fft.ifftshift(spec))

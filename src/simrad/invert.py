@@ -36,13 +36,13 @@ route to the same wavelet coefficients (used to cross-check the FFT path).
 
 The routes read what differs by kind (unitarization power, scale
 characters, detector axes, projection-slice points and their inverse, the
-direct-Fourier padding) from the sinogram's geometry.  The four steps whose
-math differs (the forward transform, the padded sinogram spectra, the
-pi-hat action and the frame coefficients) are selected in one place for the
-whole package, :func:`kind_steps`.  It lives here because this is the one
-module that can import every kind-specific step; the command line and the
-verification checks take their forward transforms from it too, and the
-Fourier-slice check its spectra.
+direct-Fourier padding) from the sinogram's geometry, and take the padded
+sinogram spectra of either kind from one step, ``_padded_spectra``.  The
+three steps whose math differs (the forward transform, the pi-hat action
+and the frame coefficients) are selected in one place for the whole
+package, :func:`kind_steps`.  It lives here because this is the one module
+that can import every kind-specific step; the command line and the
+verification checks take their forward transforms from it too.
 
 Only the wavelet route needs scipy, and it imports it where it is used
 (``_interp_matrix``, ``_plane_coefficients`` and ``_LatticeFrame``), so
@@ -71,9 +71,8 @@ from .xform import (
     Sinogram,
     _chart_stencil,
     _detector_points,
+    _padded_spectra,
     _padded_spectrum,
-    _padded_t_spectra,
-    _padded_uv_spectra,
     _stencil_nodes,
     backproject_plane,
     radon_plane,
@@ -276,7 +275,7 @@ def invert_direct_fourier(
     grid = np.zeros(n * n * n, dtype=complex)
     dirs, queries = geom.slice_query(W[in_band], mag[in_band])
     nodes = _stencil_nodes(geom, dirs)
-    spec, axes, _ = kind_steps(geom).spectra(s, geom.spectral_pad, nodes)
+    spec, axes, _ = _padded_spectra(s, geom.spectral_pad, nodes)
     grid[in_band] = sample_chart(spec, geom, dirs, queries, axes, nodes)
     grid = grid.reshape(n, n, n)
     origin = -(n // 2) * spacing * np.ones(3)
@@ -451,8 +450,8 @@ def _plane_coefficients(
 
     geom = s.geometry
     n_dir = geom.n_theta * geom.n_phi
-    shat, [(tau0, dtau)], [t0] = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
-    psihat, *_ = _padded_t_spectra(template, PLANE_CORRELATION_PAD)
+    shat, [(tau0, dtau)], [t0] = _padded_spectra(s, PLANE_CORRELATION_PAD)
+    psihat, *_ = _padded_spectra(template, PLANE_CORRELATION_PAD)
     n_pad = shat.shape[-1]
     # frequencies in FFT order, so no correlation needs a shift of its own
     taus = np.fft.ifftshift((np.arange(n_pad) - n_pad // 2) * dtau)
@@ -500,8 +499,8 @@ def _line_coefficients(
     reads it in its own detector frame; the shift sampling is one matrix.
     """
     geom = s.geometry
-    shat, axes, origins = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
-    psihat, *_ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
+    shat, axes, origins = _padded_spectra(s, LINE_CORRELATION_PAD)
+    psihat, *_ = _padded_spectra(template, LINE_CORRELATION_PAD)
     nu_u, nu_v = ((np.arange(n) - n // 2) * step for n, (_, step) in zip(shat.shape[-2:], axes))
     u0, v0 = origins
     phase0 = np.exp(2j * np.pi * nu_u * u0)[:, None] * np.exp(2j * np.pi * nu_v * v0)
@@ -761,10 +760,9 @@ def invert_wavelet(
 
 
 class KindSteps(NamedTuple):
-    """The steps that differ between plane and line data."""
+    """The steps whose math differs between plane and line data; the spectra are one step."""
 
     forward: Callable  # volume -> sinogram
-    spectra: Callable  # sinogram, pad[, chart nodes] -> zero-padded per-node spectra
     pi_hat: Callable  # label-space group action
     coefficients: Callable  # wavelet frame coefficients
 
@@ -777,5 +775,5 @@ def kind_steps(geometry: DirectionChart) -> KindSteps:
     (as the benchmark's tracer does) reaches every caller.
     """
     if geometry.kind == "plane":
-        return KindSteps(radon_plane, _padded_t_spectra, apply_pi_hat_plane, _plane_coefficients)
-    return KindSteps(xray, _padded_uv_spectra, apply_pi_hat_line, _line_coefficients)
+        return KindSteps(radon_plane, apply_pi_hat_plane, _plane_coefficients)
+    return KindSteps(xray, apply_pi_hat_line, _line_coefficients)

@@ -30,6 +30,7 @@ import os
 
 import numpy as np
 
+from .errors import GeometryMismatch
 from .grid import Volume
 from .xform import GEOMETRY_KINDS, Sinogram
 
@@ -133,7 +134,11 @@ def read_volume(path: str) -> Volume:
 
 
 def write_sinogram(path: str, s: Sinogram) -> None:
+    """Write ``s`` as ``.sgm``; refuses, leaving no file, a geometry that would read back
+    as another (one of a type other than its kind's, like an unglued chart)."""
     g = s.geometry
+    if type(g) is not GEOMETRY_KINDS[g.kind]:
+        raise GeometryMismatch(f"a {type(g).__name__} would read back as another geometry")
     # the keys DirectionChart.from_keys reads; floats at 9 significant digits
     keyed = [
         (f.name.replace("_", ""), getattr(g, f.name), ".9g" if isinstance(f.default, float) else "")
@@ -142,8 +147,9 @@ def write_sinogram(path: str, s: Sinogram) -> None:
     text = f"{SGM_MAGIC} {FORMAT_VERSION} kind={g.kind} " + " ".join(
         f"{key}={value:{spec}}" for key, value, spec in keyed
     )
+    header = _pack_header(text, SGM_HEADER_BYTES)  # before a refusal can leave a file
     with open(path, "wb") as fh:
-        fh.write(_pack_header(text, SGM_HEADER_BYTES))
+        fh.write(header)
         np.ascontiguousarray(s.data, dtype="<f8").tofile(fh)
 
 

@@ -36,6 +36,7 @@ from .xform import (
     PlaneGeometry,
     PlaneSinogram,
     Sinogram,
+    _padded_spectra,
     _padded_spectrum,
     fourier_slice,
     plane_integral,
@@ -183,7 +184,7 @@ def check_fourier_slice(sinogram: Sinogram, spectrum: Spectrum3D) -> ReportEntry
     """
     geometry = sinogram.geometry
     kind = geometry.kind
-    sino_side, *_ = kind_steps(geometry).spectra(sinogram, 1)
+    sino_side, *_ = _padded_spectra(sinogram, 1)
     vol_side = fourier_slice(spectrum, geometry)
     ref = np.linalg.norm(vol_side)
     if ref == 0.0:

@@ -43,9 +43,9 @@ planes, the frame axes e1 and e2 for lines), so both projectors are one
 ``_project`` call.  It owns the projection-slice map too:
 ``slice_frequencies`` places the detector spectra in 3-D, and
 ``slice_query`` names the direction and query that read a 3-D frequency.
-Where the math does differ (the padded sinogram spectra), this module holds
-both versions, and :func:`simrad.invert.kind_steps` is the one place that
-selects between them.
+The padded detector spectra of both kinds are one step too
+(``_padded_spectra``): each is a slice of the volume's 3-D spectrum, taken
+over the detector axes with :func:`simrad.grid.dft3`'s centered-DFT formula.
 
 ``sample_chart`` evaluates direction-indexed profiles or detector images
 (sinograms or their spectra) at arbitrary (direction, query) pairs by
@@ -85,7 +85,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import GeometryMismatch
-from .grid import Spectrum3D, Volume, _trilinear, dft3, resample
+from .grid import Spectrum3D, Volume, _centered_dft, _trilinear, dft3, resample
 from .group import (
     CharacterSet,
     LineLabel,
@@ -848,59 +848,33 @@ def _padded_axes(g: DirectionChart, pad: float) -> list[tuple]:
     return out
 
 
-def _origin_phase(n_pad: int, df: float, x0: float) -> np.ndarray:
-    """Phase that moves a padded spectrum's origin from the first padded sample ``x0`` to 0."""
-    return np.exp(-2j * np.pi * df * (np.arange(n_pad) - n_pad // 2) * x0)
-
-
-def _padded_t_spectra(
-    s: PlaneSinogram, pad: float, nodes: np.ndarray | None = None
-) -> tuple[np.ndarray, list, list]:
-    """Offset spectra of chart ``nodes`` on a pad-times finer frequency axis.
-
-    ``nodes`` holds flat chart indices ``ii * n_phi + jj``, by default every
-    node as an (n_theta, n_phi) array, and the spectra take its shape.
-    Frequency index ``k`` holds ``(k - n_pad // 2) / (n_pad * dt)`` in the
-    ``exp(-2 pi i tau t)`` convention of :func:`simrad.grid.dft3`.  Returns
-    (spectra, ``[(first frequency, step)]``, ``[first padded offset]``).
-    """
-    g = s.geometry
-    nodes = _every_node(g) if nodes is None else nodes
-    ((n_pad, lead, axis, t0),) = _padded_axes(g, pad)
-    data = np.zeros((*nodes.shape, n_pad))
-    data[..., lead : lead + g.n_t] = s.data.reshape(-1, g.n_t)[nodes]
-    spec = np.fft.fftshift(np.fft.fft(data, axis=-1), axes=-1)
-    return spec * g.dt * _origin_phase(n_pad, axis[1], t0), [axis], [t0]
-
-
-def _padded_uv_spectra(
-    s: LineSinogram, pad: float, nodes: np.ndarray | None = None
-) -> tuple[np.ndarray, list, list]:
+def _padded_spectra(s: Sinogram, pad: float, nodes: np.ndarray | None = None) -> tuple:
     """Detector spectra of chart ``nodes`` on pad-times finer frequency axes.
 
-    The 2-D analog of :func:`_padded_t_spectra`, with the same arguments and
-    return layout.  The nodes are transformed ``n_phi`` at a time, one azimuth
-    row's worth, so the padded real images never exist for more than one chunk.
+    ``nodes`` holds flat chart indices ``ii * n_phi + jj``, by default every
+    node as an (n_theta, n_phi) array, and the spectra take its shape
+    followed by the padded detector axes.  Frequency index ``k`` of an axis
+    holds ``(k - n_pad // 2) / (n_pad * step)`` in the convention of
+    :func:`simrad.grid.dft3`.  The nodes are transformed ``n_phi`` at a time,
+    one azimuth row's worth, so the padded real images never exist for more
+    than one chunk.  Returns the spectra and, per detector axis, ``(first
+    frequency, step)`` and the first padded sample.
     """
     g = s.geometry
     nodes = _every_node(g) if nodes is None else nodes
-    (nu_pad, lou, u_axis, u0), (nv_pad, lov, v_axis, v0) = _padded_axes(g, pad)
-    phase = (
-        _origin_phase(nu_pad, u_axis[1], u0)[:, None]
-        * _origin_phase(nv_pad, v_axis[1], v0)
-        * (g.du * g.dv)
-    )
-    images = s.data.reshape(-1, g.n_u, g.n_v)
+    shape, leads, axes, origins = zip(*_padded_axes(g, pad))
+    window = tuple(slice(lead, lead + n) for lead, (n, *_) in zip(leads, g.detector))
+    steps = [(df, x0) for (_, df), x0 in zip(axes, origins)]
+    cell = np.prod([step for *_, step in g.detector])
+    images = s.data.reshape(-1, *g.shape[2:])
     flat = nodes.ravel()
-    spec = np.empty((flat.size, nu_pad, nv_pad), dtype=complex)
+    spec = np.empty((flat.size, *shape), dtype=complex)
     for c0 in range(0, flat.size, g.n_phi):
         chunk = flat[c0 : c0 + g.n_phi]
-        buf = np.zeros((chunk.size, nu_pad, nv_pad))
-        buf[:, lou : lou + g.n_u, lov : lov + g.n_v] = images[chunk]
-        spec[c0 : c0 + chunk.size] = (
-            np.fft.fftshift(np.fft.fft2(buf, axes=(-2, -1)), axes=(-2, -1)) * phase
-        )
-    return spec.reshape(*nodes.shape, nu_pad, nv_pad), [u_axis, v_axis], [u0, v0]
+        buf = np.zeros((chunk.size, *shape))
+        buf[(slice(None), *window)] = images[chunk]
+        spec[c0 : c0 + chunk.size] = _centered_dft(buf, steps, cell)
+    return spec.reshape(*nodes.shape, *shape), axes, origins
 
 
 def _padded_spectrum(v: Volume, n_pad: int) -> Spectrum3D:

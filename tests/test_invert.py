@@ -43,8 +43,7 @@ from simrad.invert import (
     _default_band_limit,
     _dual_frame_solve,
     _line_coefficients,
-    _padded_t_spectra,
-    _padded_uv_spectra,
+    _padded_spectra,
     _plane_coefficients,
     _splat_coverage,
     apply_pi_hat,
@@ -365,8 +364,7 @@ def _full_chart_direct_fourier(s, n, spacing, band_limit):
     in_band = mag <= band_limit
     hit = _splat_coverage(geom, freq_spacing, n).reshape(-1) > SPLAT_WEIGHT_FLOOR
     covered = float(np.count_nonzero(in_band & hit)) / float(np.count_nonzero(in_band))
-    spectra = _padded_t_spectra if geom.kind == "plane" else _padded_uv_spectra
-    spec, axes, _ = spectra(s, geom.spectral_pad)
+    spec, axes, _ = _padded_spectra(s, geom.spectral_pad)
     assert spec.shape[:2] == (geom.n_theta, geom.n_phi)
     grid = np.zeros(n**3, dtype=complex)
     dirs, queries = geom.slice_query(W[in_band], mag[in_band])
@@ -389,13 +387,13 @@ def test_direct_fourier_matches_full_chart_gather(volume, monkeypatch):
     n, spacing = 24, 0.4
     default = _default_band_limit(np.pi / 9, np.pi / 7, 1.0 / (n * spacing))
     held = []
-    uv_spectra = invert._padded_uv_spectra
+    spectra = invert._padded_spectra
 
     def spy(s, pad, nodes=None):
         held.append(nodes.size)
-        return uv_spectra(s, pad, nodes)
+        return spectra(s, pad, nodes)
 
-    monkeypatch.setattr(invert, "_padded_uv_spectra", spy)
+    monkeypatch.setattr(invert, "_padded_spectra", spy)
     for s, band in ((line, None), (line, 1.6 * default), (plane, None)):
         geom = s.geometry
         rec, cov = invert_direct_fourier(s, n, spacing, band_limit=band)
@@ -756,8 +754,8 @@ def _reference_plane_coefficients(s, template, lattice):
     """Per (rotation, scale) node: resample the dilated template spectrum, one
     inverse FFT per direction, periodic linear lookup at ``n . b``."""
     geom = s.geometry
-    shat, [(_, dtau)], [t0] = _padded_t_spectra(s, PLANE_CORRELATION_PAD)
-    psihat, _, _ = _padded_t_spectra(template, PLANE_CORRELATION_PAD)
+    shat, [(_, dtau)], [t0] = _padded_spectra(s, PLANE_CORRELATION_PAD)
+    psihat, _, _ = _padded_spectra(template, PLANE_CORRELATION_PAD)
     n_pad = shat.shape[-1]
     taus = (np.arange(n_pad) - n_pad // 2) * dtau
     phase0 = np.exp(2j * np.pi * taus * t0)
@@ -782,8 +780,8 @@ def _reference_plane_coefficients(s, template, lattice):
 
 def _reference_line_coefficients(s, template, lattice):
     geom = s.geometry
-    shat, [(_, dnu), (_, dnv)], [u0, v0] = _padded_uv_spectra(s, LINE_CORRELATION_PAD)
-    psihat, _, _ = _padded_uv_spectra(template, LINE_CORRELATION_PAD)
+    shat, [(_, dnu), (_, dnv)], [u0, v0] = _padded_spectra(s, LINE_CORRELATION_PAD)
+    psihat, _, _ = _padded_spectra(template, LINE_CORRELATION_PAD)
     nu_pad, nv_pad = shat.shape[-2], shat.shape[-1]
     nu_u = (np.arange(nu_pad) - nu_pad // 2) * dnu
     nu_v = (np.arange(nv_pad) - nv_pad // 2) * dnv

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import simrad
 from simrad import cli
-from simrad.errors import SimradError
+from simrad.errors import GeometryMismatch, SimradError
 from simrad.grid import Volume, gaussian_phantom
 from simrad.io import (
     READ_SLAB_BYTES,
@@ -26,7 +26,7 @@ from simrad.io import (
     write_sinogram,
     write_volume,
 )
-from simrad.verify import standard_intertwining_sweep
+from simrad.verify import smooth_doubled_field, standard_intertwining_sweep
 from simrad.xform import LineGeometry, LineSinogram, PlaneGeometry, PlaneSinogram
 
 # Reconstruction-quality thresholds for the pipeline smoke runs.  These are
@@ -151,6 +151,18 @@ def test_line_sinogram_roundtrip(tmp_path):
     assert np.array_equal(r.data, s.data)
     header = path.read_bytes()[:SGM_HEADER_BYTES].decode("ascii")
     assert header.startswith("SIMRAD-SGM v1 kind=line ntheta=4 nphi=4 nu=6 nv=5")
+
+
+def test_write_sinogram_refuses_a_geometry_its_header_cannot_name(tmp_path):
+    # The evenness check's doubled sphere holds 2 n_theta azimuth rows over
+    # [0, 2 pi); a plane header would read it back as a glued chart with half
+    # its azimuth step.
+    s = smooth_doubled_field(PlaneGeometry(4, 5, 9, 2.0))
+    assert not s.geometry.glued
+    path = tmp_path / "s.sgm"
+    with pytest.raises(GeometryMismatch):
+        write_sinogram(path, s)
+    assert not path.exists()
 
 
 def _write_raw(path, text: str, size: int, payload: bytes = b"") -> None:

@@ -209,6 +209,15 @@ def test_fourier_slice_check_structural():
         assert entry.passed == (entry.residual <= SLICE_TOL)
 
 
+def test_slice_pad_factor_keeps_the_slice_check_well_inside_its_tolerance():
+    # At the verify workload's sizes both residuals read about 2.5e-3 at pad 4
+    # and 1e-2 at pad 2, so pad 2 would sit on the tolerance and pass or fail
+    # by rounding.
+    report = run_all(replace(VERIFY_SIZES, checks=("fourier_slice",)))
+    assert [e.name for e in report.entries] == ["fourier_slice_plane", "fourier_slice_line"]
+    assert all(e.residual <= SLICE_TOL / 2 for e in report.entries)
+
+
 def test_isometry_check_passes_at_coarse_scale(coarse_report):
     by_name = {e.name: e for e in coarse_report.entries}
     for kind in ("plane", "line"):

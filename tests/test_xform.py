@@ -31,9 +31,8 @@ from simrad.xform import (
     PlaneSinogram,
     _active_voxels,
     _chart_stencil,
+    _padded_spectra,
     _padded_spectrum,
-    _padded_t_spectra,
-    _padded_uv_spectra,
     _stencil_nodes,
     backproject_plane,
     fourier_slice,
@@ -56,8 +55,9 @@ XRAY_ORACLE_TOL = 4e-3
 # O(h^2 f'') bias ~1.6e-2; it is the *independent cross-check*, not the
 # production path, and only its self-consistency is held to 1e-6 elsewhere.
 DIRECT_QUADRATURE_TOL = 3e-2
-# Sinogram-norm and t-spectrum oracles inherit the direction-quadrature error
-# of the 16x16 midpoint rule, measured ~1.6e-3.
+# Sinogram-norm and detector-spectrum oracles inherit the direction-quadrature
+# error of the 16x16 midpoint rule, measured ~1.6e-3; the spectra read 1.2e-3
+# (planes) and 1.3e-3 (lines) at their direct-Fourier pads.
 MEASURE_ORACLE_TOL = 5e-3
 SPECTRUM_ORACLE_TOL = 5e-3
 # Spectrum interpolation on a pad-2 grid leaves ~9e-3 of phase error for the
@@ -586,11 +586,8 @@ def test_sampler_reads_a_node_subset_through_its_slot_table(line_sinogram):
 def test_spectra_axes_start_at_the_padded_first_frequency(pad):
     pg = PlaneGeometry(4, 4, 33, 4.8)
     lg = LineGeometry(4, 4, 15, 16, 4.8)
-    for spectra, s in (
-        (_padded_t_spectra, PlaneSinogram(np.zeros(pg.shape), pg)),
-        (_padded_uv_spectra, LineSinogram(np.zeros(lg.shape), lg)),
-    ):
-        spec, axes, origins = spectra(s, pad)
+    for s in (PlaneSinogram(np.zeros(pg.shape), pg), LineSinogram(np.zeros(lg.shape), lg)):
+        spec, axes, origins = _padded_spectra(s, pad)
         detector = s.geometry.detector
         assert len(axes) == len(origins) == len(detector)
         for n_pad, (first, step), x0, (n, origin, pitch) in zip(
@@ -602,15 +599,23 @@ def test_spectra_axes_start_at_the_padded_first_frequency(pad):
             assert x0 == origin - (n_pad - n) // 2 * pitch
 
 
-def test_t_spectra_convention_oracle(plane_sinogram, plane_geometry):
-    g = plane_geometry
-    dtau = 1.0 / (g.n_t * g.dt)
-    taus = (np.arange(g.n_t) - g.n_t // 2) * dtau
-    nc = g.normals @ CENTER
-    oracle = np.exp(-np.pi * taus[None, None, :] ** 2) * np.exp(
-        -2j * np.pi * taus[None, None, :] * nc[:, :, None]
-    )
-    spec, _, _ = _padded_t_spectra(plane_sinogram, 1)
+@pytest.mark.parametrize("kind", ["plane", "line"])
+def test_padded_spectra_convention_oracle(kind, request):
+    # Along a detector axis of unit vector d the unit Gaussian at CENTER has
+    # spectrum exp(-pi nu^2) exp(-2 pi i nu d . CENTER), and the detector
+    # spectrum is the product over its axes: (n . CENTER) for planes,
+    # (e1 . CENTER, e2 . CENTER) for lines.
+    s = request.getfixturevalue(f"{kind}_sinogram")
+    g = s.geometry
+    spec, _, _ = _padded_spectra(s, g.spectral_pad)
+    oracle = 1.0
+    for a, ((n, _, step), d) in enumerate(zip(g.detector, g.detector_directions)):
+        n_pad = int(round(g.spectral_pad * n))
+        nu = (np.arange(n_pad) - n_pad // 2) / (n_pad * step)
+        nu = nu.reshape(n_pad, *(1,) * (len(g.detector) - 1 - a))
+        c = (d @ CENTER).reshape(g.n_theta, g.n_phi, *(1,) * len(g.detector))
+        oracle = oracle * np.exp(-np.pi * nu**2) * np.exp(-2j * np.pi * nu * c)
+    assert spec.shape == oracle.shape
     assert np.max(np.abs(spec - oracle)) <= SPECTRUM_ORACLE_TOL
 
 
@@ -628,7 +633,7 @@ def test_fourier_slice_plane_oracle(volume, plane_geometry):
 
 def test_fourier_slice_matches_line_spectra(volume, line_sinogram, line_geometry):
     # Cross-path agreement in relative L2, the projection-slice property.
-    measured, *_ = _padded_uv_spectra(line_sinogram, 1)
+    measured, *_ = _padded_spectra(line_sinogram, 1)
     sliced = fourier_slice(_padded_spectrum(volume, 4 * volume.n), line_geometry)
     rel = np.linalg.norm((measured - sliced).ravel()) / np.linalg.norm(sliced.ravel())
     assert rel <= SLICE_ORACLE_TOL
