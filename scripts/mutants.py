@@ -170,6 +170,30 @@ MUTANTS = (
         "if False:",
         ("tests/test_io_cli.py::test_write_sinogram_refuses_a_geometry_its_header_cannot_name",),
     ),
+    Mutant(
+        "resample_outside_mask_dropped",
+        "src/simrad/grid.py",
+        "np.where(inside, gathered, 0.0)",
+        "gathered",
+        ("tests/test_grid.py::test_resample_zero_outside",),
+    ),
+    Mutant(
+        "linear_floor_clamp_one_cell_high",
+        "src/simrad/grid.py",
+        "np.clip(cell, lo, lo + m - 2)",
+        "np.clip(cell, lo, lo + m - 1)",
+        (
+            "tests/test_xform.py::test_interp_nodes_matches_parent_interpolators",
+            "tests/test_invert.py::test_coverage_splat_matches_masked_bincount",
+        ),
+    ),
+    Mutant(
+        "group_element_finiteness_guard_dropped",
+        "src/simrad/group.py",
+        "if not (np.isfinite(b).all() and np.isfinite(R).all() and np.isfinite(self.a)):",
+        "if False:",
+        ("tests/test_group.py::test_group_element_validation",),
+    ),
 )
 
 

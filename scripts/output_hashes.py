@@ -13,8 +13,10 @@ criterion-7 ladder at the ``wavelet`` benchmark workload's sizes, the
 line-data synthesis and a second line ``invert_direct_fourier`` run at the
 sizes of the unit test ``test_wavelet_line_synthesis``, and ``run_all`` and
 the action on the doubled sphere of its evenness check at the ``verify``
-benchmark workload's sizes.  The hashes depend on the machine's BLAS and FFT, so compare only runs
-from one machine, library build and BLAS thread count.  Two runs of one
+benchmark workload's sizes; the Fourier-slice lines read the mixture's
+spectrum zero-padded as ``run_all`` pads it.  The hashes depend on the
+machine's BLAS and FFT, so compare only runs from one machine, library build
+and BLAS thread count.  Two runs of one
 checkout on one machine must print the same lines: CI runs it twice and
 ``diff``s the outputs, a determinism check that holds whatever the BLAS.
 """
@@ -26,8 +28,8 @@ import sys
 
 import numpy as np
 
-from simrad.grid import Volume, gaussian_phantom, log_wavelet
-from simrad.group import compose
+from simrad.grid import Volume, apply_pi, gaussian_phantom, log_wavelet
+from simrad.group import LineLabel, PlaneLabel, compose, rotation_from_angles
 from simrad.invert import (
     GroupLattice,
     apply_pi_hat,
@@ -38,13 +40,23 @@ from simrad.invert import (
 from simrad.verify import (
     ABLATION_DILATION,
     EVENNESS_ELEMENT,
+    SLICE_PAD_FACTOR,
     VerifyConfig,
     mixture_phantom,
     run_all,
     smooth_doubled_field,
     standard_intertwining_sweep,
 )
-from simrad.xform import LineGeometry, PlaneGeometry, radon_plane, xray
+from simrad.xform import (
+    LineGeometry,
+    PlaneGeometry,
+    _padded_spectrum,
+    fourier_slice,
+    line_integral,
+    plane_integral,
+    radon_plane,
+    xray,
+)
 
 N, H = 48, 0.2
 PLANE = PlaneGeometry(24, 24, 97, 4.8)
@@ -82,6 +94,20 @@ def main() -> int:
     for kind, s in (("plane", plane), ("line", line)):
         for label, g in (("dilation", ABLATION_DILATION), ("rotation_shift", moved)):
             lines.append((f"apply_pi_hat.{kind}.{label}", digest(apply_pi_hat(g, s).data)))
+    # the trilinear resampling's consumers: the volume action, the slice
+    # check's spectrum read and the direct quadratures
+    for label, g in (("dilation", ABLATION_DILATION), ("rotation_shift", moved)):
+        lines.append((f"apply_pi.{label}", digest(apply_pi(g, volume))))
+    spectrum = _padded_spectrum(volume, SLICE_PAD_FACTOR * N)
+    for geometry in (PLANE, LINE):
+        lines.append((f"fourier_slice.{geometry.kind}", digest(fourier_slice(spectrum, geometry))))
+    del spectrum
+    planes = [PlaneLabel(0.3, 1.1, 0.4), PlaneLabel(2.0, 0.5, -0.9), PlaneLabel(1.2, 2.6, 0.0)]
+    integrals = [plane_integral(volume, label) for label in planes]
+    for theta, phi, u, v in ((0.7, 1.2, 0.5, -0.3), (2.5, 0.4, 0.0, 0.8), (1.6, 2.9, -0.6, 0.2)):
+        e1, e2, _ = rotation_from_angles(theta, phi).T
+        integrals.append(line_integral(volume, LineLabel(theta, phi, u * e1 + v * e2)))
+    lines.append(("plane_integral.line_integral", digest(np.array(integrals))))
 
     # level 0 of the criterion-7 ladder
     rec, _ = invert_wavelet(

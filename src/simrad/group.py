@@ -75,6 +75,8 @@ class GroupElement:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "a", float(self.a))
+        if not (np.isfinite(b).all() and np.isfinite(R).all() and np.isfinite(self.a)):
+            raise ValueError("group element must be finite")
         if self.a <= 0.0:
             raise ValueError(f"scale must be positive, got {self.a}")
         defect = np.max(np.abs(R.T @ R - np.eye(3)))

@@ -51,7 +51,6 @@ importing this module and running the other routes loads numpy alone.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -62,7 +61,7 @@ import numpy as np
 
 from .errors import InsufficientCoverage, LatticeTooCoarse
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
-from .grid import Spectrum3D, Volume, idft3, l2_norm
+from .grid import GATHER_GUARD, Spectrum3D, Volume, _linear_corners, idft3, l2_norm
 from .group import GroupElement, icosahedral_rotations
 from .xform import (
     DirectionChart,
@@ -89,8 +88,6 @@ COVERAGE_TOL = 0.01
 
 # A trilinear splat weight below this is treated as an unhit voxel.
 SPLAT_WEIGHT_FLOOR = 1e-12
-# Zero cells past each end of every axis of the coverage splat's grid.
-COVERAGE_GUARD = 2
 
 # Zero-padding for the wavelet-coefficient correlations.  The FFT correlation
 # is circular; without padding, templates translated near the lattice edge
@@ -205,31 +202,22 @@ def _splat_coverage(geometry: DirectionChart, freq_spacing: float, n: int) -> np
     """Trilinear splat weight of the projection-slice points on the n^3 frequency grid.
 
     The points are the geometry's ``slice_frequencies``, one azimuth row at a
-    time.  They are scattered into a grid with ``COVERAGE_GUARD`` zero cells
-    past each end of every axis, with each point's floor cell clamped to
-    [-COVERAGE_GUARD, n], so every corner lands on the grid or in the guard.
-    One flat index per point addresses its lowest corner; the other seven are
-    constant offsets from it, each weighted by a product of per-axis taps and
+    time.  They are scattered into a grid with ``GATHER_GUARD`` zero cells
+    past each end of every axis through the linear gather's corners
+    (:mod:`simrad.grid`'s ``_linear_corners``, each floor cell clamped to
+    [-GATHER_GUARD, n]), each corner weighted ``(w0 * w1) * w2`` and
     scattered by one ``bincount`` per row.  Returns the (n, n, n) interior.
     """
-    m = n + 2 * COVERAGE_GUARD
-    size = m**3
+    shape = (n + 2 * GATHER_GUARD,) * 3
+    size = int(np.prod(shape))
     wsum = np.zeros(size)
     for i in range(geometry.n_theta):
         pos = geometry.slice_frequencies(slice(i, i + 1)).reshape(-1, 3) / freq_spacing + n // 2
-        k = 0
-        taps = []
-        for axis, stride in enumerate((m * m, m, 1)):
-            cell = np.floor(pos[:, axis])
-            frac = pos[:, axis] - cell
-            k = k + (np.clip(cell, -COVERAGE_GUARD, n) + COVERAGE_GUARD).astype(np.int64) * stride
-            taps.append([(0, 1.0 - frac), (stride, frac)])
-        for corner in itertools.product(*taps):
-            off = sum(o for o, _ in corner)
-            w = reduce(np.multiply, (t for _, t in corner))
-            wsum[off:] += np.bincount(k, weights=w, minlength=size - off)
-    core = slice(COVERAGE_GUARD, COVERAGE_GUARD + n)
-    return wsum.reshape(m, m, m)[core, core, core]
+        k, corners = _linear_corners(shape, (-GATHER_GUARD,) * 3, list(pos.T))
+        for off, weights in corners:
+            wsum[off:] += np.bincount(k, weights=reduce(np.multiply, weights), minlength=size - off)
+    core = slice(GATHER_GUARD, GATHER_GUARD + n)
+    return wsum.reshape(shape)[core, core, core]
 
 
 def invert_direct_fourier(
@@ -241,8 +229,8 @@ def invert_direct_fourier(
     """Reconstruct by reading per-direction spectra back onto a Cartesian grid.
 
     A scatter pass (``_splat_coverage``: a trilinear splat into a zero-guarded
-    grid, one flat index per sample and the corners at constant offsets)
-    records which frequency voxels actually receive samples, and more than
+    grid, on the corners of the package's one linear kernel) records which
+    frequency voxels actually receive samples, and more than
     ``COVERAGE_TOL`` unhit voxels inside the band raises
     :class:`InsufficientCoverage`.  Values are then gathered through the
     chart sampler from spectra zero-padded by the geometry's

@@ -427,8 +427,9 @@ def run_all(
 ) -> ResidualReport:
     """Execute the configured checks; per-check errors become failed entries.
 
-    Each phantom, its projection on each geometry, the dilated compact
-    phantom's projection and the padded spectrum are computed once here and
+    Each phantom, its projection on each geometry, the compact phantom's
+    image under each sweep element (one element at a time), the dilated
+    image's projection and the padded spectrum are computed once here and
     handed to every check that reads them.  With ``volume`` the built-in
     phantoms are replaced by the given field everywhere a check consumes
     one; reach violations for expanding group elements then surface as
@@ -464,8 +465,12 @@ def run_all(
     def forward(build, geom):
         return kind_steps(geom).forward(phantom(build), geom)
 
+    held = {}  # the compact phantom moved by one element at a time
+
     def forward_moved(g: GroupElement, geom):
-        return kind_steps(geom).forward(apply_pi(g, phantom(compact_phantom)), geom)
+        if held.get("g") is not g:
+            held.update(g=g, moved=apply_pi(g, phantom(compact_phantom)))
+        return kind_steps(geom).forward(held["moved"], geom)
 
     # The intertwining sweep and the ablation control share the projection
     # of the dilated compact phantom.
@@ -501,8 +506,8 @@ def run_all(
                     guarded(name, lambda geom=geom, check=check: check(geom))
             mixture_spectrum.cache_clear()
     if "intertwining" in config.checks:
-        for geom in (plane_geom, line_geom):
-            for idx, g in enumerate(standard_intertwining_sweep()):
+        for idx, g in enumerate(standard_intertwining_sweep()):
+            for geom in (plane_geom, line_geom):
                 guarded(
                     f"intertwining_{idx:02d}",
                     lambda g=g, geom=geom: check_intertwining(

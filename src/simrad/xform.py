@@ -58,13 +58,13 @@ detector by its dot products with the node's axes, a fact of the kind
 (``node_axes``): the normal's sign for planes, so the offset flips with the
 normal, and the node's frame axes e1, e2 for lines.  The sampler
 and the wavelet coefficients read the chart through one stencil
-(``_chart_stencil``), and the sampler reads the detector through one
-multilinear lookup (``_interp_nodes``), so the antipodal bookkeeping lives
-in exactly one place.  The lookup uses the splat's idiom in reverse: it
-gathers from a copy of the data with ``GATHER_GUARD`` zero cells past each
-end of every axis (``_gather_window``; only the cells the queries can reach
-are copied), clamps each floor cell into the copy, computes one flat index
-per query and reads every tap at a constant offset from it.  Queries are
+(``_chart_stencil``), so the antipodal bookkeeping lives in exactly one
+place, and the sampler reads the detector through the package's one linear
+gather (:mod:`simrad.grid`'s ``_linear_gather``), which the trilinear
+resampling shares.  It reads a copy of the cells the queries can reach,
+with zero cells past each end of every axis (``_guard_window``), clamps
+each floor cell into the copy, computes one flat index per query and reads
+every tap at a constant offset from it.  Queries are
 taken in chunks sized by ``SPLAT_CHUNK_BYTES`` (``_query_chunks``), whole
 output directions or stencil rows at a time, so the per-query arrays stay in
 cache.  The data need not hold the whole chart: it holds the nodes named by
@@ -85,7 +85,17 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import GeometryMismatch
-from .grid import Spectrum3D, Volume, _centered_dft, _trilinear, dft3, resample
+from .grid import (
+    SPLAT_CHUNK_BYTES,
+    Spectrum3D,
+    Volume,
+    _centered_dft,
+    _guard_window,
+    _linear_gather,
+    _trilinear,
+    dft3,
+    resample,
+)
 from .group import (
     CharacterSet,
     LineLabel,
@@ -102,13 +112,6 @@ CUTOFF_FRACTION = 0.9
 # The low-pass rolls off smoothly (raised cosine) over this fraction of the
 # cutoff to avoid ringing for fields with slow spectral decay.
 ROLLOFF_FRACTION = 0.15
-# Scratch budget of the projectors' direction chunks: a chunk holds as many
-# directions as fit one float64 per active voxel and per accumulator cell
-# within this many bytes (at least one); about twenty arrays of the per-voxel
-# size are live while a line chunk is splatted.  Small chunks run faster
-# because those arrays stay in cache: at N=48 (17k active voxels) chunks of
-# one direction beat chunks of four by ~15% and chunks of sixteen by ~2x.
-SPLAT_CHUNK_BYTES = 256 << 10
 # Slab of the plane backprojection's (N^3, n_phi) offset block that every
 # direction of an azimuth row interpolates before the walk moves on
 # (``backproject_plane``).  It sits well inside a 2-4 MiB L2 while keeping the
@@ -132,10 +135,6 @@ SPLAT_REFINE = 3
 # on a line detector axis (its samples are cell centres), so its taps, at
 # offsets -1..2 around the floor cell, land in [-3, n_f + 2].
 SPLAT_GUARD = 4
-# Zero cells past each end of a detector or offset axis in the chart
-# sampler's copy of the data.  A query's floor cell is clamped to
-# [-GATHER_GUARD, n], so both of its linear taps land on the axis or in them.
-GATHER_GUARD = 2
 # Voxels with |f| below this fraction of the field's maximum are skipped by
 # the projectors; the dropped mass is below double rounding noise.
 PROJECTOR_DROP = 1e-16
@@ -687,61 +686,6 @@ def _stencil_nodes(g: DirectionChart, directions: np.ndarray) -> np.ndarray:
     return np.flatnonzero(read)
 
 
-def _gather_window(data: np.ndarray, reach: float, axes: list[tuple]) -> tuple:
-    """Zero-guarded copy of the cells of ``data``'s trailing axes that queries can read.
-
-    ``data`` holds one chart node per row of its first axis.  Trailing axis
-    ``a`` has ``n`` samples at ``origin + k * step`` for ``axes[a]`` ending in
-    ``(origin, step)``, and no query lies farther than ``reach`` from 0 along
-    it.  The copy covers the cells ``[lo, hi)`` of the
-    zero-extended axis, one cell wider than the queried span on each side and
-    within ``[-GATHER_GUARD, n + GATHER_GUARD)``, so with the whole axis in
-    reach it is the axis plus ``GATHER_GUARD`` zero cells at each end.
-    Returns the copy and the ``lo`` of each axis.
-    """
-    lows, lengths, src, dst = [], [], [], []
-    for (*_, origin, step), n in zip(axes, data.shape[1:]):
-        lo = int(np.clip(np.floor((-reach - origin) / step) - 1, -GATHER_GUARD, n))
-        hi = int(np.clip(np.floor((reach - origin) / step) + 3, lo + 2, n + GATHER_GUARD))
-        a = max(lo, 0)
-        b = max(min(hi, n), a)
-        lows.append(lo)
-        lengths.append(hi - lo)
-        src.append(slice(a, b))
-        dst.append(slice(a - lo, b - lo))
-    window = np.zeros(data.shape[:1] + tuple(lengths), dtype=data.dtype)
-    window[(slice(None), *dst)] = data[(slice(None), *src)]
-    return window, lows
-
-
-def _interp_nodes(window: tuple, rows: np.ndarray, positions: list[np.ndarray]) -> np.ndarray:
-    """Multilinear interpolation, zero outside, on the trailing axes of windowed ``data[rows]``.
-
-    ``window`` is ``_gather_window``'s copy of ``data``, and ``positions``
-    holds the fractional indices along each trailing axis of ``data``.  Each
-    floor cell is clamped into the copy, which the span bounds make exact, and
-    one flat index per query addresses its lowest corner; the other corners
-    are constant offsets from it, summed with the first axis varying fastest.
-    """
-    copy, lows = window
-    strides = [int(np.prod(copy.shape[a + 1 :])) for a in range(copy.ndim)]
-    k = rows * strides[0]
-    axes = []
-    for pos, lo, m, stride in zip(positions, lows, copy.shape[1:], strides[1:]):
-        cell = np.floor(pos)
-        w = pos - cell
-        k = k + (np.clip(cell, lo, lo + m - 2) - lo).astype(np.int64) * stride
-        axes.append([(0, 1.0 - w), (stride, w)])
-    flat = copy.reshape(-1)
-    acc = None
-    for corner in itertools.product(*reversed(axes)):
-        corner = corner[::-1]
-        weight = reduce(np.multiply, (wk for _, wk in corner))
-        term = weight * flat[sum(off for off, _ in corner) :].take(k)
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def sample_chart(
     data: np.ndarray,
     geometry: DirectionChart,
@@ -775,7 +719,11 @@ def sample_chart(
     shape = np.broadcast_shapes(directions.shape[:-1], queries.shape[:-1])
     # a unit node axis carries no query farther than its length
     reach = float(np.sqrt(np.max(np.einsum("...i,...i->...", queries, queries), initial=0.0)))
-    window = _gather_window(data, reach, axes)
+    # the cells a query within reach can read, and one more on each side
+    spans = [
+        (np.floor((-reach - x0) / dx) - 1, np.floor((reach - x0) / dx) + 3) for *_, x0, dx in axes
+    ]
+    window = _guard_window(data, spans)
     out = np.empty(shape, dtype=np.result_type(data, float))
     for index in _query_chunks(shape):
         q = np.ascontiguousarray(np.moveaxis(_chunk(queries, index, len(shape)), -1, 0))
@@ -791,7 +739,7 @@ def sample_chart(
                 (reduce(np.add, (qc * ac for qc, ac in zip(q, axis))) - origin) / step
                 for axis, (*_, origin, step) in zip(geometry.node_axes(ii, jj, sign), axes)
             ]
-            acc = acc + w * _interp_nodes(window, rows, positions)
+            acc = acc + w * _linear_gather(window, rows, positions)
         out[index] = acc
     return out
 
@@ -889,6 +837,7 @@ def _padded_spectrum(v: Volume, n_pad: int) -> Spectrum3D:
 
 def _sample_spectrum3(spec: Spectrum3D, freqs: np.ndarray) -> np.ndarray:
     """Trilinear samples of a centered 3-D spectrum at (..., 3) frequency points."""
+    # two real passes keep one real guarded copy of the spectrum at a time
     idx = (freqs.reshape(-1, 3) / spec.freq_spacing) + spec.n // 2
     re = _trilinear(spec.data.real, idx)
     im = _trilinear(spec.data.imag, idx)

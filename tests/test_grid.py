@@ -204,7 +204,7 @@ def test_trilinear_matches_map_coordinates_bitwise(n, monkeypatch):
     # across several chunks.
     from scipy import ndimage
 
-    monkeypatch.setattr(grid, "TRILINEAR_CHUNK", 1024)
+    monkeypatch.setattr(grid, "SPLAT_CHUNK_BYTES", 8 * 1024)
     rng = np.random.default_rng(n)
     idx = rng.uniform(-1.5, n + 0.5, (6000, 3))
     idx[:1000] = np.round(idx[:1000])

@@ -419,3 +419,13 @@ def test_group_element_validation():
         GroupElement(np.zeros(3), 2.0 * np.eye(3), 1.0)
     with pytest.raises(ValueError):
         GroupElement(np.zeros(3), np.diag([1.0, 1.0, -1.0]), 1.0)
+    # non-finite entries pass the sign, orthonormality and determinant tests
+    for b, R, a in (
+        (np.zeros(3), np.eye(3), np.nan),
+        (np.zeros(3), np.eye(3), np.inf),
+        (np.zeros(3), np.diag([1.0, 1.0, np.nan]), 1.0),
+        ([0.0, np.nan, 0.0], np.eye(3), 1.0),
+        ([np.inf, 0.0, 0.0], np.eye(3), 1.0),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            GroupElement(b, R, a)

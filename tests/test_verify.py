@@ -485,8 +485,9 @@ def test_run_all_volume_override_feeds_checks():
 
 def test_run_all_projects_the_shared_dilation_once(monkeypatch):
     # The ablation control's a = 1.25 dilation is also in the sweep, so with
-    # both checks run_all projects its image of the compact phantom once per
-    # geometry, and the residuals are those of unshared checks.
+    # both checks run_all moves the compact phantom by it once and projects
+    # the image once per geometry, and the residuals are those of unshared
+    # checks.
     dilation = verify.ABLATION_DILATION
     assert any(g is dilation for g in standard_intertwining_sweep())
     monkeypatch.setattr(verify, "standard_intertwining_sweep", lambda: [dilation])
@@ -497,7 +498,7 @@ def test_run_all_projects_the_shared_dilation_once(monkeypatch):
         COARSE, n_theta=8, n_phi=8, n_t=33, n_u=24, checks=("intertwining", "controls")
     )
     by_name = {e.name: e for e in run_all(config).entries}
-    assert moved == [1.25, 1.25]
+    assert moved == [1.25]
     v = compact_phantom(config)
     kinds = ((config.plane_geometry(), radon_plane), (config.line_geometry(), xray))
     pairs = [(forward(v, geom), forward(apply_pi(dilation, v), geom)) for geom, forward in kinds]

@@ -466,14 +466,13 @@ def _masked_linear_taps(pos, n):
 
 
 def _masked_interp_nodes(data, ii, jj, positions):
-    # One multi-array fancy index per corner, first axis varying fastest.
+    # One multi-array fancy index per corner, first axis varying slowest,
+    # each corner as (value * w_u) * w_v, summed from 0.
     axes = [_masked_linear_taps(pos, n) for pos, n in zip(positions, data.shape[2:])]
-    acc = None
-    for corner in itertools.product(*reversed(axes)):
-        corner = corner[::-1]
-        weight = functools.reduce(np.multiply, (wk for _, wk in corner))
-        term = weight * data[(ii, jj, *(k for k, _ in corner))]
-        acc = term if acc is None else acc + term
+    acc = 0.0
+    for corner in itertools.product(*axes):
+        value = data[(ii, jj, *(k for k, _ in corner))]
+        acc = acc + functools.reduce(np.multiply, (wk for _, wk in corner), value)
     return acc
 
 
