@@ -194,6 +194,23 @@ MUTANTS = (
         "if False:",
         ("tests/test_group.py::test_group_element_validation",),
     ),
+    Mutant(
+        "sample_chart_shape_guard_dropped",
+        "src/simrad/xform.py",
+        "if shape[: len(lead)] != lead:",
+        "if False:",
+        ("tests/test_xform.py::test_sampler_takes_one_row_of_queries_per_direction",),
+    ),
+    Mutant(
+        "direct_fourier_band_limit_guard_dropped",
+        "src/simrad/invert.py",
+        "if not (np.isfinite(band_limit) and band_limit > 0.0):",
+        "if False:",
+        (
+            "tests/test_invert.py::"
+            "test_direct_fourier_refuses_a_band_limit_that_is_not_positive_and_finite",
+        ),
+    ),
 )
 
 

@@ -36,12 +36,12 @@ from .group import GroupElement, inverse
 # unit-amplitude data, while leaving room to shift bumps off-center on the
 # default grids.
 SUPPORT_DECAY_RADII = 3.5
-# Scratch budget of chunked loops: a linear gather reads as many queries as fit
-# one float64 each in it, a projector chunk as many directions as fit one
-# float64 per active voxel and per accumulator cell (at least one).  About
-# twenty arrays of the per-voxel size are live while a line chunk is splatted;
-# small chunks run faster because they stay in cache: at N=48 (17k active
-# voxels) chunks of one direction beat chunks of four by ~15%, of sixteen ~2x.
+# Scratch budget of chunked loops: a chunk holds as many trilinear points,
+# chart-sampler directions or projector directions as fit one float64 per
+# point, per query or per active voxel and accumulator cell, at least one.
+# About twenty arrays of the per-voxel size are live while a line chunk is
+# splatted; small chunks run faster as they stay in cache: at N=48 (17k active
+# voxels) one direction per chunk beats four by ~15%, sixteen by ~2x.
 SPLAT_CHUNK_BYTES = 256 << 10
 # Zero cells past each end of every axis of a guarded copy (``_guard_window``)
 # or scatter grid.  A point's floor cell is clamped to [-GATHER_GUARD, n], so

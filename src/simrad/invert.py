@@ -137,7 +137,7 @@ def apply_pi_hat_plane(g: GroupElement, s: PlaneSinogram) -> PlaneSinogram:
     geom = s.geometry
     dirs = geom.normals @ g.R  # rows: R^-1 n
     offs = (geom.ts[None, None, :] - (geom.normals @ g.b)[:, :, None]) / g.a
-    vals = sample_chart(s.data, geom, dirs[:, :, None, :], offs[..., None], geom.detector)
+    vals = sample_chart(s.data, geom, dirs, offs[..., None], geom.detector)
     return PlaneSinogram(vals / np.sqrt(g.a), geom)
 
 
@@ -150,7 +150,7 @@ def apply_pi_hat_line(g: GroupElement, s: LineSinogram) -> LineSinogram:
     perpendicular projection is needed here.
     """
     geom = s.geometry
-    dirs = (geom.normals @ g.R)[:, :, None, None, :]
+    dirs = geom.normals @ g.R
     w = _detector_points(*geom.detector_directions, geom.us, geom.vs)
     moved = ((w - g.b) @ g.R) / g.a
     vals = sample_chart(s.data, geom, dirs, moved, geom.detector)
@@ -240,12 +240,15 @@ def invert_direct_fourier(
     stencil reaches from those directions are found first, and the spectra
     and the sampler's window hold those nodes only: for lines the nodes next
     to the equator and the y-z plane (60 of 576 directions at 24x24), for
-    planes most of the chart.
+    planes most of the chart.  A ``band_limit`` that is not positive and
+    finite raises ``ValueError`` before any of this.
     """
     freq_spacing = 1.0 / (n * spacing)
     geom = s.geometry
     if band_limit is None:
         band_limit = _default_band_limit(geom.dtheta, geom.dphi, freq_spacing)
+    if not (np.isfinite(band_limit) and band_limit > 0.0):
+        raise ValueError(f"band_limit must be positive and finite, got {band_limit}")
     axis = (np.arange(n) - n // 2) * freq_spacing
     W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     mag = np.linalg.norm(W, axis=-1)
@@ -508,7 +511,7 @@ def _line_coefficients(
     )
     out = np.empty((len(lattice.scales), len(lattice.rotations), len(shifts)))
     for ir, R in enumerate(lattice.rotations):
-        dirs = (geom.normals @ R)[:, :, None, None, :]
+        dirs = geom.normals @ R
         e1r = e1 @ R
         e2r = e2 @ R
         for ia, a in enumerate(lattice.scales):

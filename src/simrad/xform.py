@@ -48,29 +48,27 @@ The padded detector spectra of both kinds are one step too
 over the detector axes with :func:`simrad.grid.dft3`'s centered-DFT formula.
 
 ``sample_chart`` evaluates direction-indexed profiles or detector images
-(sinograms or their spectra) at arbitrary (direction, query) pairs by
+(sinograms or their spectra) at rows of queries, one row per direction, by
 reducing the direction to the chart and interpolating bilinearly across the
 gluing: cells that stick out of the chart square wrap to the matching
 rows/columns on the far side, where the represented normal may flip; the
-gluing is a fact of the geometry (``glued``).  A query is a vector (a
-plane's signed offset, a line's 3-vector), placed on a stencil node's
-detector by its dot products with the node's axes, a fact of the kind
+gluing is a fact of the geometry (``glued``).  The queries are vectors (a
+plane's signed offset, a line's 3-vector) placed on a stencil node's detector
+by their dot products with the node's axes, a fact of the kind
 (``node_axes``): the normal's sign for planes, so the offset flips with the
-normal, and the node's frame axes e1, e2 for lines.  The sampler
-and the wavelet coefficients read the chart through one stencil
-(``_chart_stencil``), so the antipodal bookkeeping lives in exactly one
-place, and the sampler reads the detector through the package's one linear
-gather (:mod:`simrad.grid`'s ``_linear_gather``), which the trilinear
-resampling shares.  It reads a copy of the cells the queries can reach,
-with zero cells past each end of every axis (``_guard_window``), clamps
-each floor cell into the copy, computes one flat index per query and reads
-every tap at a constant offset from it.  Queries are
-taken in chunks sized by ``SPLAT_CHUNK_BYTES`` (``_query_chunks``), whole
-output directions or stencil rows at a time, so the per-query arrays stay in
-cache.  The data need not hold the whole chart: it holds the nodes named by
-their flat indices, and a slot table maps each node the stencil reaches to
-its row.  Direct Fourier inversion reads line spectra only at the nodes
-around the directions ``slice_query`` returns (``_stencil_nodes``: for
+normal, and the node's frame axes e1, e2 for lines.  The sampler and the
+wavelet coefficients read the chart through one stencil (``_chart_stencil``),
+so the antipodal bookkeeping lives in exactly one place, and the sampler reads
+the detector through the package's one linear gather (:mod:`simrad.grid`'s
+``_linear_gather``), which the trilinear resampling shares.  It reads a copy
+of the cells the queries can reach, with zero cells past each end of every
+axis (``_guard_window``), clamps each floor cell into the copy, computes one
+flat index per query and reads every tap at a constant offset from it.  Whole
+directions are read in chunks sized by ``SPLAT_CHUNK_BYTES``, so the per-query
+arrays stay in cache.  The data need not hold the whole chart: it holds the
+nodes named by their flat indices, and a slot table maps each node the stencil
+reaches to its row.  Direct Fourier inversion reads line spectra only at the
+nodes around the directions ``slice_query`` returns (``_stencil_nodes``: for
 lines, those near the equator or the y-z plane), so it builds the padded
 spectra, and the sampler's window holds them, for those nodes only.
 """
@@ -637,42 +635,6 @@ def _chart_stencil(directions: np.ndarray, n_theta: int, n_phi: int, glued=True)
     return corners
 
 
-def _query_chunks(shape: tuple[int, ...]):
-    """Index tuples that split a C-ordered query array of ``shape`` into chunks.
-
-    A chunk holds as many queries as fit one float64 each in
-    ``SPLAT_CHUNK_BYTES`` (at least one), as whole trailing sub-arrays cut
-    along one axis, so the chart sampler's per-query arrays stay in cache.
-    """
-    limit = SPLAT_CHUNK_BYTES // 8
-    axis, inner = len(shape), 1
-    while axis > 0 and inner * shape[axis - 1] <= limit:
-        axis -= 1
-        inner *= shape[axis]
-    if axis == 0:
-        yield ()
-        return
-    step = max(1, limit // inner)
-    for lead in np.ndindex(*shape[: axis - 1]):
-        for start in range(0, shape[axis - 1], step):
-            yield (*lead, slice(start, start + step))
-
-
-def _chunk(a: np.ndarray, index: tuple, ndim: int) -> np.ndarray:
-    """The part of (..., d) array ``a`` that chunk ``index`` of an ``ndim``-axis query covers.
-
-    The leading axes of ``a`` (all but the last) broadcast against the query
-    shape; an axis of length 1 is kept whole.
-    """
-    a = a.reshape((1,) * (ndim + 1 - a.ndim) + a.shape)
-    return a[
-        tuple(
-            i if a.shape[ax] > 1 else (0 if isinstance(i, int) else slice(None))
-            for ax, i in enumerate(index)
-        )
-    ]
-
-
 def _every_node(g: DirectionChart) -> np.ndarray:
     """Flat index ``ii * n_phi + jj`` of every chart node, as an (n_theta, n_phi) array."""
     return np.arange(g.n_theta * g.n_phi).reshape(g.n_theta, g.n_phi)
@@ -694,7 +656,7 @@ def sample_chart(
     axes: list[tuple],
     nodes: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sample direction-indexed data at arbitrary (direction, query vector) pairs.
+    """Sample direction-indexed data at rows of query vectors, one row per direction.
 
     ``data`` holds samples at nodes of the geometry's midpoint direction grid
     along its leading axes, of the shape of ``nodes``, the nodes' flat
@@ -703,20 +665,29 @@ def sample_chart(
     table maps each node to its row.  Trailing axis ``a`` holds
     samples at ``origin + k * step`` for ``axes[a]`` ending in ``(origin,
     step)``: a geometry's ``detector`` (plane offsets or a line detector) or
-    the frequency axes of its padded spectra.  ``queries``
-    is a (..., d) array: the signed radial value (d = 1) for planes, a
-    3-vector for lines.  Directions are reduced to the chart, and at every
-    stencil node the query's position on axis ``a`` is its dot product with
-    the node's axis ``geometry.node_axes(ii, jj, sign)[a]``.  Raises
-    ``ValueError`` if a query reads a node that ``nodes`` does not hold.
+    the frequency axes of its padded spectra.  ``directions`` is (*L, 3) and
+    ``queries`` (*L, *inner, d), one row of queries per direction: the signed
+    radial value (d = 1) for planes, a 3-vector for lines; the samples have
+    shape ``queries.shape[:-1]``.  Directions are reduced to the chart, and
+    at every stencil node the query's position on axis ``a`` is its dot
+    product with the node's axis ``geometry.node_axes(ii, jj, sign)[a]``.
+    Chunks hold whole directions, as many as fit one float64 per query in
+    ``SPLAT_CHUNK_BYTES``; a direction with more than ``SPLAT_CHUNK_BYTES //
+    8`` queries is a chunk alone.  Raises ``ValueError`` if the leading shapes
+    differ or a query reads a node that ``nodes`` does not hold.
     """
     directions = np.asarray(directions, dtype=float)
     queries = np.asarray(queries, dtype=float)
+    lead, shape = directions.shape[:-1], queries.shape[:-1]
+    if shape[: len(lead)] != lead:
+        raise ValueError(f"queries {queries.shape} hold no row per direction {directions.shape}")
+    n_dir, per_dir = int(np.prod(lead)), int(np.prod(shape[len(lead) :]))
+    directions = directions.reshape(n_dir, 1, 3)
+    queries = queries.reshape(n_dir, per_dir, queries.shape[-1])
     nodes = _every_node(geometry) if nodes is None else nodes
     data = data.reshape(nodes.size, *data.shape[nodes.ndim :])
     slots = np.full(geometry.n_theta * geometry.n_phi, -1)
     slots[nodes.ravel()] = np.arange(nodes.size)
-    shape = np.broadcast_shapes(directions.shape[:-1], queries.shape[:-1])
     # a unit node axis carries no query farther than its length
     reach = float(np.sqrt(np.max(np.einsum("...i,...i->...", queries, queries), initial=0.0)))
     # the cells a query within reach can read, and one more on each side
@@ -724,13 +695,14 @@ def sample_chart(
         (np.floor((-reach - x0) / dx) - 1, np.floor((reach - x0) / dx) + 3) for *_, x0, dx in axes
     ]
     window = _guard_window(data, spans)
-    out = np.empty(shape, dtype=np.result_type(data, float))
-    for index in _query_chunks(shape):
-        q = np.ascontiguousarray(np.moveaxis(_chunk(queries, index, len(shape)), -1, 0))
+    out = np.empty((n_dir, per_dir), dtype=np.result_type(data, float))
+    chunk = max(1, SPLAT_CHUNK_BYTES // (8 * max(per_dir, 1)))
+    for start in range(0, n_dir, chunk):
+        part = slice(start, start + chunk)
+        q = np.ascontiguousarray(np.moveaxis(queries[part], -1, 0))
         acc = 0.0
-        for ii, jj, sign, w in _chart_stencil(
-            _chunk(directions, index, len(shape)), geometry.n_theta, geometry.n_phi, geometry.glued
-        ):
+        stencil = _chart_stencil(directions[part], geometry.n_theta, geometry.n_phi, geometry.glued)
+        for ii, jj, sign, w in stencil:
             rows = slots[ii * geometry.n_phi + jj]
             if np.any(rows < 0):
                 raise ValueError("a query reads a chart node that the data does not hold")
@@ -740,8 +712,8 @@ def sample_chart(
                 for axis, (*_, origin, step) in zip(geometry.node_axes(ii, jj, sign), axes)
             ]
             acc = acc + w * _linear_gather(window, rows, positions)
-        out[index] = acc
-    return out
+        out[part] = acc
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

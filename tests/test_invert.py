@@ -336,6 +336,18 @@ def test_direct_fourier_insufficient_coverage(volume):
         invert_direct_fourier(sparse, 32, 0.3, band_limit=1.5)
 
 
+@pytest.mark.parametrize("band", [-1.0, 0.0, np.nan, np.inf])
+def test_direct_fourier_refuses_a_band_limit_that_is_not_positive_and_finite(band, monkeypatch):
+    # Refused before any work: the coverage splat is never reached.
+    def splat(*args):
+        raise AssertionError("the coverage splat ran")
+
+    monkeypatch.setattr(invert, "_splat_coverage", splat)
+    g = PlaneGeometry(8, 8, 33, 4.8)
+    with pytest.raises(ValueError, match="band_limit must be positive and finite"):
+        invert_direct_fourier(PlaneSinogram(np.zeros(g.shape), g), 8, 0.3, band_limit=band)
+
+
 def test_direct_fourier_insufficient_coverage_near_the_tolerance():
     # Coverage well above one half but short of 1 - COVERAGE_TOL: only the
     # tolerance itself decides that the route refuses.
@@ -796,7 +808,7 @@ def _reference_line_coefficients(s, template, lattice):
     pos_v = (pv - v0) / geom.dv
     out = np.empty((len(lattice.scales), len(lattice.rotations), len(shifts)))
     for ir, R in enumerate(lattice.rotations):
-        dirs = (geom.normals @ R)[:, :, None, None, :]
+        dirs = geom.normals @ R
         e1r = e1 @ R
         e2r = e2 @ R
         for ia, a in enumerate(lattice.scales):

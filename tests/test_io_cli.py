@@ -26,7 +26,7 @@ from simrad.io import (
     write_sinogram,
     write_volume,
 )
-from simrad.verify import smooth_doubled_field, standard_intertwining_sweep
+from simrad.verify import VerifyConfig, smooth_doubled_field, standard_intertwining_sweep
 from simrad.xform import LineGeometry, LineSinogram, PlaneGeometry, PlaneSinogram
 
 # Reconstruction-quality thresholds for the pipeline smoke runs.  These are
@@ -720,6 +720,11 @@ def test_cli_import_does_not_load_numpy():
     package_root = Path(simrad.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], cwd=package_root)
     assert proc.returncode == 0
+
+
+def test_cli_check_names_are_the_verify_config_checks():
+    # The CLI keeps its own copy so that importing it loads no numpy.
+    assert cli._CHECK_NAMES == VerifyConfig().checks
 
 
 def test_every_export_resolves():

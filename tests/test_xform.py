@@ -498,8 +498,8 @@ def test_interp_nodes_matches_parent_interpolators(plane_sinogram, line_sinogram
     # Complex data, and queries that run past both ends of the offset axis
     # and off every side of the detector, so the clamp and the zero guard are
     # exercised; the guarded gather must reproduce the masked one exactly.
-    # Broadcast queries (one direction per output row, as the pi-hat actions
-    # pass them) run in one chunk or, with a small chunk budget, in many.
+    # Rows of queries (one row per direction, as the pi-hat actions pass
+    # them) run in one chunk or, with a small chunk budget, in many.
     _check_samplers_against_masked(plane_sinogram, line_sinogram)
     monkeypatch.setattr(xform, "SPLAT_CHUNK_BYTES", 4096)
     _check_samplers_against_masked(plane_sinogram, line_sinogram)
@@ -526,7 +526,7 @@ def _check_samplers_against_masked(plane_sinogram, line_sinogram):
     row_dirs = dirs[:64, None, :]
     row_radial = rng.uniform(-1.5 * pg.t_max, 1.5 * pg.t_max, (64, pg.n_t))
     want = _masked_plane_profiles(profiles, *args, row_dirs, row_radial, -pg.t_max, pg.dt)
-    got = sample_chart(profiles, pg, row_dirs, row_radial[..., None], axes)
+    got = sample_chart(profiles, pg, dirs[:64], row_radial[..., None], axes)
     assert np.array_equal(got, want)
 
     images = line_sinogram.data * (1.0 - 0.5j)
@@ -538,7 +538,7 @@ def _check_samplers_against_masked(plane_sinogram, line_sinogram):
     vectors = rng.uniform(-1.3 * lg.u_max, 1.3 * lg.u_max, (8, 1, 24, 24, 3))
     row_dirs = dirs[:8, None, None, None, :]
     want = _masked_line_images(images, lg, row_dirs, vectors, *origins)
-    assert np.array_equal(sample_chart(images, lg, row_dirs, vectors, axes), want)
+    assert np.array_equal(sample_chart(images, lg, dirs[:8], vectors, axes), want)
 
 
 @pytest.mark.parametrize(
@@ -579,6 +579,20 @@ def test_sampler_reads_a_node_subset_through_its_slot_table(line_sinogram):
     assert sample_chart(rows, g, dirs, vectors, axes, nodes).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="does not hold"):
         sample_chart(rows[1:], g, dirs, vectors, axes, nodes[1:])
+
+
+def test_sampler_takes_one_row_of_queries_per_direction(plane_sinogram, line_sinogram):
+    # Queries whose leading shape is not the directions' are refused, not
+    # paired with the wrong directions; zero directions read nothing.
+    pg, lg = plane_sinogram.geometry, line_sinogram.geometry
+    dirs = np.random.default_rng(4).standard_normal((4, 2, 3))
+    for directions, queries in ((dirs[:, 0], np.zeros((8, 1))), (dirs, np.zeros((8, 1, 1)))):
+        with pytest.raises(ValueError, match="no row per direction"):
+            sample_chart(plane_sinogram.data, pg, directions, queries, pg.detector)
+    none = np.zeros((0, 3))
+    assert sample_chart(plane_sinogram.data, pg, none, none[:, :1], pg.detector).shape == (0,)
+    rows = np.zeros((0, 5, 7, 3))
+    assert sample_chart(line_sinogram.data, lg, none, rows, lg.detector).shape == (0, 5, 7)
 
 
 @pytest.mark.parametrize("pad", [1, 1.5, 2, 4])
