@@ -61,13 +61,27 @@ MUTANTS = (
         ("tests/test_invert.py::test_direct_fourier_insufficient_coverage_near_the_tolerance",),
     ),
     Mutant(
-        "slice_pad_factor_2",
+        "slice_pad_factor_1",
         "src/simrad/verify.py",
-        "SLICE_PAD_FACTOR = 4",
         "SLICE_PAD_FACTOR = 2",
+        "SLICE_PAD_FACTOR = 1",
+        ("tests/test_verify.py::test_slice_reference_matches_the_exact_mixture_spectrum",),
+    ),
+    Mutant(
+        "keys_tap_swapped",
+        "src/simrad/grid.py",
+        "taps = (((1.0 - 0.5 * t) * t - 0.5) * t, (1.5 * t - 2.5) * t * t + 1.0)",
+        "taps = ((1.5 * t - 2.5) * t * t + 1.0, ((1.0 - 0.5 * t) * t - 0.5) * t)",
+        ("tests/test_verify.py::test_slice_reference_matches_the_exact_mixture_spectrum",),
+    ),
+    Mutant(
+        "cubic_clamp_one_cell_high",
+        "src/simrad/grid.py",
+        "np.clip(cell, lo + 1, lo + m - 3)",
+        "np.clip(cell, lo + 1, lo + m - 2)",
         (
-            "tests/test_verify.py::"
-            "test_slice_pad_factor_keeps_the_slice_check_well_inside_its_tolerance",
+            "tests/test_xform.py::"
+            "test_fourier_slice_reads_nodes_exactly_and_zero_off_the_lattice",
         ),
     ),
     Mutant(
@@ -200,6 +214,13 @@ MUTANTS = (
         "if shape[: len(lead)] != lead:",
         "if False:",
         ("tests/test_xform.py::test_sampler_takes_one_row_of_queries_per_direction",),
+    ),
+    Mutant(
+        "grid_size_check_admits_zero",
+        "src/simrad/invert.py",
+        "and n > 0):",
+        "and n >= 0):",
+        ("tests/test_invert.py::test_inversions_refuse_a_grid_that_is_not_positive",),
     ),
     Mutant(
         "direct_fourier_band_limit_guard_dropped",

@@ -94,8 +94,8 @@ def main() -> int:
     for kind, s in (("plane", plane), ("line", line)):
         for label, g in (("dilation", ABLATION_DILATION), ("rotation_shift", moved)):
             lines.append((f"apply_pi_hat.{kind}.{label}", digest(apply_pi_hat(g, s).data)))
-    # the trilinear resampling's consumers: the volume action, the slice
-    # check's spectrum read and the direct quadratures
+    # the trilinear resampling's consumers, the volume action and the direct
+    # quadratures, and the slice check's cubic spectrum read
     for label, g in (("dilation", ABLATION_DILATION), ("rotation_shift", moved)):
         lines.append((f"apply_pi.{label}", digest(apply_pi(g, volume))))
     spectrum = _padded_spectrum(volume, SLICE_PAD_FACTOR * N)

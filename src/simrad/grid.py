@@ -14,10 +14,11 @@ The scale-translation-rotation representation ``apply_pi`` acts on volumes by
 which is unitary for the L2 norm; it is realized by trilinear resampling with
 zero extension outside the grid.
 
-The package's one linear-interpolation kernel lives here: the resampling,
-the chart sampler's detector lookup and the direct-Fourier coverage splat
-all read or deposit through ``_linear_corners`` on a zero-guarded copy
-(``_guard_window``), and the first two gather through ``_linear_gather``.
+The package's interpolation kernels live here: linear and Keys cubic taps at
+constant offsets from one flat index per point (``_linear_corners``,
+``_cubic_corners``), read by one loop (``_gather``) from a zero-guarded copy
+(``_guard_window``).  The resampling, the chart sampler and the direct-Fourier
+coverage splat use the linear taps, the Fourier-slice reference the cubic.
 """
 
 from __future__ import annotations
@@ -36,16 +37,16 @@ from .group import GroupElement, inverse
 # unit-amplitude data, while leaving room to shift bumps off-center on the
 # default grids.
 SUPPORT_DECAY_RADII = 3.5
-# Scratch budget of chunked loops: a chunk holds as many trilinear points,
-# chart-sampler directions or projector directions as fit one float64 per
-# point, per query or per active voxel and accumulator cell, at least one.
+# Scratch budget of chunked loops: a chunk holds as many chart-sampler or
+# projector directions as fit one float64 per query or per active voxel and
+# accumulator cell (at least one), or a quarter as many gathered points.
 # About twenty arrays of the per-voxel size are live while a line chunk is
 # splatted; small chunks run faster as they stay in cache: at N=48 (17k active
 # voxels) one direction per chunk beats four by ~15%, sixteen by ~2x.
 SPLAT_CHUNK_BYTES = 256 << 10
 # Zero cells past each end of every axis of a guarded copy (``_guard_window``)
-# or scatter grid.  A point's floor cell is clamped to [-GATHER_GUARD, n], so
-# both of its linear taps land on the axis or in them.
+# or scatter grid: a linear floor cell is clamped to [-GATHER_GUARD, n], so
+# both taps land on the axis or in them, and a Keys tap reaches two cells past.
 GATHER_GUARD = 2
 
 
@@ -281,15 +282,35 @@ def _linear_corners(shape: tuple, lows, positions: list[np.ndarray]) -> tuple:
     return k, [(sum(o for o, _ in c), [w for _, w in c]) for c in itertools.product(*axes)]
 
 
-def _linear_gather(window: tuple, rows, positions: list[np.ndarray]) -> np.ndarray:
-    """Multilinear samples of rows ``rows`` of a ``_guard_window`` copy.
+def _cubic_corners(shape: tuple, lows, positions: list[np.ndarray]) -> tuple:
+    """Keys cubic-convolution taps (a = -1/2) in the layout of ``_linear_corners``.
+
+    Four taps per axis sit at offsets -1..2 from the floor cell, which is clamped
+    to [lo + 1, lo + m - 3]; a corner's one weight, its taps' product, is made on read.
+    """
+    k, axes = 0, []
+    for a, (pos, lo) in enumerate(zip(positions, lows), len(shape) - len(positions)):
+        m, stride = shape[a], int(np.prod(shape[a + 1 :]))
+        cell = np.floor(pos)
+        t = pos - cell
+        k = k + (np.clip(cell, lo + 1, lo + m - 3) - 1 - lo).astype(np.int64) * stride
+        taps = (((1.0 - 0.5 * t) * t - 0.5) * t, (1.5 * t - 2.5) * t * t + 1.0)
+        taps += (((2.0 - 1.5 * t) * t + 0.5) * t, 0.5 * (t - 1.0) * t * t)
+        axes.append([(j * stride, tap) for j, tap in enumerate(taps)])
+    corners = itertools.product(*axes)
+    return k, ((sum(o for o, _ in c), [reduce(np.multiply, [w for _, w in c])]) for c in corners)
+
+
+def _gather(window: tuple, rows, positions: list[np.ndarray], corners=_linear_corners):
+    """Samples of rows ``rows`` of a ``_guard_window`` copy through ``corners``.
 
     ``positions`` holds fractional indices along each trailing axis of the
-    copied data.  The corners are summed from 0, each as ``((value * w0) *
-    w1) * ...``: for three axes the bits of scipy's ``map_coordinates``.
+    copied data, and ``corners`` is ``_linear_corners`` or ``_cubic_corners``.
+    The corners are summed from 0, each as ``((value * w0) * w1) * ...``: for
+    three linear axes the bits of scipy's ``map_coordinates``.
     """
     copy, lows = window
-    k, corners = _linear_corners(copy.shape, lows, positions)
+    k, corners = corners(copy.shape, lows, positions)
     k = k + rows * int(np.prod(copy.shape[1:]))
     flat = copy.reshape(-1)
     acc = 0.0
@@ -298,21 +319,16 @@ def _linear_gather(window: tuple, rows, positions: list[np.ndarray]) -> np.ndarr
     return acc
 
 
-def _trilinear(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Trilinear samples of a real N^3 array at (m, 3) fractional indices.
-
-    The linear gather on a copy with one zero cell past each high end, masked
-    to exactly 0 outside ``[0, N - 1]``: the bits of ``map_coordinates(order=1,
-    mode="constant")``.
-    """
-    n = data.shape[0]
-    window = _guard_window(data[None], [(0, n + 1)] * 3)
-    out = np.empty(len(idx))
-    for start in range(0, len(idx), SPLAT_CHUNK_BYTES // 8):
-        block = idx[start : start + SPLAT_CHUNK_BYTES // 8]
-        inside = np.all((block >= 0.0) & (block <= n - 1), axis=1)
-        gathered = _linear_gather(window, 0, list(block.T))
-        out[start : start + len(block)] = np.where(inside, gathered, 0.0)
+def _masked_gather(window: tuple, n: int, idx: np.ndarray, corners=_linear_corners) -> np.ndarray:
+    """Samples of a one-row ``_guard_window`` copy of an n^3 array at (3, m) fractional
+    indices, exactly 0 outside [0, n - 1] on any axis, through ``corners``, in chunks
+    of ``SPLAT_CHUNK_BYTES // 32`` points: a cubic chunk stays in cache over 64 corners."""
+    out = np.empty(idx.shape[1], dtype=window[0].dtype)
+    for start in range(0, len(out), SPLAT_CHUNK_BYTES // 32):
+        block = idx[:, start : start + SPLAT_CHUNK_BYTES // 32]
+        inside = np.all((block >= 0.0) & (block <= n - 1), axis=0)
+        gathered = _gather(window, 0, list(block), corners)
+        out[start : start + block.shape[1]] = np.where(inside, gathered, 0.0)
     return out
 
 
@@ -320,13 +336,15 @@ def resample(v: Volume, points: np.ndarray) -> np.ndarray:
     """Trilinear samples of a volume at (..., 3) finite physical points.
 
     A point reads exactly 0 once it lies outside the outermost voxel centers
-    on any axis, with no fade over the half voxel beyond them.
+    on any axis, with no fade over the half voxel beyond them: the bits of
+    ``map_coordinates(order=1, mode="constant")`` at ``(points - origin) / spacing``.
     """
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
         raise ValueError("resample points must be finite")
     idx = (pts.reshape(-1, 3) - v.origin) / v.spacing
-    return _trilinear(v.data, idx).reshape(pts.shape[:-1])
+    window = _guard_window(v.data[None], [(0, v.n + 1)] * 3)
+    return _masked_gather(window, v.n, idx.T).reshape(pts.shape[:-1])
 
 
 def apply_pi(g: GroupElement, v: Volume) -> Volume:

@@ -167,13 +167,23 @@ def apply_pi_hat(g: GroupElement, s: Sinogram) -> Sinogram:
 # ---------------------------------------------------------------------------
 
 
+def _check_grid(n: int, spacing: float) -> None:
+    """``ValueError`` unless ``n`` is a positive integer and ``spacing`` positive and finite."""
+    if not (isinstance(n, (int, np.integer)) and n > 0):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if not (np.isfinite(spacing) and spacing > 0.0):
+        raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+
+
 def invert_fbp_plane(s: PlaneSinogram, n: int, spacing: float) -> Volume:
     """Reconstruct by backprojecting the doubly unitarized sinogram.
 
     The filter is the squared-power multiplier (symbol ``tau ** 2``); the
     half-sphere direction integral of the filtered data then equals the
-    inverse Fourier integral of the volume, with constant exactly 1.
+    inverse Fourier integral of the volume, with constant exactly 1.  A grid
+    that ``_check_grid`` refuses raises ``ValueError`` before any work.
     """
+    _check_grid(n, spacing)
     filtered = apply_multiplier(s, MultiplierSpec(2.0))
     return backproject_plane(filtered, n, spacing)
 
@@ -240,9 +250,11 @@ def invert_direct_fourier(
     stencil reaches from those directions are found first, and the spectra
     and the sampler's window hold those nodes only: for lines the nodes next
     to the equator and the y-z plane (60 of 576 directions at 24x24), for
-    planes most of the chart.  A ``band_limit`` that is not positive and
-    finite raises ``ValueError`` before any of this.
+    planes most of the chart.  A grid that ``_check_grid`` refuses, or a
+    ``band_limit`` that is not positive and finite, raises ``ValueError``
+    before any of this.
     """
+    _check_grid(n, spacing)
     freq_spacing = 1.0 / (n * spacing)
     geom = s.geometry
     if band_limit is None:

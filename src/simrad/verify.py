@@ -49,10 +49,10 @@ from .xform import (
 # to each other.
 SLICE_TOL = 1e-2
 
-# Spectrum zero-padding for the volume-side slice evaluation.  The default
-# factor 2 leaves ~1.5e-2 phase-interpolation error on shifted phantoms, right
-# at the tolerance; factor 4 brings it well under for ~1 s extra FFT cost.
-SLICE_PAD_FACTOR = 4
+# Spectrum zero-padding for the volume-side slice evaluation, read by Keys
+# cubic convolution.  At the verify workload's sizes factor 2 leaves ~3e-4
+# error against the exact mixture spectrum, factor 1 ~3e-3.
+SLICE_PAD_FACTOR = 2
 
 # |norm ratio - 1| bound for the unitarized transform at the N=64 grids.
 ISOMETRY_TOL = 2e-2

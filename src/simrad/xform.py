@@ -59,8 +59,8 @@ by their dot products with the node's axes, a fact of the kind
 normal, and the node's frame axes e1, e2 for lines.  The sampler and the
 wavelet coefficients read the chart through one stencil (``_chart_stencil``),
 so the antipodal bookkeeping lives in exactly one place, and the sampler reads
-the detector through the package's one linear gather (:mod:`simrad.grid`'s
-``_linear_gather``), which the trilinear resampling shares.  It reads a copy
+the detector through the package's one gather loop (:mod:`simrad.grid`'s
+``_gather``) on linear taps, as the trilinear resampling does.  It reads a copy
 of the cells the queries can reach, with zero cells past each end of every
 axis (``_guard_window``), clamps each floor cell into the copy, computes one
 flat index per query and reads every tap at a constant offset from it.  Whole
@@ -88,9 +88,10 @@ from .grid import (
     Spectrum3D,
     Volume,
     _centered_dft,
+    _cubic_corners,
+    _gather,
     _guard_window,
-    _linear_gather,
-    _trilinear,
+    _masked_gather,
     dft3,
     resample,
 )
@@ -711,7 +712,7 @@ def sample_chart(
                 (reduce(np.add, (qc * ac for qc, ac in zip(q, axis))) - origin) / step
                 for axis, (*_, origin, step) in zip(geometry.node_axes(ii, jj, sign), axes)
             ]
-            acc = acc + w * _linear_gather(window, rows, positions)
+            acc = acc + w * _gather(window, rows, positions)
         out[part] = acc
     return out.reshape(shape)
 
@@ -807,15 +808,6 @@ def _padded_spectrum(v: Volume, n_pad: int) -> Spectrum3D:
     return dft3(Volume(data, v.spacing, origin))
 
 
-def _sample_spectrum3(spec: Spectrum3D, freqs: np.ndarray) -> np.ndarray:
-    """Trilinear samples of a centered 3-D spectrum at (..., 3) frequency points."""
-    # two real passes keep one real guarded copy of the spectrum at a time
-    idx = (freqs.reshape(-1, 3) / spec.freq_spacing) + spec.n // 2
-    re = _trilinear(spec.data.real, idx)
-    im = _trilinear(spec.data.imag, idx)
-    return (re + 1j * im).reshape(freqs.shape[:-1])
-
-
 def fourier_slice(spectrum: Spectrum3D, geometry: DirectionChart) -> np.ndarray:
     """A volume's spectrum sampled at the geometry's projection-slice points.
 
@@ -824,9 +816,17 @@ def fourier_slice(spectrum: Spectrum3D, geometry: DirectionChart) -> np.ndarray:
     frequency ray of each plane direction or the perpendicular frequency
     plane of each line direction, on the centered axes of the sinogram
     spectra at pad 1; equality of the two (up to interpolation error) is the
-    projection-slice property.
+    projection-slice property.  The spectrum is read by Keys cubic convolution
+    one azimuth row at a time, from one copy with a zero cell past its low ends
+    and two past its high ends; a point outside the lattice on any axis reads 0.
     """
-    return _sample_spectrum3(spectrum, geometry.slice_frequencies())
+    n = spectrum.n
+    window = _guard_window(spectrum.data[None], [(-1, n + 2)] * 3)
+    out = np.empty(geometry.shape, dtype=complex)
+    for i in range(geometry.n_theta):
+        idx = geometry.slice_frequencies(slice(i, i + 1)).reshape(-1, 3).T / spectrum.freq_spacing
+        out[i] = _masked_gather(window, n, idx + n // 2, _cubic_corners).reshape(out.shape[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import simrad.grid as grid
 from simrad.errors import GeometryMismatch, SupportOverflow
 from simrad.grid import (
     Volume,
-    _trilinear,
+    _cubic_corners,
+    _gather,
+    _guard_window,
     apply_pi,
     dft3,
     gaussian_mixture_phantom,
@@ -198,7 +200,7 @@ def test_resample_zero_outside():
 
 @pytest.mark.parametrize("n", [2, 9, 16])
 def test_trilinear_matches_map_coordinates_bitwise(n, monkeypatch):
-    # The sampler reproduces scipy's order-1 constant-mode interpolation bit
+    # resample reproduces scipy's order-1 constant-mode interpolation bit
     # for bit, on real data and on both parts of a complex spectrum, at
     # random points, knots, 0 and n - 1 and just outside them on each axis,
     # across several chunks.
@@ -215,7 +217,28 @@ def test_trilinear_matches_map_coordinates_bitwise(n, monkeypatch):
     spec = dft3(Volume(rng.standard_normal((n, n, n)), 0.3)).data
     for data in (rng.standard_normal((n, n, n)), spec.real, spec.imag):
         ref = ndimage.map_coordinates(data, idx.T, order=1, mode="constant", cval=0.0)
-        assert _trilinear(data, idx).tobytes() == ref.tobytes()
+        assert resample(Volume(data, 1.0, np.zeros(3)), idx).tobytes() == ref.tobytes()
+
+
+def test_cubic_gather_interpolates_and_reproduces_quadratics():
+    # Keys' kernel (a = -1/2) reads every node exactly, and a polynomial of
+    # degree 2 exactly wherever all four taps per axis lie on the data.
+    n = 9
+    rng = np.random.default_rng(5)
+    cells = np.arange(n, dtype=float)
+
+    def quadratic(x, y, z):
+        return 1.0 + 0.5 * x - 0.3 * y * z + 0.2 * x * x - z * z / 16.0 + 0.7 * x * y
+
+    data = quadratic(*np.meshgrid(cells, cells, cells, indexing="ij"))
+    window = _guard_window(data[None], [(-1, n + 2)] * 3)
+    nodes = rng.integers(0, n, (3, 500)).astype(float)
+    got = _gather(window, 0, list(nodes), _cubic_corners)
+    assert got.tolist() == data[tuple(nodes.astype(int))].tolist()
+    inner_points = rng.uniform(1.0, n - 2.0, (3, 2000))
+    got = _gather(window, 0, list(inner_points), _cubic_corners)
+    ref = quadratic(*inner_points)
+    assert np.max(np.abs(got - ref)) <= EXACT_TOL * np.max(np.abs(data))
 
 
 def test_apply_pi_identity_is_exact():

@@ -348,6 +348,32 @@ def test_direct_fourier_refuses_a_band_limit_that_is_not_positive_and_finite(ban
         invert_direct_fourier(PlaneSinogram(np.zeros(g.shape), g), 8, 0.3, band_limit=band)
 
 
+@pytest.mark.parametrize(
+    "n, spacing, message",
+    [
+        (0, 0.3, "n must be a positive integer"),
+        (-8, 0.3, "n must be a positive integer"),
+        (8.0, 0.3, "n must be a positive integer"),
+        (8, 0.0, "spacing must be positive and finite"),
+        (8, -0.3, "spacing must be positive and finite"),
+        (8, np.inf, "spacing must be positive and finite"),
+        (8, np.nan, "spacing must be positive and finite"),
+    ],
+)
+def test_inversions_refuse_a_grid_that_is_not_positive(n, spacing, message, monkeypatch):
+    # Refused before any work: neither the filter nor the coverage splat runs.
+    def work(*args):
+        raise AssertionError("an inversion started work")
+
+    monkeypatch.setattr(invert, "apply_multiplier", work)
+    monkeypatch.setattr(invert, "_splat_coverage", work)
+    g = PlaneGeometry(8, 8, 33, 4.8)
+    s = PlaneSinogram(np.zeros(g.shape), g)
+    for route in (invert_fbp_plane, invert_direct_fourier):
+        with pytest.raises(ValueError, match=message):
+            route(s, n, spacing)
+
+
 def test_direct_fourier_insufficient_coverage_near_the_tolerance():
     # Coverage well above one half but short of 1 - COVERAGE_TOL: only the
     # tolerance itself decides that the route refuses.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import simrad.invert as invert
 import simrad.verify as verify
-from simrad.grid import Volume, apply_pi, gaussian_phantom
+from simrad.grid import Volume, apply_pi, gaussian_mixture_phantom, gaussian_phantom
 from simrad.group import GroupElement, PlaneLabel, unit_normal
 from simrad.invert import apply_pi_hat
 from simrad.verify import (
@@ -46,7 +47,9 @@ from simrad.xform import (
     LineGeometry,
     PlaneGeometry,
     PlaneSinogram,
+    _padded_spectra,
     _padded_spectrum,
+    fourier_slice,
     radon_plane,
     sinogram_norm,
     xray,
@@ -80,6 +83,17 @@ VERIFY_SIZES = VerifyConfig(
 )
 # A check that can fail reads at least this much on a wrong input.
 CONTROL_FLOOR = 0.1
+# Relative L2 error of either side of the Fourier-slice check against the
+# mixture's closed-form spectrum at VERIFY_SIZES.  Measured: the padded volume
+# spectrum read at the slice points 2.9e-4 (plane) and 3.3e-4 (line), 3.1e-3
+# and 3.2e-3 at pad 1, 0.18 and 0.21 with the -1 and 0 Keys taps swapped; the
+# sinogram spectra 2.3e-4 and 4.0e-4.
+EXACT_SPECTRUM_TOL = 1e-3
+# tracemalloc peak of the padded spectrum and both Fourier-slice checks at
+# VERIFY_SIZES; measured 50 MiB, 270 MiB for the trilinear read at pad 4.
+SLICE_CHECK_PEAK_MIB = 80
+# The mixture phantom's centers, scales and amplitudes.
+MIXTURE = ([[0.6, -0.45, 0.3], [-0.75, 0.3, -0.6]], [0.7, 0.9], [1.0, 0.7])
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +110,25 @@ def coarse_report() -> ResidualReport:
         checks=("isometry", "fiber", "evenness", "controls"),
     )
     return run_all(config)
+
+
+@pytest.fixture(scope="module")
+def verify_sizes_slices() -> tuple:
+    """The mixture at VERIFY_SIZES and its plane and line sinograms."""
+    mix = mixture_phantom(VERIFY_SIZES)
+    return mix, (
+        radon_plane(mix, VERIFY_SIZES.plane_geometry()),
+        xray(mix, VERIFY_SIZES.line_geometry()),
+    )
+
+
+def exact_mixture_spectrum(freqs: np.ndarray) -> np.ndarray:
+    """``sum amp s^3 exp(-pi s^2 |w|^2) exp(-2 pi i w . c)`` at (..., 3) frequencies."""
+    w2 = np.sum(freqs * freqs, axis=-1)
+    return sum(
+        amp * s**3 * np.exp(-np.pi * s**2 * w2) * np.exp(-2j * np.pi * (freqs @ np.asarray(c)))
+        for c, s, amp in zip(*MIXTURE)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +243,45 @@ def test_fourier_slice_check_structural():
 
 
 def test_slice_pad_factor_keeps_the_slice_check_well_inside_its_tolerance():
-    # At the verify workload's sizes both residuals read about 2.5e-3 at pad 4
-    # and 1e-2 at pad 2, so pad 2 would sit on the tolerance and pass or fail
-    # by rounding.
+    # At the verify workload's sizes the residuals read 3.7e-4 (plane) and
+    # 5.1e-4 (line) at pad 2, and about 3.1e-3 at pad 1.
     report = run_all(replace(VERIFY_SIZES, checks=("fourier_slice",)))
     assert [e.name for e in report.entries] == ["fourier_slice_plane", "fourier_slice_line"]
     assert all(e.residual <= SLICE_TOL / 2 for e in report.entries)
+
+
+def test_slice_reference_matches_the_exact_mixture_spectrum(verify_sizes_slices):
+    # The volume side of the check, the padded spectrum read at the slice
+    # points, against the mixture's closed-form spectrum.
+    mix, sinograms = verify_sizes_slices
+    assert np.array_equal(mix.data, gaussian_mixture_phantom(mix.n, mix.spacing, *MIXTURE).data)
+    spectrum = _padded_spectrum(mix, SLICE_PAD_FACTOR * mix.n)
+    for s in sinograms:
+        exact = exact_mixture_spectrum(s.geometry.slice_frequencies())
+        sliced = fourier_slice(spectrum, s.geometry)
+        assert np.linalg.norm(sliced - exact) <= EXACT_SPECTRUM_TOL * np.linalg.norm(exact)
+
+
+def test_sinogram_spectra_match_the_exact_mixture_spectrum(verify_sizes_slices):
+    # The sinogram side of the check against the same closed form.
+    _, sinograms = verify_sizes_slices
+    for s in sinograms:
+        exact = exact_mixture_spectrum(s.geometry.slice_frequencies())
+        measured, *_ = _padded_spectra(s, 1)
+        assert np.linalg.norm(measured - exact) <= EXACT_SPECTRUM_TOL * np.linalg.norm(exact)
+
+
+def test_slice_check_peak_memory_at_verify_sizes(verify_sizes_slices):
+    mix, sinograms = verify_sizes_slices
+    tracemalloc.start()
+    try:
+        spectrum = _padded_spectrum(mix, SLICE_PAD_FACTOR * mix.n)
+        entries = [check_fourier_slice(s, spectrum) for s in sinograms]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(e.passed for e in entries)
+    assert peak <= SLICE_CHECK_PEAK_MIB * 2**20
 
 
 def test_isometry_check_passes_at_coarse_scale(coarse_report):

@@ -18,7 +18,7 @@ import pytest
 
 import simrad.xform as xform
 from simrad.errors import GeometryMismatch
-from simrad.grid import Volume, gaussian_mixture_phantom, gaussian_phantom
+from simrad.grid import Spectrum3D, Volume, gaussian_mixture_phantom, gaussian_phantom
 from simrad.group import LineLabel, PlaneLabel, rotation_from_angles, unit_normal
 from simrad.xform import (
     CUTOFF_FRACTION,
@@ -642,6 +642,23 @@ def test_fourier_slice_plane_oracle(volume, plane_geometry):
     )
     sliced = fourier_slice(_padded_spectrum(volume, 2 * volume.n), g)
     assert np.max(np.abs(sliced - oracle)) <= SLICE_ORACLE_TOL
+
+
+def test_fourier_slice_reads_nodes_exactly_and_zero_off_the_lattice():
+    # One frequency cell per offset-spectrum step, so the rays leave a small
+    # spectrum: tau = 0 reads its centre node exactly (Keys' taps there are
+    # (0, 1, 0, 0)), and a point outside [0, n - 1] on any axis reads 0.
+    rng = np.random.default_rng(7)
+    n = 8
+    data = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    g = PlaneGeometry(6, 6, 33, 4.8)
+    dtau = 1.0 / (g.n_t * g.dt)
+    sliced = fourier_slice(Spectrum3D(data, dtau, 1.0, np.zeros(3)), g)
+    idx = g.slice_frequencies() / dtau + n // 2
+    outside = np.any((idx < 0.0) | (idx > n - 1), axis=-1)
+    assert outside.any() and not outside.all()
+    assert np.all(sliced[outside] == 0.0) and np.all(sliced[~outside] != 0.0)
+    assert np.all(sliced[:, :, g.n_t // 2] == data[n // 2, n // 2, n // 2])
 
 
 def test_fourier_slice_matches_line_spectra(volume, line_sinogram, line_geometry):
