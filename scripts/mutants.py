@@ -216,6 +216,26 @@ MUTANTS = (
         ("tests/test_xform.py::test_sampler_takes_one_row_of_queries_per_direction",),
     ),
     Mutant(
+        "backproject_s_origin_one_cell",
+        "src/simrad/xform.py",
+        "[(s_i - s_grid[0]) / ds]",
+        "[(s_i - s_grid[1]) / ds]",
+        (
+            "tests/test_xform.py::"
+            "test_backproject_plane_converges_to_the_one_stage_sum[filtered_gaussian]",
+        ),
+    ),
+    Mutant(
+        "backproject_s_cos_sin_swapped",
+        "src/simrad/xform.py",
+        "x[:, None, None] * np.cos(theta) + x[None, :, None] * np.sin(theta)",
+        "x[:, None, None] * np.sin(theta) + x[None, :, None] * np.cos(theta)",
+        (
+            "tests/test_xform.py::"
+            "test_backproject_plane_converges_to_the_one_stage_sum[filtered_gaussian]",
+        ),
+    ),
+    Mutant(
         "grid_size_check_admits_zero",
         "src/simrad/invert.py",
         "and n > 0):",

@@ -18,7 +18,8 @@ The package's interpolation kernels live here: linear and Keys cubic taps at
 constant offsets from one flat index per point (``_linear_corners``,
 ``_cubic_corners``), read by one loop (``_gather``) from a zero-guarded copy
 (``_guard_window``).  The resampling, the chart sampler and the direct-Fourier
-coverage splat use the linear taps, the Fourier-slice reference the cubic.
+coverage splat use the linear taps; the Fourier-slice reference and the plane
+backprojection's table read use the cubic.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class Volume:
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 3 or len(set(self.data.shape)) != 1:
-            raise GeometryMismatch(f"volume data must be N^3, got shape {self.data.shape}")
+        if self.data.ndim != 3 or len(set(self.data.shape)) != 1 or self.data.size == 0:
+            raise GeometryMismatch(f"volume data must be N^3, N > 0, got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ValueError("volume data must be finite")
         self.spacing = float(self.spacing)

@@ -54,6 +54,8 @@ def test_volume_validation():
         Volume(np.zeros((4, 4, 5)), 0.1)
     with pytest.raises(GeometryMismatch):
         Volume(np.zeros((4, 4)), 0.1)
+    with pytest.raises(GeometryMismatch, match="N > 0"):
+        Volume(np.zeros((0, 0, 0)), 0.1)
     with pytest.raises(ValueError):
         Volume(np.zeros((4, 4, 4)), -0.1)
     nan_voxel = np.zeros((4, 4, 4))

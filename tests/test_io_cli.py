@@ -202,6 +202,13 @@ def test_read_volume_rejects_truncated_payload(tmp_path):
         read_volume(path)
 
 
+def test_read_volume_refuses_an_empty_grid(tmp_path):
+    path = tmp_path / "empty.svol"
+    _write_raw(path, "SIMRAD-VOL v1 N=0 h=0.5 dtype=f64", VOL_HEADER_BYTES)
+    with pytest.raises(ValueError, match="declares 0 samples"):
+        read_volume(path)
+
+
 def test_read_sinogram_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.sgm"
     _write_raw(path, "SIMRAD-SGM v1 kind=fan ntheta=2 nphi=2", SGM_HEADER_BYTES)

@@ -18,6 +18,7 @@ import pytest
 
 import simrad.xform as xform
 from simrad.errors import GeometryMismatch
+from simrad.filters import MultiplierSpec, apply_multiplier
 from simrad.grid import Spectrum3D, Volume, gaussian_mixture_phantom, gaussian_phantom
 from simrad.group import LineLabel, PlaneLabel, rotation_from_angles, unit_normal
 from simrad.xform import (
@@ -64,7 +65,7 @@ SPECTRUM_ORACLE_TOL = 5e-3
 # shifted bump (the verify harness uses pad 4 for its 1e-2 budget).
 SLICE_ORACLE_TOL = 2e-2
 # Forward splat and interpolating backprojection are adjoint only up to their
-# separate discretizations; measured 4.4e-4.
+# separate discretizations; measured 4.3e-4.
 ADJOINT_TOL = 2e-3
 # Chart gluing bookkeeping is pure index arithmetic.
 GLUING_TOL = 1e-12
@@ -76,6 +77,17 @@ SPLAT_REFERENCE_TOL = 1e-12
 # h=0.2, 24x24 directions, 48x48 detector); measured 13 MiB, where deconvolving
 # the whole refined grid at once took 577 MiB.
 XRAY_PEAK_MIB = 150
+# The two-stage plane backprojection against the one-stage sum on filtered
+# data of the CENTER bump (n=33, 16x16 directions, 65 offsets): measured
+# 1.94e-2 / 8.60e-3 / 2.93e-3 at refine 2 / 4 / 8, and 9.8e-3 at refine 4 on
+# the five-voxel case.  Each halving of the s step cuts the difference
+# 2.2-3.4x, not 4x: the one-stage sum itself reads F piecewise-linearly.
+BACKPROJECT_REFINE_TOL = 1.5e-2
+BACKPROJECT_HALVING_GAIN = 2.0
+# tracemalloc peak of one plane backprojection at the demo sizes (N=48,
+# h=0.2, 24x24 directions, 97 offsets); measured 9.4 MiB, 44.7 MiB for the
+# one-stage sum's per-row (N^3, n_phi) offset block.
+BACKPROJECT_PEAK_MIB = 16
 
 CENTER = np.array([0.4, -0.3, 0.2])
 
@@ -701,8 +713,8 @@ def test_backproject_plane_is_adjoint(volume, plane_sinogram, plane_geometry):
 
 
 def _whole_block_backprojection(s: PlaneSinogram, n: int, spacing: float) -> np.ndarray:
-    # The loop before the slab walk: each direction's np.interp reads its
-    # column of the whole (N^3, n_phi) block.
+    # The one-stage sum: each direction's np.interp reads its column of the
+    # row's whole (N^3, n_phi) block of plane offsets.
     g = s.geometry
     pts = Volume(np.zeros((n, n, n)), spacing).coordinate_grid().reshape(-1, 3)
     acc = np.zeros(pts.shape[0])
@@ -715,27 +727,58 @@ def _whole_block_backprojection(s: PlaneSinogram, n: int, spacing: float) -> np.
     return acc.reshape(n, n, n)
 
 
+def _filtered_gaussian(n: int, spacing: float, g: PlaneGeometry) -> PlaneSinogram:
+    # what invert_fbp_plane backprojects
+    sinogram = radon_plane(gaussian_phantom(n, spacing, CENTER), g)
+    return apply_multiplier(sinogram, MultiplierSpec(2.0))
+
+
+def _smooth_profiles(n: int, spacing: float, g: PlaneGeometry) -> PlaneSinogram:
+    data = np.exp(-np.pi * g.ts[None, None, :] ** 2) * (
+        1.0 + 0.3 * np.sin(g.thetas)[:, None, None] * np.sin(g.phis)[None, :, None]
+    )
+    return PlaneSinogram(data, g)
+
+
 @pytest.mark.parametrize(
-    "n, spacing, geometry, slab_voxels",
+    "n, spacing, geometry, data",
     [
-        (33, 0.3, PlaneGeometry(16, 16, 65, 4.8), None),  # default budget, ragged last slab
-        (16, 0.3, PlaneGeometry(8, 6, 33, 3.0), 37),  # 111 slabs, the last one partial
-        (5, 0.9, PlaneGeometry(3, 4, 9, 1.5), 0),  # a budget below one voxel
+        (33, 0.3, PlaneGeometry(16, 16, 65, 4.8), _filtered_gaussian),
+        (5, 0.9, PlaneGeometry(3, 4, 9, 1.5), _smooth_profiles),
     ],
-    ids=["odd_n", "many_slabs", "one_voxel_slabs"],
+    ids=["filtered_gaussian", "five_voxels"],
 )
-def test_backproject_plane_matches_whole_block_loop(n, spacing, geometry, slab_voxels, monkeypatch):
-    if slab_voxels is not None:
-        monkeypatch.setattr(xform, "BACKPROJECT_SLAB_BYTES", 8 * geometry.n_phi * slab_voxels + 3)
-    voxels = max(1, xform.BACKPROJECT_SLAB_BYTES // (8 * geometry.n_phi))
-    assert voxels == 1 or n**3 % voxels != 0
-    # Random samples with nonzero end values, on an offset axis that the
-    # cube's corners overrun: those voxels must read the zero left/right.
-    s = PlaneSinogram(np.random.default_rng(n).standard_normal(geometry.shape), geometry)
+def test_backproject_plane_converges_to_the_one_stage_sum(n, spacing, geometry, data, monkeypatch):
+    s = data(n, spacing, geometry)
     pts = Volume(np.zeros((n, n, n)), spacing).coordinate_grid().reshape(-1, 3)
+    # the cube's corners overrun the offset axis: they must read its zero ends
     assert np.abs(pts @ geometry.normals.reshape(-1, 3).T).max() > geometry.t_max
-    bp = backproject_plane(s, n, spacing)
-    assert bp.data.tobytes() == _whole_block_backprojection(s, n, spacing).tobytes()
+    ref = _whole_block_backprojection(s, n, spacing)
+    diffs = {}
+    for refine in (2, 4, 8):
+        monkeypatch.setattr(xform, "BACKPROJECT_REFINE", refine)
+        bp = backproject_plane(s, n, spacing).data
+        diffs[refine] = np.linalg.norm(bp - ref) / np.linalg.norm(ref)
+    assert diffs[4] <= BACKPROJECT_REFINE_TOL
+    assert diffs[2] >= BACKPROJECT_HALVING_GAIN * diffs[4]
+    assert diffs[4] >= BACKPROJECT_HALVING_GAIN * diffs[8]
+
+
+def test_backproject_plane_peak_memory_at_demo_sizes():
+    g = PlaneGeometry(24, 24, 97, 4.8)
+    s = radon_plane(gaussian_phantom(48, 0.2, CENTER), g)
+    tracemalloc.start()
+    try:
+        backproject_plane(s, 48, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BACKPROJECT_PEAK_MIB * 2**20
+
+
+def test_backproject_plane_refuses_an_empty_grid(plane_sinogram):
+    with pytest.raises(GeometryMismatch, match="N > 0"):
+        backproject_plane(plane_sinogram, 0, 0.3)
 
 
 def test_backproject_plane_rejects_line_data(line_sinogram):
