@@ -252,6 +252,53 @@ MUTANTS = (
             "test_direct_fourier_refuses_a_band_limit_that_is_not_positive_and_finite",
         ),
     ),
+    Mutant(
+        "lattice_atom_center_one_cell_high",
+        "src/simrad/invert.py",
+        "idx = (a * w @ R) / spec.freq_spacing + k // 2",
+        "idx = (a * w @ R) / spec.freq_spacing + k // 2 + 1",
+        ("tests/test_invert.py::test_wavelet_synthesis_atoms_match_closed_form_dilates",),
+    ),
+    Mutant(
+        "lattice_atoms_always_real",
+        "src/simrad/invert.py",
+        "if np.max(np.abs(data.imag)) <= SPECTRUM_ROUNDOFF * np.max(np.abs(data.real)):",
+        "if True:",
+        (
+            "tests/test_invert.py::"
+            "test_wavelet_synthesis_atoms_of_an_off_center_wavelet_match_closed_form",
+        ),
+    ),
+    Mutant(
+        "lattice_shift_extent_guard_dropped",
+        "src/simrad/invert.py",
+        "if not (np.isfinite(shift_extent) and shift_extent > 0.0):",
+        "if False:",
+        (
+            "tests/test_invert.py::"
+            "test_lattice_build_refuses_a_degenerate_lattice_before_the_solve[zero_extent]",
+        ),
+    ),
+    Mutant(
+        "lattice_scale_max_may_be_infinite",
+        "src/simrad/invert.py",
+        "if not 0.0 < scale_min < scale_max < np.inf:",
+        "if not 0.0 < scale_min < scale_max:",
+        (
+            "tests/test_invert.py::"
+            "test_lattice_build_refuses_a_degenerate_lattice_before_the_solve[infinite_scale_max]",
+        ),
+    ),
+    Mutant(
+        "lattice_empty_rotations_admitted",
+        "src/simrad/invert.py",
+        "if rotations is not None and len(rotations) == 0:",
+        "if False:",
+        (
+            "tests/test_invert.py::"
+            "test_lattice_build_refuses_a_degenerate_lattice_before_the_solve[no_rotations]",
+        ),
+    ),
 )
 
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end tour of the command-line interface: generate a two-bump phantom,
-# take plane-integral and line-integral data, reconstruct three ways, and run
-# a quick property check.  All artifacts land in a work directory (first
-# argument, default: a fresh temp dir).
+# take plane-integral and line-integral data, reconstruct four ways, and run
+# a quick property check.  The wavelet synthesis reconstructs on the default
+# wavelet's own grid (N=32, h=0.3), not the phantom's, so it is given no
+# reference.  All artifacts land in a work directory (first argument,
+# default: a fresh temp dir).
 set -euo pipefail
 
 work=${1:-$(mktemp -d)}
@@ -33,6 +35,9 @@ echo "-- direct Fourier (plane data) --"
 echo "-- direct Fourier (line data) --"
 "${run[@]}" invert-fourier --in "$work/line.sgm" --n 48 --h 0.2 \
     --reference "$work/phantom.svol" --out "$work/rec_df_line.svol"
+
+echo "-- wavelet frame synthesis (plane data) --"
+"${run[@]}" invert-wavelet --in "$work/plane.sgm" --out "$work/rec_wavelet.svol"
 
 echo "-- property check on the demo grid --"
 "${run[@]}" verify --check fiber --n 48 --h 0.2 --ntheta 24 --nphi 24 \

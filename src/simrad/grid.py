@@ -18,8 +18,8 @@ The package's interpolation kernels live here: linear and Keys cubic taps at
 constant offsets from one flat index per point (``_linear_corners``,
 ``_cubic_corners``), read by one loop (``_gather``) from a zero-guarded copy
 (``_guard_window``).  The resampling, the chart sampler and the direct-Fourier
-coverage splat use the linear taps; the Fourier-slice reference and the plane
-backprojection's table read use the cubic.
+coverage splat use the linear taps; the Fourier-slice reference, the plane
+backprojection's table read and the wavelet route's lattice atoms use the cubic.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import GeometryMismatch, SupportOverflow
-from .group import GroupElement, inverse
+from .group import GroupElement, act_point, inverse
 
 # A Gaussian bump is treated as numerically supported within 3.5 standard
 # "pi-widths": exp(-pi * 3.5^2) ~ 2e-17 is below every tolerance used here for
@@ -350,7 +350,5 @@ def resample(v: Volume, points: np.ndarray) -> np.ndarray:
 
 def apply_pi(g: GroupElement, v: Volume) -> Volume:
     """Unitary point-space action ``a^(-3/2) f(a^-1 R^-1 (x - b))`` by resampling."""
-    ginv = inverse(g)
-    grid = v.coordinate_grid()
-    query = ginv.b + ginv.a * (grid @ ginv.R.T)
+    query = act_point(inverse(g), v.coordinate_grid())
     return Volume(g.a**-1.5 * resample(v, query), v.spacing, v.origin.copy())

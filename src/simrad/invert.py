@@ -44,9 +44,10 @@ package, :func:`kind_steps`.  It lives here because this is the one module
 that can import every kind-specific step; the command line and the
 verification checks take their forward transforms from it too.
 
-Only the wavelet route needs scipy, and it imports it where it is used
-(``_interp_matrix``, ``_plane_coefficients`` and ``_LatticeFrame``), so
-importing this module and running the other routes loads numpy alone.
+Only the wavelet route needs scipy, for the sparse matrices of its frame
+coefficients (``_interp_matrix`` and ``_plane_coefficients`` import
+``scipy.sparse`` where they use it), so importing this module and running
+the other routes loads numpy alone.
 """
 
 from __future__ import annotations
@@ -61,7 +62,17 @@ import numpy as np
 
 from .errors import InsufficientCoverage, LatticeTooCoarse
 from .filters import MultiplierSpec, admissibility_constant, apply_multiplier
-from .grid import GATHER_GUARD, Spectrum3D, Volume, _linear_corners, idft3, l2_norm
+from .grid import (
+    GATHER_GUARD,
+    Spectrum3D,
+    Volume,
+    _cubic_corners,
+    _guard_window,
+    _linear_corners,
+    _masked_gather,
+    idft3,
+    l2_norm,
+)
 from .group import GroupElement, icosahedral_rotations
 from .xform import (
     DirectionChart,
@@ -319,8 +330,12 @@ class GroupLattice:
     ) -> "GroupLattice":
         if n_shift < 2 or n_scale < 2:
             raise ValueError("need at least 2 nodes per lattice axis")
-        if not 0.0 < scale_min < scale_max:
-            raise ValueError("need 0 < scale_min < scale_max")
+        if not (np.isfinite(shift_extent) and shift_extent > 0.0):
+            raise ValueError(f"shift_extent must be positive and finite, got {shift_extent!r}")
+        if not 0.0 < scale_min < scale_max < np.inf:
+            raise ValueError("need 0 < scale_min < scale_max < inf")
+        if rotations is not None and len(rotations) == 0:
+            raise ValueError("need at least one rotation")
         axis = np.linspace(-shift_extent, shift_extent, n_shift)
         if rotations is None:
             rotations = icosahedral_rotations()
@@ -542,13 +557,14 @@ class _LatticeFrame:
     """The lattice atoms ``pi(b, R, a) psi`` as Fourier multipliers.
 
     The atom at rotation ``R`` and scale ``a`` has spectrum ``a**1.5 *
-    psi_hat(a R^T w)``: the wavelet's zero-padded spectrum read by cubic
-    spline interpolation, and zero where ``a R^T w`` leaves the frequency
-    cube of the wavelet's grid.  Atoms live on a grid ``SYNTHESIS_PAD``
-    times wider than the wavelet's, so their periodic copies stay clear of
-    the volume, and shifts enter as a separable DFT over the lattice's shift
-    axis.  Spectra are kept in ``rfftn`` layout, centered along the first
-    two axes, so the support of each scale is a centered box.
+    psi_hat(a R^T w)``: the wavelet's zero-padded spectrum read by Keys cubic
+    convolution (:mod:`simrad.grid`'s ``_cubic_corners``), exactly zero where
+    ``a R^T w`` leaves the frequency cube of the wavelet's grid.  Atoms live
+    on a grid ``SYNTHESIS_PAD`` times wider than the wavelet's, so their
+    periodic copies stay clear of the volume, and shifts enter as a
+    separable DFT over the lattice's shift axis.  Spectra are kept in
+    ``rfftn`` layout, centered along the first two axes, so the support of
+    each scale is a centered box.
 
     ``analysis`` pairs a volume on the wavelet's grid with every atom;
     ``synthesis`` sums coefficient-weighted atoms on that grid.  Each is the
@@ -557,8 +573,6 @@ class _LatticeFrame:
     """
 
     def __init__(self, psi: Volume, lattice: GroupLattice) -> None:
-        from scipy import ndimage
-
         n, h = psi.n, psi.spacing
         m = SYNTHESIS_PAD * n
         self.n, self.m, self.spacing = n, m, h
@@ -580,15 +594,10 @@ class _LatticeFrame:
         spec = _padded_spectrum(psi, k)
         # a wavelet that is even about the origin has a real spectrum; its
         # imaginary part is then roundoff, and the atoms are stored real
-        parts = [(1.0, spec.data.real)]
-        peak = np.max(np.abs(spec.data.real))
-        if np.max(np.abs(spec.data.imag)) > SPECTRUM_ROUNDOFF * peak:
-            parts.append((1j, spec.data.imag))
-        splines = [
-            (unit, ndimage.spline_filter(part, order=3, mode="grid-constant"))
-            for unit, part in parts
-        ]
-        dtype = complex if len(splines) > 1 else float
+        data = spec.data
+        if np.max(np.abs(data.imag)) <= SPECTRUM_ROUNDOFF * np.max(np.abs(data.real)):
+            data = data.real
+        window = _guard_window(data[None], [(-1, k + 2)] * 3)
         corner = np.sqrt(3.0) * (k // 2) * spec.freq_spacing
         center = m // 2
         self.boxes: list[tuple[slice, slice]] = []
@@ -602,17 +611,11 @@ class _LatticeFrame:
             w = np.stack(
                 np.meshgrid(freq[sxy], freq[sxy], freq_z[sz], indexing="ij"), axis=-1
             )
-            atoms = np.zeros((len(lattice.rotations),) + w.shape[:-1], dtype=dtype)
+            atoms = np.empty((len(lattice.rotations),) + w.shape[:-1], dtype=data.dtype)
             for ir, R in enumerate(lattice.rotations):
                 idx = (a * w @ R) / spec.freq_spacing + k // 2
-                inside = np.all((idx >= 0.0) & (idx <= k - 1), axis=-1)
-                atoms[ir][inside] = a**1.5 * sum(
-                    unit
-                    * ndimage.map_coordinates(
-                        c, idx[inside].T, order=3, mode="grid-constant", prefilter=False
-                    )
-                    for unit, c in splines
-                )
+                read = _masked_gather(window, k, idx.reshape(-1, 3).T, _cubic_corners)
+                atoms[ir] = a**1.5 * read.reshape(w.shape[:-1])
             self.boxes.append((sxy, sz))
             self.atoms.append(atoms)
 

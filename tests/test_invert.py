@@ -115,7 +115,8 @@ ONE_ROTATION_REL_TOL = 2e-3
 WAVELET_NORM_RATIO = (0.6, 1.4)
 # Synthesis atoms against the closed-form dilates sqrt(a) * log_wavelet(a) at
 # the interior lattice scales; measured 1.2e-3 at a = 1.45 and a = 2.64.
-# Trilinear resampling of the wavelet (apply_pi) misses them by 17-18%.
+# Trilinear resampling of the wavelet (apply_pi) misses them by 17-18%.  The
+# moved copies of an off-center Gaussian of width 1 measure 1.8e-4 to 2.0e-4.
 ATOM_REL_TOL = 1e-2
 # Synthesis is the adjoint of analysis up to float64 roundoff.
 ADJOINT_REL_TOL = 1e-10
@@ -506,6 +507,47 @@ def test_lattice_build_validation():
         GroupLattice.build(0.9, 4, 4.8, 0.8, 4)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, 3, 0.8, 2.0, 2),
+        (-0.9, 3, 0.8, 2.0, 2),
+        (np.inf, 3, 0.8, 2.0, 2),
+        (np.nan, 3, 0.8, 2.0, 2),
+        (0.9, 3, 0.8, np.inf, 2),
+        (0.9, 3, np.nan, 2.0, 2),
+        (0.9, 3, 0.8, 2.0, 2, []),
+    ],
+    ids=[
+        "zero_extent",
+        "negative_extent",
+        "infinite_extent",
+        "nan_extent",
+        "infinite_scale_max",
+        "nan_scale_min",
+        "no_rotations",
+    ],
+)
+def test_lattice_build_refuses_a_degenerate_lattice_before_the_solve(
+    monkeypatch, plane_sino16, psi, args
+):
+    # Past the build, each of these lattices would reach the solve and end in
+    # an all-zero volume with a nan energy ratio (zero extent, no rotations)
+    # or in a non-finite volume; the build refuses them first.
+    solves = []
+
+    def spy(*solve_args):
+        solves.append(solve_args)
+        return _dual_frame_solve(*solve_args)
+
+    monkeypatch.setattr(invert, "_dual_frame_solve", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError):
+            invert_wavelet(plane_sino16, psi, GroupLattice.build(*args))
+    assert solves == []
+
+
 def test_lattice_nodes_and_weights(reference_lattice):
     lat = reference_lattice
     assert lat.n_nodes == 4**3 * 12 * 4
@@ -630,6 +672,28 @@ def test_wavelet_synthesis_atoms_match_closed_form_dilates(psi):
         a = float(lattice.scales[ia])
         closed = np.sqrt(a) * log_wavelet(32, 0.3, a).data
         for ir in range(2):
+            unit = np.zeros((4, 2, 27))
+            unit[ia, ir, 13] = 1.0
+            atom = frame.synthesis(unit)
+            rel = np.linalg.norm(atom - closed) / np.linalg.norm(closed)
+            assert rel <= ATOM_REL_TOL
+
+
+def test_wavelet_synthesis_atoms_of_an_off_center_wavelet_match_closed_form():
+    # pi(0, R, a) of the Gaussian of width s at c is a^(-3/2) times the
+    # Gaussian of width a s at a R c.  Its spectrum is complex, so an atom
+    # read from the real part alone misses it by ~70%.
+    c, width = np.array([0.6, -0.4, 0.2]), 1.0
+    wavelet = gaussian_phantom(32, 0.3, center=c, scale=width)
+    ico = icosahedral_rotations()
+    lattice = GroupLattice.build(0.9, 3, 0.8, 4.8, 4, rotations=[ico[3], ico[7]])
+    frame = _LatticeFrame(wavelet, lattice)
+    x = wavelet.coordinate_grid()
+    for ia in (1, 2):
+        a = float(lattice.scales[ia])
+        for ir, R in enumerate(lattice.rotations):
+            d2 = np.sum((x - a * R @ c) ** 2, axis=-1)
+            closed = a**-1.5 * np.exp(-np.pi * d2 / (a * width) ** 2)
             unit = np.zeros((4, 2, 27))
             unit[ia, ir, 13] = 1.0
             atom = frame.synthesis(unit)

@@ -771,3 +771,28 @@ def test_numpy_routes_do_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_wavelet_route_does_not_load_scipy_ndimage():
+    # The lattice atoms read the wavelet's spectrum through the package's own
+    # cubic kernel; scipy.sparse, for the frame coefficients, may still load.
+    code = "\n".join(
+        [
+            "import sys, warnings",
+            "import numpy as np",
+            "from simrad import grid, invert, xform",
+            "v = grid.gaussian_phantom(16, 0.3, scale=0.55)",
+            "s = xform.radon_plane(v, xform.PlaneGeometry(8, 8, 33, 4.8))",
+            "lattice = invert.GroupLattice.build(0.6, 2, 0.8, 1.6, 2, rotations=[np.eye(3)])",
+            "warnings.simplefilter('ignore')",
+            "rec, metrics = invert.invert_wavelet(s, grid.log_wavelet(16, 0.3), lattice)",
+            "assert metrics.iterations > 0 and np.any(rec.data)",
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.ndimage')))",
+        ]
+    )
+    package_root = Path(simrad.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=package_root, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
