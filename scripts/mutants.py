@@ -236,6 +236,36 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "radon_plane_s_origin_one_cell",
+        "src/simrad/xform.py",
+        "- s_grid[0]) / step_s",
+        "- s_grid[1]) / step_s",
+        (
+            "tests/test_xform.py::"
+            "test_radon_plane_converges_to_the_voxel_driven_reference[centered]",
+        ),
+    ),
+    Mutant(
+        "radon_plane_t_sin_cos_swapped",
+        "src/simrad/xform.py",
+        "np.sin(g.phis)[:, None, None] * s_grid + np.cos(g.phis)[:, None, None] * z[:, None]",
+        "np.cos(g.phis)[:, None, None] * s_grid + np.sin(g.phis)[:, None, None] * z[:, None]",
+        (
+            "tests/test_xform.py::"
+            "test_radon_plane_converges_to_the_voxel_driven_reference[centered]",
+        ),
+    ),
+    Mutant(
+        "radon_plane_t_widening_dropped",
+        "src/simrad/xform.py",
+        "widen = max(0, int(np.ceil((reach - g.t_max) / step_t)))",
+        "widen = 0",
+        (
+            "tests/test_xform.py::"
+            "test_radon_plane_converges_to_the_voxel_driven_reference[edge_reaching]",
+        ),
+    ),
+    Mutant(
         "grid_size_check_admits_zero",
         "src/simrad/invert.py",
         "and n > 0):",

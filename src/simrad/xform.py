@@ -13,25 +13,33 @@ du dv / pi``, where the ``1 / pi`` is the constant that makes the fiber
 measure over the half-sphere of directions match the ambient frequency-domain
 measure (each frequency is hit by a full circle of line directions).
 
-The forward projectors are voxel-driven: every voxel deposits its value with
-cubic B-spline weights on a detector grid refined ``SPLAT_REFINE`` times,
-which computes the exact transform of the grid field convolved with a kernel
-of response ``sinc^4``; a Fourier-domain division by that response (with a
-smooth low-pass guard below the voxel Nyquist rate) removes the blur.  For
-smooth, grid-resolved fields this is accurate to well below the quadrature
-bias of sample-the-plane schemes, because the only remaining errors are
-spectral truncation and aliasing, both controlled by the sampling margins.
+The forward projectors splat: each point deposits its value with cubic
+B-spline weights on an axis refined ``SPLAT_REFINE`` times, which computes the
+exact projection of the sampled field convolved with a kernel of response
+``sinc^4``; a Fourier-domain division by that response (with a smooth
+low-pass guard below the voxel Nyquist rate) removes the blur.  For smooth,
+grid-resolved fields this is accurate to well below the quadrature bias of
+sample-the-plane schemes, because the only remaining errors are spectral
+truncation and aliasing, both controlled by the sampling margins.
 
-The division is a circulant operator on each refined detector axis, and only
-every ``SPLAT_REFINE``-th output sample is kept, so each axis's deconvolution
-is one small real matrix: the kept rows of ``ifft(lowpass / sinc^4 * fft)``,
-of shape (n, SPLAT_REFINE * (n - 1) + 1).  Directions are projected in chunks
-sized by ``SPLAT_CHUNK_BYTES``; each chunk is splatted and at once multiplied
-by the matrices (``blk @ D_t.T`` for planes, ``D_u @ blk @ D_v.T`` for
-lines), so the refined grid never exists for more than one chunk.  A
-projection refuses a field whose nonzero voxels reach farther from the
-coordinate origin than the detector does, so every cubic tap lands on the
-detector or in the guard cells just past its ends, which the matrices ignore.
+The division is a circulant operator on each refined axis, and only every
+``SPLAT_REFINE``-th output sample is kept, so each axis's deconvolution is
+one small real matrix: the kept rows of ``ifft(lowpass / sinc^4 * fft)``, of
+shape (n, SPLAT_REFINE * (n - 1) + 1).  ``xray`` is voxel-driven: it splats
+every voxel on the (u, v) detector of each direction, in chunks of
+directions sized by ``SPLAT_CHUNK_BYTES``, and multiplies each chunk at once
+by the matrices (``D_u @ blk @ D_v.T``), so the refined grid never exists for
+more than one chunk.  ``radon_plane`` factors through the azimuth rows, the
+classical reduction of the 3-D Radon transform to 2-D ones (Marr, Chen and
+Lauterbur, 1981; Natterer and Wuebbeling, 2001): a row's normals meet a voxel
+at ``sin(phi) s + cos(phi) z``, with ``s`` its coordinate along the row's
+horizontal axis, so per row the voxels are splatted once along s into a (z,
+s) table, and the table is splatted along the offset t of each of the row's
+normals.  That makes n_theta (N_act + n_phi * table size) deposits instead
+of n_theta * n_phi * N_act.  A projection refuses a field whose nonzero
+voxels reach farther from the coordinate origin than the detector does, so
+every cubic tap lands on an axis or in the guard cells just past its ends,
+which the matrices ignore.
 
 The two transforms are two instances of one construction, and everything
 that differs by kind, short of the math itself, is a fact of the geometry:
@@ -39,8 +47,8 @@ both geometries share one direction chart (:class:`DirectionChart`) and
 their sinograms one validated container (:class:`Sinogram`).  The geometry
 owns its detector, ``(n, first sample, step)`` per axis, and the axes' unit
 vectors at every chart direction (``detector_directions``: the normals for
-planes, the frame axes e1 and e2 for lines), so both projectors are one
-``_project`` call.  It owns the projection-slice map too:
+planes, the frame axes e1 and e2 for lines), the axes ``xray`` splats
+along.  It owns the projection-slice map too:
 ``slice_frequencies`` places the detector spectra in 3-D, and
 ``slice_query`` names the direction and query that read a 3-D frequency.
 The padded detector spectra of both kinds are one step too
@@ -128,11 +136,12 @@ BACKPROJECT_REFINE = 4
 # ~1e-5 for unit-bandwidth fields; a triangular kernel (sinc^2) at the output
 # rate would leave ~1e-2.
 SPLAT_REFINE = 3
-# Cells past each end of a refined detector axis of n_f samples that collect
-# the cubic taps falling off it.  A voxel within the geometry's reach sits at
-# refined position [0, n_f - 1] on a plane offset axis and [-1.5, n_f + 0.5]
-# on a line detector axis (its samples are cell centres), so its taps, at
-# offsets -1..2 around the floor cell, land in [-3, n_f + 2].
+# Cells past each end of a refined axis of n_f samples that collect the cubic
+# taps falling off it.  A voxel within the geometry's reach sits at refined
+# position [-1.5, n_f + 0.5] on a line detector axis (its samples are cell
+# centres), so its taps, at offsets -1..2 around the floor cell, land in
+# [-3, n_f + 2].  The plane transform's table s axis holds every voxel in
+# [0, n_f - 1]; its offset axis adds cells for the table's reach past t_max.
 SPLAT_GUARD = 4
 # Voxels with |f| below this fraction of the field's maximum are skipped by
 # the projectors; the dropped mass is below double rounding noise.
@@ -464,8 +473,20 @@ def _active_voxels(v: Volume) -> tuple[np.ndarray, np.ndarray]:
     return v.coordinate_grid().reshape(-1, 3)[mask], f[mask]
 
 
+def _reached_voxels(v: Volume, geometry: DirectionChart) -> tuple[np.ndarray, np.ndarray]:
+    """``_active_voxels``; raises :class:`GeometryMismatch` when one lies past ``reach``."""
+    pts, f = _active_voxels(v)
+    radius = float(np.sqrt(np.max(np.sum(pts * pts, axis=1), initial=0.0)))
+    if geometry.reach < radius - 1e-9:
+        raise GeometryMismatch(
+            f"the {geometry.kind} detector extends to {geometry.reach:g} but the "
+            f"field is nonzero out to radius {radius:g}; integrals would be truncated"
+        )
+    return pts, f
+
+
 def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np.ndarray:
-    """Deposit ``f`` with cubic B-spline taps on per-direction detector grids.
+    """Deposit ``f`` with cubic B-spline taps on per-direction (u, v) detector grids.
 
     ``positions[a]`` has shape (n_points, n_directions) and holds each point's
     position along detector axis ``a`` in cells of a grid of ``lengths[a]``
@@ -477,53 +498,107 @@ def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np
     """
     m = positions[0].shape[1]
     shape = [n + 2 * SPLAT_GUARD for n in lengths]
-    strides = [int(np.prod(shape[a + 1 :])) for a in range(len(shape))]
-    size = m * int(np.prod(shape))
+    strides = [shape[1], 1]
+    size = m * shape[0] * shape[1]
     k = np.arange(m)[None, :] * (size // m)
     taps = []
     for pos, stride in zip(positions, strides):
         cell = np.floor(pos)
         taps.append([((off + 1) * stride, tap) for off, tap in _cubic_taps(pos - cell)])
         k = k + (cell.astype(np.int64) + SPLAT_GUARD - 1) * stride
-    # The value rides on the last axis's taps, so each combination costs one
-    # product in 2-D and none in 1-D.
-    taps[-1] = [(off, f[:, None] * tap) for off, tap in taps[-1]]
+    # The value rides on the v taps, so each combination costs one product.
+    taps_v = [(off, f[:, None] * tap) for off, tap in taps[1]]
     k = k.ravel()
     acc = np.zeros(size)
-    for combo in itertools.product(*taps):
-        off = sum(o for o, _ in combo)
-        weight = reduce(np.multiply, (tap for _, tap in combo))
-        np.add.at(acc[off:], k, weight.ravel())
+    for (off_u, tap_u), (off_v, tap_v) in itertools.product(taps[0], taps_v):
+        np.add.at(acc[off_u + off_v :], k, (tap_u * tap_v).ravel())
     return acc.reshape(m, *shape)
 
 
-def _project(v: Volume, geometry: DirectionChart) -> Sinogram:
-    """Splat-and-deconvolve projection shared by the plane and line transforms.
+def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
+    """Plane-integral transform of a volume, one azimuth row at a time.
+
+    Row i's normals meet a voxel at ``n . x = sin(phi) s + cos(phi) z``, with
+    ``s = x cos(theta_i) + y sin(theta_i)``.  Stage A splats the active voxels
+    along s into the row's table ``T_i(z, s)`` (at the voxel z planes, s at
+    step ``h``) and deconvolves it; stage B splats the table along each
+    normal's t and deconvolves the offset axis.  The table points' t do not
+    depend on the row, so their cells and taps are computed once.  The table
+    spans the grid's extents within ``t_max``, not the data's, so the
+    transform is linear; stage B's offset axis is widened by the table's
+    reach past ``t_max``, and zero columns of its matrix drop those taps.
+    Raises :class:`GeometryMismatch` when a nonzero voxel lies farther than
+    ``t_max`` from the coordinate origin.
+    """
+    g = geometry
+    h = v.spacing
+    pts, f = _reached_voxels(v, g)
+    z = v.axis_coords(2)
+    z = z[np.abs(z) <= g.t_max + 1e-9]  # the planes that can hold an active voxel
+    corners = np.hypot(*np.meshgrid(v.axis_coords(0)[[0, -1]], v.axis_coords(1)[[0, -1]]))
+    half = int(np.ceil(min(corners.max(), g.t_max) / h))
+    s_grid = np.arange(-half, half + 1) * h
+
+    step_s = h / SPLAT_REFINE
+    mat_s = _deconvolution_matrix(s_grid.size, step_s, CUTOFF_FRACTION * 0.5 / h)
+    mat_s *= h * h / step_s
+    width_s = mat_s.shape[1]
+    # lowest tap of each voxel on its z plane's row of the refined s table
+    k_z = np.rint((pts[:, 2] - z[0]) / h).astype(np.int64) * width_s + SPLAT_GUARD - 1
+
+    step_t = g.dt / SPLAT_REFINE
+    reach = np.hypot(s_grid[-1], np.abs(z).max(initial=0.0))  # of the table's t positions
+    widen = max(0, int(np.ceil((reach - g.t_max) / step_t)))
+    mat_t = _deconvolution_matrix(g.n_t, step_t, CUTOFF_FRACTION * min(0.5 / h, 0.5 / g.dt))
+    mat_t = np.pad(mat_t, ((0, 0), (widen, widen))) * (h * h / step_t)
+    width_t = mat_t.shape[1]
+    t = np.sin(g.phis)[:, None, None] * s_grid + np.cos(g.phis)[:, None, None] * z[:, None]
+    t_pos = (t + g.t_max) / step_t + widen
+    t_cell = np.floor(t_pos)
+    # lowest tap of each (direction, table point) on its direction's refined t axis
+    k_t = np.arange(g.n_phi)[:, None, None] * width_t + t_cell.astype(np.int64) + SPLAT_GUARD - 1
+    k_t = k_t.ravel()
+    taps_t = [(off + 1, tap) for off, tap in _cubic_taps(t_pos - t_cell)]
+
+    out = np.empty(g.shape)
+    for i, theta in enumerate(g.thetas):
+        pos = (pts[:, 0] * np.cos(theta) + pts[:, 1] * np.sin(theta) - s_grid[0]) / step_s
+        cell = np.floor(pos)
+        k = k_z + cell.astype(np.int64)
+        table = sum(
+            np.bincount(k + off + 1, f * tap, minlength=z.size * width_s)
+            for off, tap in _cubic_taps(pos - cell)
+        )
+        table = table.reshape(z.size, width_s) @ mat_s.T
+        acc = sum(
+            np.bincount(k_t + off, (table * tap).ravel(), minlength=g.n_phi * width_t)
+            for off, tap in taps_t
+        )
+        out[i] = acc.reshape(g.n_phi, width_t) @ mat_t.T
+    return PlaneSinogram(out, g)
+
+
+def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
+    """Line-integral (X-ray) transform of a volume, by splat and deconvolution.
 
     Detector axis ``a`` has ``n`` samples at ``origin + k * step`` for
     ``geometry.detector[a] = (n, origin, step)``, and a voxel at ``x`` lies at
     ``x . d`` on it, for ``d`` its unit vector ``geometry.detector_directions[a]``
     at the chart direction.  Raises :class:`GeometryMismatch` when an active
-    voxel lies farther from the coordinate origin than the geometry's reach.
+    voxel lies farther from the coordinate origin than ``u_max``.
     """
-    pts, f = _active_voxels(v)
-    radius = float(np.sqrt(np.max(np.sum(pts * pts, axis=1), initial=0.0)))
-    if geometry.reach < radius - 1e-9:
-        raise GeometryMismatch(
-            f"the {geometry.kind} detector extends to {geometry.reach:g} but the "
-            f"field is nonzero out to radius {radius:g}; integrals would be truncated"
-        )
+    pts, f = _reached_voxels(v, geometry)
     detector = geometry.detector
     # (n_dir, 3) views in the chart's C order
     directions = [d.reshape(-1, 3) for d in geometry.detector_directions]
     lengths = [SPLAT_REFINE * (n - 1) + 1 for n, _, _ in detector]
-    mats = [
+    mat_u, mat_v = (
         _deconvolution_matrix(
             n, step / SPLAT_REFINE, CUTOFF_FRACTION * min(0.5 / v.spacing, 0.5 / step)
         )
         for n, _, step in detector
-    ]
-    mats[0] *= v.spacing**3 / np.prod([step / SPLAT_REFINE for _, _, step in detector])
+    )
+    mat_u *= v.spacing**3 / np.prod([step / SPLAT_REFINE for _, _, step in detector])
 
     n_dir = geometry.n_theta * geometry.n_phi
     out = np.empty((n_dir, *(n for n, _, _ in detector)))
@@ -534,25 +609,8 @@ def _project(v: Volume, geometry: DirectionChart) -> Sinogram:
             (pts @ dirs[c0 : c0 + chunk].T - origin) / (step / SPLAT_REFINE)
             for dirs, (_, origin, step) in zip(directions, detector)
         ]
-        block = _splat(f, positions, lengths) @ mats[-1].T
-        if len(mats) == 2:
-            block = mats[0] @ block
-        out[c0 : c0 + chunk] = block
-    return geometry.sinogram_type(out.reshape(geometry.shape), geometry)
-
-
-def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
-    """Plane-integral transform of a volume.
-
-    Raises :class:`GeometryMismatch` when a nonzero voxel lies farther than
-    ``t_max`` from the coordinate origin.
-    """
-    return _project(v, geometry)
-
-
-def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
-    """Line-integral (X-ray) transform of a volume."""
-    return _project(v, geometry)
+        out[c0 : c0 + chunk] = mat_u @ (_splat(f, positions, lengths) @ mat_v.T)
+    return LineSinogram(out.reshape(geometry.shape), geometry)
 
 
 def _quadrature_nodes(v: Volume) -> tuple[np.ndarray, float]:

@@ -69,10 +69,22 @@ SLICE_ORACLE_TOL = 2e-2
 ADJOINT_TOL = 2e-3
 # Chart gluing bookkeeping is pure index arithmetic.
 GLUING_TOL = 1e-12
-# The projectors against the full-grid FFT reference below: the same linear
-# operator applied in another order, so only rounding differs (measured
-# ~2e-15 relative).
+# xray against the full-grid FFT reference below: the same linear operator
+# applied in another order, so only rounding differs (measured ~2e-15
+# relative).
 SPLAT_REFERENCE_TOL = 1e-12
+# radon_plane against the same voxel-driven reference: another discretization
+# (a (z, s) table per azimuth row, then a splat along t), so the two agree
+# only as h falls.  Max distance over the reference's peak at h = 0.6 / 0.3 /
+# 0.15: 1.7e-2 / 5.5e-5 / 7.7e-5 (centered Gaussian), 3.5e-4 / 5.6e-5 /
+# 5.5e-5 (edge-reaching bump).  Below h = 0.3 both sit on one floor: with
+# n_phi = 6 the normals at phi = pi/4 run along the table's diagonal, and its
+# comb's second harmonic folds into the band through the refined offset grid
+# with weight sinc^4(0.94) ~ 1e-5.  The voxel splat has the same floor along
+# the lattice's face diagonals: 7.5e-5 from the closed form at theta = pi/4,
+# phi = pi/2 (h = 0.15, 6x7 directions), where radon_plane reads 7.4e-5.
+PLANE_REFERENCE_TOL = 1.5e-4
+PLANE_REFERENCE_HALVING_GAIN = 4.0
 # tracemalloc peak of one xray call at the benchmark's demo sizes (N=48,
 # h=0.2, 24x24 directions, 48x48 detector); measured 13 MiB, where deconvolving
 # the whole refined grid at once took 577 MiB.
@@ -88,6 +100,10 @@ BACKPROJECT_HALVING_GAIN = 2.0
 # h=0.2, 24x24 directions, 97 offsets); measured 9.4 MiB, 44.7 MiB for the
 # one-stage sum's per-row (N^3, n_phi) offset block.
 BACKPROJECT_PEAK_MIB = 16
+# tracemalloc peak of one radon_plane call at the demo sizes (N=48, h=0.2,
+# 24x24 directions, 97 offsets); measured 5.2 MiB, where filling every row's
+# table at once took 42 MiB.
+RADON_PLANE_PEAK_MIB = 10
 
 CENTER = np.array([0.4, -0.3, 0.2])
 
@@ -270,7 +286,8 @@ def _reference_projection(v: Volume, axes) -> np.ndarray:
     """Projector as first written: splat every direction onto the whole refined
     grid with off-detector taps clipped into discard cells, divide by the
     kernel response with one FFT pass per detector axis, keep every
-    ``SPLAT_REFINE``-th sample.  ``axes`` as in ``xform._project``.
+    ``SPLAT_REFINE``-th sample.  ``axes`` holds ``(directions, origin, step, n)``
+    per detector axis, as ``geometry.detector`` and ``detector_directions``.
     """
     f = v.data.ravel()
     keep = np.abs(f) > PROJECTOR_DROP * np.max(np.abs(f))
@@ -312,12 +329,14 @@ def _reference_projection(v: Volume, axes) -> np.ndarray:
     return out[(slice(None),) + (slice(None, None, SPLAT_REFINE),) * len(axes)]
 
 
-def _edge_reaching_field(e1: np.ndarray) -> Volume:
+def _edge_reaching_field(e1: np.ndarray, halvings: int = 0) -> Volume:
     # A smooth bump of compact support, (1 - |x - c|^2 / R^2)^3 around c = e1
     # with R = 3.795, on an off-centre grid that puts one voxel at 4.79 * e1:
     # the active voxels reach 4.79 from the origin, just inside a reach of 4.8.
+    # Each halving halves the spacing of the same cube from the same origin.
     far = 4.79 * e1
-    v = Volume(np.zeros((16, 16, 16)), 0.6, far - 0.6 * (np.round((far - e1) / 0.6) + 7))
+    origin = far - 0.6 * (np.round((far - e1) / 0.6) + 7)
+    v = Volume(np.zeros((16 << halvings,) * 3), 0.6 / 2**halvings, origin)
     q = np.sum((v.coordinate_grid() - e1) ** 2, axis=-1) / 3.795**2
     v.data = np.where(q < 1.0, 1.0 - np.minimum(q, 1.0), 0.0) ** 3
     return v
@@ -326,9 +345,9 @@ def _edge_reaching_field(e1: np.ndarray) -> Volume:
 @pytest.mark.parametrize("case", ["centered", "edge_reaching"])
 def test_projectors_match_full_grid_fft_reference(case, volume):
     if case == "centered":
-        v, pg, lg = volume, PlaneGeometry(8, 6, 65, 4.8), LineGeometry(6, 8, 48, 40, 4.8)
+        v, lg = volume, LineGeometry(6, 8, 48, 40, 4.8)
     else:
-        pg, lg = PlaneGeometry(8, 6, 33, 4.8), LineGeometry(6, 8, 32, 24, 4.8)
+        lg = LineGeometry(6, 8, 32, 24, 4.8)
         # The last direction's first detector axis points at the field's
         # farthest voxel, which lies at refined position n_f + 0.4 on it
         # (n_f = 94 samples): its highest cubic tap lands at n_f + 2, the
@@ -343,16 +362,30 @@ def test_projectors_match_full_grid_fft_reference(case, volume):
         top_cell = np.max(np.floor((pts @ e1 - lg.us[0]) / (lg.du / SPLAT_REFINE)))
         assert top_cell == n_f  # taps at n_f - 1 .. n_f + 2
     frames = lg.frames.reshape(-1, 3, 3)
-    cases = [
-        (radon_plane(v, pg).data, [(pg.normals.reshape(-1, 3), -pg.t_max, pg.dt, pg.n_t)]),
-        (
-            xray(v, lg).data,
-            [(frames[:, :, 0], lg.us[0], lg.du, lg.n_u), (frames[:, :, 1], lg.vs[0], lg.dv, lg.n_v)],
-        ),
-    ]
-    for data, axes in cases:
-        ref = _reference_projection(v, axes).reshape(data.shape)
-        assert np.max(np.abs(data - ref)) <= SPLAT_REFERENCE_TOL * np.max(np.abs(ref))
+    data = xray(v, lg).data
+    axes = [(frames[:, :, 0], lg.us[0], lg.du, lg.n_u), (frames[:, :, 1], lg.vs[0], lg.dv, lg.n_v)]
+    ref = _reference_projection(v, axes).reshape(data.shape)
+    assert np.max(np.abs(data - ref)) <= SPLAT_REFERENCE_TOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["centered", "edge_reaching"])
+def test_radon_plane_converges_to_the_voxel_driven_reference(case):
+    # the fields of the test above, each at h = 0.6 and 0.3 on one cube
+    if case == "centered":
+        g = PlaneGeometry(8, 6, 65, 4.8)
+        fields = [gaussian_phantom(n, 9.6 / n, center=CENTER) for n in (16, 32)]
+    else:
+        g = PlaneGeometry(8, 6, 33, 4.8)
+        e1 = LineGeometry(6, 8, 32, 24, 4.8).frames[-1, -1, :, 0]
+        fields = [_edge_reaching_field(e1, halvings) for halvings in (0, 1)]
+    axes = [(g.normals.reshape(-1, 3), -g.t_max, g.dt, g.n_t)]
+    dist = []
+    for v in fields:
+        ref = _reference_projection(v, axes).reshape(g.shape)
+        dist.append(np.max(np.abs(radon_plane(v, g).data - ref)) / np.max(np.abs(ref)))
+    coarse, fine = dist
+    assert fine <= PLANE_REFERENCE_TOL
+    assert coarse >= PLANE_REFERENCE_HALVING_GAIN * fine
 
 
 def test_xray_peak_memory_at_demo_sizes():
@@ -368,6 +401,20 @@ def test_xray_peak_memory_at_demo_sizes():
     finally:
         tracemalloc.stop()
     assert peak <= XRAY_PEAK_MIB * 2**20
+
+
+def test_radon_plane_peak_memory_at_demo_sizes():
+    v = gaussian_mixture_phantom(
+        48, 0.2, [[0.6, -0.45, 0.3], [-0.75, 0.3, -0.6]], [0.7, 0.9], [1.0, 0.7]
+    )
+    g = PlaneGeometry(24, 24, 97, 4.8)
+    tracemalloc.start()
+    try:
+        radon_plane(v, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RADON_PLANE_PEAK_MIB * 2**20
 
 
 def test_reach_guards(volume):
