@@ -266,6 +266,47 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "xray_v_origin_one_cell",
+        "src/simrad/xform.py",
+        "- v0) / dv_f",
+        "- v0 - dv) / dv_f",
+        ("tests/test_xform.py::test_xray_converges_to_the_voxel_driven_reference[centered]",),
+    ),
+    Mutant(
+        "xray_u_cos_sin_swapped",
+        "src/simrad/xform.py",
+        "np.cos(phi) * s_grid - np.sin(phi) * z[:, None]",
+        "np.sin(phi) * s_grid - np.cos(phi) * z[:, None]",
+        ("tests/test_xform.py::test_xray_converges_to_the_voxel_driven_reference[centered]",),
+    ),
+    Mutant(
+        "xray_mirror_reads_unreversed_table",
+        "src/simrad/xform.py",
+        "table[:, :, 1] = table[:, ::-1, 0]",
+        "table[:, :, 1] = table[:, :, 0]",
+        ("tests/test_xform.py::test_xray_converges_to_the_voxel_driven_reference[centered]",),
+    ),
+    Mutant(
+        "xray_u_widening_dropped",
+        "src/simrad/xform.py",
+        "widen = max(0, int(np.ceil((reach - g.u_max) / du_f)))",
+        "widen = 0",
+        (
+            "tests/test_xform.py::"
+            "test_xray_converges_to_the_voxel_driven_reference[edge_reaching]",
+        ),
+    ),
+    Mutant(
+        "projector_finiteness_guard_dropped",
+        "src/simrad/xform.py",
+        "if not np.isfinite(peak):",
+        "if False:",
+        (
+            "tests/test_xform.py::"
+            "test_projectors_refuse_a_field_made_non_finite_in_place[nan]",
+        ),
+    ),
+    Mutant(
         "grid_size_check_admits_zero",
         "src/simrad/invert.py",
         "and n > 0):",

@@ -38,12 +38,16 @@ from .group import GroupElement, act_point, inverse
 # unit-amplitude data, while leaving room to shift bumps off-center on the
 # default grids.
 SUPPORT_DECAY_RADII = 3.5
-# Scratch budget of chunked loops: a chunk holds as many chart-sampler or
-# projector directions as fit one float64 per query or per active voxel and
-# accumulator cell (at least one), or a quarter as many gathered points.
-# About twenty arrays of the per-voxel size are live while a line chunk is
-# splatted; small chunks run faster as they stay in cache: at N=48 (17k active
-# voxels) one direction per chunk beats four by ~15%, sixteen by ~2x.
+# Scratch budget of chunked loops: a chunk holds as many chart-sampler
+# directions as fit one float64 per query, or as many z planes of the line
+# projector's refined (s, v) table as fit one float64 per cell (at least one
+# of either), or a quarter as many gathered points.  The slab size sets the
+# line projector's memory more than its time: at the demo sizes (N=48, h=0.2,
+# 24x24 directions, 48x48 detector; one plane per slab) its tracemalloc peak
+# reads 22.9 / 25.2 / 30.6 MiB for slabs of 256 KiB / 2 MiB / every plane,
+# and its time 0.22-0.23 / 0.18-0.22 / 0.17-0.21 s; at N=64 the peak reads
+# 70.8 / 72.6 / 88.9 MiB and the time 0.94-1.00 / 0.94-0.98 / 1.02-1.10 s
+# (best of 3, one BLAS thread, 2-core machine).
 SPLAT_CHUNK_BYTES = 256 << 10
 # Zero cells past each end of every axis of a guarded copy (``_guard_window``)
 # or scatter grid: a linear floor cell is clamped to [-GATHER_GUARD, n], so

@@ -25,21 +25,23 @@ truncation and aliasing, both controlled by the sampling margins.
 The division is a circulant operator on each refined axis, and only every
 ``SPLAT_REFINE``-th output sample is kept, so each axis's deconvolution is
 one small real matrix: the kept rows of ``ifft(lowpass / sinc^4 * fft)``, of
-shape (n, SPLAT_REFINE * (n - 1) + 1).  ``xray`` is voxel-driven: it splats
-every voxel on the (u, v) detector of each direction, in chunks of
-directions sized by ``SPLAT_CHUNK_BYTES``, and multiplies each chunk at once
-by the matrices (``D_u @ blk @ D_v.T``), so the refined grid never exists for
-more than one chunk.  ``radon_plane`` factors through the azimuth rows, the
-classical reduction of the 3-D Radon transform to 2-D ones (Marr, Chen and
-Lauterbur, 1981; Natterer and Wuebbeling, 2001): a row's normals meet a voxel
-at ``sin(phi) s + cos(phi) z``, with ``s`` its coordinate along the row's
-horizontal axis, so per row the voxels are splatted once along s into a (z,
-s) table, and the table is splatted along the offset t of each of the row's
-normals.  That makes n_theta (N_act + n_phi * table size) deposits instead
-of n_theta * n_phi * N_act.  A projection refuses a field whose nonzero
-voxels reach farther from the coordinate origin than the detector does, so
-every cubic tap lands on an axis or in the guard cells just past its ends,
-which the matrices ignore.
+shape (n, SPLAT_REFINE * (n - 1) + 1).  Both projectors factor through the
+azimuth rows, the classical reduction of the 3-D Radon and X-ray transforms
+to 2-D ones (Marr, Chen and Lauterbur, 1981; Natterer and Wuebbeling, 2001).
+With ``s = x cos(theta_i) + y sin(theta_i)``, row i's normals meet a voxel at
+``sin(phi) s + cos(phi) z``, and its lines lie in the planes of constant ``v =
+-x sin(theta_i) + y cos(theta_i)``, where the line at polar angle phi meets it
+at ``u = cos(phi) s - sin(phi) z``.  So per row the voxels are splatted once
+into a table on the voxel z planes and an s grid of step h (and, for lines,
+the detector's v axis), and the table is carried to each of the row's
+directions, whose positions on it do not depend on the row: ``radon_plane``
+splats it along t with taps computed once per call, and ``xray`` multiplies
+it by one matrix, built once per call, that holds per polar angle the table
+points' cubic taps folded into the u deconvolution.  That makes n_theta
+N_act deposits, not n_theta * n_phi * N_act, plus per-direction work on the
+table.  A projection refuses a field whose nonzero voxels reach farther from
+the coordinate origin than the detector does, so every cubic tap lands on an
+axis or in the guard cells just past its ends, which the matrices ignore.
 
 The two transforms are two instances of one construction, and everything
 that differs by kind, short of the math itself, is a fact of the geometry:
@@ -47,9 +49,8 @@ both geometries share one direction chart (:class:`DirectionChart`) and
 their sinograms one validated container (:class:`Sinogram`).  The geometry
 owns its detector, ``(n, first sample, step)`` per axis, and the axes' unit
 vectors at every chart direction (``detector_directions``: the normals for
-planes, the frame axes e1 and e2 for lines), the axes ``xray`` splats
-along.  It owns the projection-slice map too:
-``slice_frequencies`` places the detector spectra in 3-D, and
+planes, the frame axes e1 and e2 for lines).  It owns the projection-slice
+map too: ``slice_frequencies`` places the detector spectra in 3-D, and
 ``slice_query`` names the direction and query that read a 3-D frequency.
 The padded detector spectra of both kinds are one step too
 (``_padded_spectra``): each is a slice of the volume's 3-D spectrum, taken
@@ -138,10 +139,11 @@ BACKPROJECT_REFINE = 4
 SPLAT_REFINE = 3
 # Cells past each end of a refined axis of n_f samples that collect the cubic
 # taps falling off it.  A voxel within the geometry's reach sits at refined
-# position [-1.5, n_f + 0.5] on a line detector axis (its samples are cell
+# position [-1.5, n_f + 0.5] on a line detector's v axis (its samples are cell
 # centres), so its taps, at offsets -1..2 around the floor cell, land in
-# [-3, n_f + 2].  The plane transform's table s axis holds every voxel in
-# [0, n_f - 1]; its offset axis adds cells for the table's reach past t_max.
+# [-3, n_f + 2].  The tables' s axes hold every voxel in [0, n_f - 1]; the
+# plane offset axis and the line u axis add cells for the table's reach past
+# the detector.
 SPLAT_GUARD = 4
 # Voxels with |f| below this fraction of the field's maximum are skipped by
 # the projectors; the dropped mass is below double rounding noise.
@@ -427,18 +429,28 @@ def _lowpass(freq_abs: np.ndarray, cutoff: float) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * ramp))
 
 
-def _deconvolution_matrix(n_out: int, step: float, cutoff: float) -> np.ndarray:
+def _deconvolution_matrix(
+    n_out: int, step: float, cutoff: float, applied: tuple[float, float] | None = None
+) -> np.ndarray:
     """Deconvolve one refined detector axis and keep every ``SPLAT_REFINE``-th sample.
 
     On the ``n_f = SPLAT_REFINE * (n_out - 1) + 1`` refined samples of spacing
     ``step`` the deconvolution is the circulant ``ifft(lowpass / sinc^4 *
     fft)``; the result holds its rows ``[::SPLAT_REFINE]``, padded with
     ``SPLAT_GUARD`` zero columns on each side, which drop the taps that fell
-    off the detector.
+    off the detector.  ``applied = (c, cut)`` names a low-pass
+    ``_lowpass(c |freq|, cut)`` that the data already carries; the matrix
+    divides it out wherever its own low-pass is nonzero, so the band is cut
+    once.  The quotient stays in [0, 1] when ``c <= 1`` and ``cut >= cutoff``.
     """
     n_f = SPLAT_REFINE * (n_out - 1) + 1
     freq = np.fft.fftfreq(n_f, step)
-    kernel = np.fft.ifft(_lowpass(np.abs(freq), cutoff) / np.sinc(freq * step) ** 4).real
+    gain = _lowpass(np.abs(freq), cutoff)
+    if applied is not None:
+        c, cut = applied
+        seen = _lowpass(c * np.abs(freq), cut)
+        gain = np.divide(gain, seen, out=np.zeros(n_f), where=gain > 0.0)
+    kernel = np.fft.ifft(gain / np.sinc(freq * step) ** 4).real
     rows = SPLAT_REFINE * np.arange(n_out)
     out = np.zeros((n_out, n_f + 2 * SPLAT_GUARD))
     out[:, SPLAT_GUARD : SPLAT_GUARD + n_f] = kernel[
@@ -463,19 +475,19 @@ def _cubic_taps(w: np.ndarray):
     yield 2, t3
 
 
-def _active_voxels(v: Volume) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and values of voxels that contribute above rounding noise."""
+def _reached_voxels(v: Volume, geometry: DirectionChart) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and values of the voxels that contribute above rounding noise.
+
+    Raises ``ValueError`` when the data is not finite (``Volume`` checks it
+    only at construction) and :class:`GeometryMismatch` when a contributing
+    voxel lies past the geometry's ``reach``.
+    """
     f = v.data.ravel()
     peak = np.max(np.abs(f))
-    if peak == 0.0:
-        return np.zeros((0, 3)), f[:0]
+    if not np.isfinite(peak):
+        raise ValueError("volume data must be finite")
     mask = np.abs(f) > PROJECTOR_DROP * peak
-    return v.coordinate_grid().reshape(-1, 3)[mask], f[mask]
-
-
-def _reached_voxels(v: Volume, geometry: DirectionChart) -> tuple[np.ndarray, np.ndarray]:
-    """``_active_voxels``; raises :class:`GeometryMismatch` when one lies past ``reach``."""
-    pts, f = _active_voxels(v)
+    pts, f = v.coordinate_grid().reshape(-1, 3)[mask], f[mask]
     radius = float(np.sqrt(np.max(np.sum(pts * pts, axis=1), initial=0.0)))
     if geometry.reach < radius - 1e-9:
         raise GeometryMismatch(
@@ -485,34 +497,23 @@ def _reached_voxels(v: Volume, geometry: DirectionChart) -> tuple[np.ndarray, np
     return pts, f
 
 
-def _splat(f: np.ndarray, positions: list[np.ndarray], lengths: list[int]) -> np.ndarray:
-    """Deposit ``f`` with cubic B-spline taps on per-direction (u, v) detector grids.
+def _row_tables(
+    v: Volume, pts: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axes of the row-factored projectors' per-row (z, s) tables.
 
-    ``positions[a]`` has shape (n_points, n_directions) and holds each point's
-    position along detector axis ``a`` in cells of a grid of ``lengths[a]``
-    samples.  Returns shape (n_directions, *(n + 2 * SPLAT_GUARD for n in
-    lengths)): the grid with ``SPLAT_GUARD`` cells on each side that collect
-    the taps falling off it, which the caller keeps within the guard.  The
-    flat index of each point's lowest tap is computed once, and every tap
-    combination is a constant offset from it.
+    Returns the voxel z planes within ``reach``, the s grid at the voxel
+    spacing that covers the grid's xy corners clipped to ``reach``, and the
+    index of each point's plane.  Both axes come from the grid and the
+    geometry, never from the data, so the projectors stay linear.
     """
-    m = positions[0].shape[1]
-    shape = [n + 2 * SPLAT_GUARD for n in lengths]
-    strides = [shape[1], 1]
-    size = m * shape[0] * shape[1]
-    k = np.arange(m)[None, :] * (size // m)
-    taps = []
-    for pos, stride in zip(positions, strides):
-        cell = np.floor(pos)
-        taps.append([((off + 1) * stride, tap) for off, tap in _cubic_taps(pos - cell)])
-        k = k + (cell.astype(np.int64) + SPLAT_GUARD - 1) * stride
-    # The value rides on the v taps, so each combination costs one product.
-    taps_v = [(off, f[:, None] * tap) for off, tap in taps[1]]
-    k = k.ravel()
-    acc = np.zeros(size)
-    for (off_u, tap_u), (off_v, tap_v) in itertools.product(taps[0], taps_v):
-        np.add.at(acc[off_u + off_v :], k, (tap_u * tap_v).ravel())
-    return acc.reshape(m, *shape)
+    h = v.spacing
+    z = v.axis_coords(2)
+    z = z[np.abs(z) <= reach + 1e-9]  # the planes that can hold an active voxel
+    corners = np.hypot(*np.meshgrid(v.axis_coords(0)[[0, -1]], v.axis_coords(1)[[0, -1]]))
+    half = int(np.ceil(min(corners.max(), reach) / h))
+    plane = np.rint((pts[:, 2] - z[:1]) / h).astype(np.int64)
+    return z, np.arange(-half, half + 1) * h, plane
 
 
 def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
@@ -533,18 +534,14 @@ def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
     g = geometry
     h = v.spacing
     pts, f = _reached_voxels(v, g)
-    z = v.axis_coords(2)
-    z = z[np.abs(z) <= g.t_max + 1e-9]  # the planes that can hold an active voxel
-    corners = np.hypot(*np.meshgrid(v.axis_coords(0)[[0, -1]], v.axis_coords(1)[[0, -1]]))
-    half = int(np.ceil(min(corners.max(), g.t_max) / h))
-    s_grid = np.arange(-half, half + 1) * h
+    z, s_grid, plane = _row_tables(v, pts, g.t_max)
 
     step_s = h / SPLAT_REFINE
     mat_s = _deconvolution_matrix(s_grid.size, step_s, CUTOFF_FRACTION * 0.5 / h)
     mat_s *= h * h / step_s
     width_s = mat_s.shape[1]
     # lowest tap of each voxel on its z plane's row of the refined s table
-    k_z = np.rint((pts[:, 2] - z[0]) / h).astype(np.int64) * width_s + SPLAT_GUARD - 1
+    k_z = plane * width_s + SPLAT_GUARD - 1
 
     step_t = g.dt / SPLAT_REFINE
     reach = np.hypot(s_grid[-1], np.abs(z).max(initial=0.0))  # of the table's t positions
@@ -579,38 +576,96 @@ def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
 
 
 def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
-    """Line-integral (X-ray) transform of a volume, by splat and deconvolution.
+    """Line-integral (X-ray) transform of a volume, one azimuth row at a time.
 
-    Detector axis ``a`` has ``n`` samples at ``origin + k * step`` for
-    ``geometry.detector[a] = (n, origin, step)``, and a voxel at ``x`` lies at
-    ``x . d`` on it, for ``d`` its unit vector ``geometry.detector_directions[a]``
-    at the chart direction.  Raises :class:`GeometryMismatch` when an active
-    voxel lies farther from the coordinate origin than ``u_max``.
+    Row i's lines lie in the planes ``v = -x sin(theta_i) + y cos(theta_i)``,
+    and within each the line of polar angle phi meets a voxel at ``u =
+    cos(phi) s - sin(phi) z``, with ``s = x cos(theta_i) + y sin(theta_i)``:
+    a 2-D Radon transform per plane.  Stage A splats the active voxels along
+    s and v into the row's table ``T_i(z, s, v)`` (at the voxel z planes, s
+    at step ``h``, v on the detector), one slab of z planes at a time through
+    one buffer.  Stage B carries the table to every polar angle: a table
+    point's u does not depend on the row, so its cubic taps, folded into the
+    u deconvolution, make one matrix ``Q_j`` per angle, built once per call.
+    ``Q_j`` also divides out the table's s low-pass as the line sees it,
+    ``_lowpass(|cos(phi_j)| tau)``, so the band is cut once.  Since ``u(pi -
+    phi, z, s) = u(phi, z, -s)``, ``Q`` holds the first half of the angles,
+    and each row is one product ``Q @ [T_i, T_i reversed along s]``.  The
+    table spans the grid's extents within ``u_max``, not the data's, so the
+    transform is linear; stage B's u axis is widened by the table's reach
+    past ``u_max``.  Raises :class:`GeometryMismatch` when an active voxel
+    lies farther from the coordinate origin than ``u_max``.
     """
-    pts, f = _reached_voxels(v, geometry)
-    detector = geometry.detector
-    # (n_dir, 3) views in the chart's C order
-    directions = [d.reshape(-1, 3) for d in geometry.detector_directions]
-    lengths = [SPLAT_REFINE * (n - 1) + 1 for n, _, _ in detector]
-    mat_u, mat_v = (
-        _deconvolution_matrix(
-            n, step / SPLAT_REFINE, CUTOFF_FRACTION * min(0.5 / v.spacing, 0.5 / step)
-        )
-        for n, _, step in detector
-    )
-    mat_u *= v.spacing**3 / np.prod([step / SPLAT_REFINE for _, _, step in detector])
+    g = geometry
+    h = v.spacing
+    pts, f = _reached_voxels(v, g)
+    z, s_grid, plane = _row_tables(v, pts, g.u_max)
+    # planes without an active voxel give zero table rows, so they are left out
+    first, stop = (plane.min(), plane.max() + 1) if plane.size else (0, 0)
+    z, plane = z[first:stop], plane - first
+    (n_u, u0, du), (n_v, v0, dv) = g.detector
+    out = np.empty(g.shape)  # before the large buffers, which then free into its gaps
 
-    n_dir = geometry.n_theta * geometry.n_phi
-    out = np.empty((n_dir, *(n for n, _, _ in detector)))
-    cells = int(np.prod([n + 2 * SPLAT_GUARD for n in lengths]))
-    chunk = max(1, SPLAT_CHUNK_BYTES // (8 * (len(f) + cells)))
-    for c0 in range(0, n_dir, chunk):
-        positions = [
-            (pts @ dirs[c0 : c0 + chunk].T - origin) / (step / SPLAT_REFINE)
-            for dirs, (_, origin, step) in zip(directions, detector)
-        ]
-        out[c0 : c0 + chunk] = mat_u @ (_splat(f, positions, lengths) @ mat_v.T)
-    return LineSinogram(out.reshape(geometry.shape), geometry)
+    # stage A: the refined (s, v) table of a slab of z planes, deconvolved on both axes
+    ds_f, dv_f = h / SPLAT_REFINE, dv / SPLAT_REFINE
+    mat_s = _deconvolution_matrix(s_grid.size, ds_f, CUTOFF_FRACTION * 0.5 / h)
+    mat_s *= h * h / (ds_f * dv_f)
+    mat_v = _deconvolution_matrix(n_v, dv_f, CUTOFF_FRACTION * min(0.5 / h, 0.5 / dv))
+    width_s, width_v = mat_s.shape[1], mat_v.shape[1]
+    size = width_s * width_v
+    slab = max(1, SPLAT_CHUNK_BYTES // (8 * size))
+    order = np.argsort(plane, kind="stable")
+    pts, f, plane = pts[order], f[order], plane[order]
+    edges = np.searchsorted(plane, np.arange(0, z.size + slab, slab))
+
+    # stage B: Q_j transposed, (table point, angle, u), for the first half of the angles
+    n_half = (g.n_phi + 1) // 2
+    du_f = du / SPLAT_REFINE
+    reach = np.hypot(s_grid[-1], np.abs(z).max(initial=0.0))  # of the table's u positions
+    widen = max(0, int(np.ceil((reach - g.u_max) / du_f)))
+    q = np.empty((z.size * s_grid.size, n_half, n_u))
+    for j, phi in enumerate(g.phis[:n_half]):
+        mat_u = _deconvolution_matrix(
+            n_u,
+            du_f,
+            CUTOFF_FRACTION * min(0.5 / h, 0.5 / du),
+            (abs(np.cos(phi)), CUTOFF_FRACTION * 0.5 / h),
+        )
+        mat_u = np.pad(mat_u.T, ((widen, widen), (0, 0))) * (h * h / du_f)
+        pos = (np.cos(phi) * s_grid - np.sin(phi) * z[:, None] - u0).ravel() / du_f + widen
+        cell = np.floor(pos)
+        k = cell.astype(np.int64) + SPLAT_GUARD - 1
+        q[:, j] = sum(mat_u[k + off + 1] * tap[:, None] for off, tap in _cubic_taps(pos - cell))
+    q = q.reshape(-1, n_half * n_u)
+
+    buf = np.empty(min(slab, z.size) * size)
+    table = np.zeros((z.size, s_grid.size, 2, n_v))
+    prod = np.empty((n_half * n_u, 2 * n_v))
+    mirrored = out[:, ::-1][:, : g.n_phi // 2]
+    for i, theta in enumerate(g.thetas):
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        pos_s = (pts[:, 0] * cos_t + pts[:, 1] * sin_t - s_grid[0]) / ds_f
+        pos_v = (pts[:, 1] * cos_t - pts[:, 0] * sin_t - v0) / dv_f
+        cell_s, cell_v = np.floor(pos_s), np.floor(pos_v)
+        k = (cell_s.astype(np.int64) + SPLAT_GUARD - 1) * width_v + cell_v.astype(np.int64)
+        k += (plane % slab) * size + SPLAT_GUARD - 1
+        taps_s = [((off + 1) * width_v, tap) for off, tap in _cubic_taps(pos_s - cell_s)]
+        taps_v = [(off + 1, f * tap) for off, tap in _cubic_taps(pos_v - cell_v)]
+        for p0, lo, hi in zip(range(0, z.size, slab), edges[:-1], edges[1:]):
+            if lo == hi:  # the same in every row, so its rows stay zero
+                continue
+            n_p = min(slab, z.size - p0)
+            buf[: n_p * size] = 0.0
+            for (off_s, tap_s), (off_v, tap_v) in itertools.product(taps_s, taps_v):
+                np.add.at(buf, k[lo:hi] + (off_s + off_v), tap_s[lo:hi] * tap_v[lo:hi])
+            part = buf[: n_p * size].reshape(n_p * width_s, width_v) @ mat_v.T
+            table[p0 : p0 + n_p, :, 0] = np.matmul(mat_s, part.reshape(n_p, width_s, n_v))
+        table[:, :, 1] = table[:, ::-1, 0]
+        np.matmul(q.T, table.reshape(q.shape[0], 2 * n_v), out=prod)
+        prod4 = prod.reshape(n_half, n_u, 2, n_v)
+        out[i, :n_half] = prod4[:, :, 0]
+        mirrored[i] = prod4[: g.n_phi // 2, :, 1]
+    return LineSinogram(out, g)
 
 
 def _quadrature_nodes(v: Volume) -> tuple[np.ndarray, float]:
