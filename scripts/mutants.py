@@ -80,8 +80,8 @@ MUTANTS = (
         "np.clip(cell, lo + 1, lo + m - 3)",
         "np.clip(cell, lo + 1, lo + m - 2)",
         (
-            "tests/test_xform.py::"
-            "test_fourier_slice_reads_nodes_exactly_and_zero_off_the_lattice",
+            "tests/test_grid.py::"
+            "test_masked_gather_matches_the_full_read_zeroed_outside_bitwise[cubic]",
         ),
     ),
     Mutant(
@@ -187,9 +187,33 @@ MUTANTS = (
     Mutant(
         "resample_outside_mask_dropped",
         "src/simrad/grid.py",
-        "np.where(inside, gathered, 0.0)",
-        "gathered",
+        "inside = np.flatnonzero(np.all((idx >= 0.0) & (idx <= n - 1), axis=0))",
+        "inside = np.arange(idx.shape[1])",
         ("tests/test_grid.py::test_resample_zero_outside",),
+    ),
+    Mutant(
+        "masked_gather_last_cell_outside",
+        "src/simrad/grid.py",
+        "(idx <= n - 1)",
+        "(idx < n - 1)",
+        (
+            "tests/test_grid.py::"
+            "test_masked_gather_matches_the_full_read_zeroed_outside_bitwise[cubic]",
+        ),
+    ),
+    Mutant(
+        "cubic_contraction_y_taps_on_z_offsets",
+        "src/simrad/grid.py",
+        "axes[::-1], None)",
+        "[axes[2], [(o, w) for (o, _), (_, w) in zip(axes[2], axes[1])], axes[0]], None)",
+        ("tests/test_grid.py::test_cubic_contraction_matches_the_64_corner_product_sum",),
+    ),
+    Mutant(
+        "masked_gather_output_not_zeroed",
+        "src/simrad/grid.py",
+        "out = np.zeros(idx.shape[1], dtype=window[0].dtype)",
+        "out = np.empty(idx.shape[1], dtype=window[0].dtype)",
+        ("tests/test_grid.py::test_masked_gather_skips_points_outside_without_reading",),
     ),
     Mutant(
         "linear_floor_clamp_one_cell_high",

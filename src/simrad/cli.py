@@ -9,7 +9,8 @@ defaults match the acceptance suite (N=64, h=0.15, 32x32 directions,
 Every command finishes by printing a metrics block of ``key=value`` lines
 to standard output.  Exit codes: 0 on success, 2 on argument errors (with
 usage text), 1 on runtime errors with the bare error name on standard
-error.  Reruns with identical flags produce byte-identical output files;
+error.  Reruns with identical flags produce byte-identical output files at
+one BLAS thread count (OpenBLAS rounds ``radon_plane``'s products by it);
 nothing is seeded from the clock or the environment.
 
 The numerical modules are imported inside the command handlers, not at the

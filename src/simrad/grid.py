@@ -17,9 +17,9 @@ zero extension outside the grid.
 The package's interpolation kernels live here: linear and Keys cubic taps at
 constant offsets from one flat index per point (``_linear_corners``,
 ``_cubic_corners``), read by one loop (``_gather``) from a zero-guarded copy
-(``_guard_window``).  The resampling, the chart sampler and the direct-Fourier
-coverage splat use the linear taps; the Fourier-slice reference, the plane
-backprojection's table read and the wavelet route's lattice atoms use the cubic.
+(``_guard_window``), the cubic taps one axis at a time.  The resampling, the
+chart sampler and the coverage splat use the linear taps; the Fourier-slice
+reference, the backprojection's table read and the lattice atoms the cubic.
 """
 
 from __future__ import annotations
@@ -274,8 +274,8 @@ def _linear_corners(shape: tuple, lows, positions: list[np.ndarray]) -> tuple:
     The array has ``shape`` and holds cells ``lo, lo + 1, ...`` of trailing
     axis ``a`` for ``lo = lows[a]``.  Each floor cell is clamped to ``[lo, lo
     + m - 2]`` on an axis of ``m`` cells, so both taps lie in the array.
-    Returns one flat index per point, of its lowest corner, and per corner
-    its constant offset and per-axis weights, the first axis varying slowest.
+    Returns one flat index per point, of its lowest corner, and per corner its
+    offset, per-axis weights and no inner corners, the first axis varying slowest.
     """
     k, axes = 0, []
     for a, (pos, lo) in enumerate(zip(positions, lows), len(shape) - len(positions)):
@@ -284,14 +284,14 @@ def _linear_corners(shape: tuple, lows, positions: list[np.ndarray]) -> tuple:
         w = pos - cell
         k = k + (np.clip(cell, lo, lo + m - 2) - lo).astype(np.int64) * stride
         axes.append([(0, 1.0 - w), (stride, w)])
-    return k, [(sum(o for o, _ in c), [w for _, w in c]) for c in itertools.product(*axes)]
+    return k, [(sum(o for o, _ in c), [w for _, w in c], None) for c in itertools.product(*axes)]
 
 
 def _cubic_corners(shape: tuple, lows, positions: list[np.ndarray]) -> tuple:
     """Keys cubic-convolution taps (a = -1/2) in the layout of ``_linear_corners``.
 
     Four taps per axis sit at offsets -1..2 from the floor cell, which is clamped
-    to [lo + 1, lo + m - 3]; a corner's one weight, its taps' product, is made on read.
+    to [lo + 1, lo + m - 3]; each tap holds the next axis's taps as inner corners.
     """
     k, axes = 0, []
     for a, (pos, lo) in enumerate(zip(positions, lows), len(shape) - len(positions)):
@@ -302,8 +302,17 @@ def _cubic_corners(shape: tuple, lows, positions: list[np.ndarray]) -> tuple:
         taps = (((1.0 - 0.5 * t) * t - 0.5) * t, (1.5 * t - 2.5) * t * t + 1.0)
         taps += (((2.0 - 1.5 * t) * t + 0.5) * t, 0.5 * (t - 1.0) * t * t)
         axes.append([(j * stride, tap) for j, tap in enumerate(taps)])
-    corners = itertools.product(*axes)
-    return k, ((sum(o for o, _ in c), [reduce(np.multiply, [w for _, w in c])]) for c in corners)
+    return k, reduce(lambda inner, taps: [(o, [w], inner) for o, w in taps], axes[::-1], None)
+
+
+def _corner_sum(flat: np.ndarray, k: np.ndarray, corners):
+    """Sum from 0 of ``((value * w0) * w1) * ...`` over ``corners``, each value read from
+    ``flat[offset:]`` at ``k`` or, for a corner with inner corners, their sum there."""
+    acc = 0.0
+    for off, weights, inner in corners:
+        value = _corner_sum(flat[off:], k, inner) if inner else flat[off:].take(k)
+        acc = acc + reduce(np.multiply, weights, value)
+    return acc
 
 
 def _gather(window: tuple, rows, positions: list[np.ndarray], corners=_linear_corners):
@@ -311,29 +320,23 @@ def _gather(window: tuple, rows, positions: list[np.ndarray], corners=_linear_co
 
     ``positions`` holds fractional indices along each trailing axis of the
     copied data, and ``corners`` is ``_linear_corners`` or ``_cubic_corners``.
-    The corners are summed from 0, each as ``((value * w0) * w1) * ...``: for
-    three linear axes the bits of scipy's ``map_coordinates``.
+    Three linear axes give scipy's ``map_coordinates`` bits; Keys taps contract
+    innermost axis first, ``sum_i wx_i sum_j wy_j sum_k wz_k v_ijk``: 84 products.
     """
     copy, lows = window
     k, corners = corners(copy.shape, lows, positions)
-    k = k + rows * int(np.prod(copy.shape[1:]))
-    flat = copy.reshape(-1)
-    acc = 0.0
-    for off, weights in corners:
-        acc = acc + reduce(np.multiply, weights, flat[off:].take(k))
-    return acc
+    return _corner_sum(copy.reshape(-1), k + rows * int(np.prod(copy.shape[1:])), corners)
 
 
 def _masked_gather(window: tuple, n: int, idx: np.ndarray, corners=_linear_corners) -> np.ndarray:
     """Samples of a one-row ``_guard_window`` copy of an n^3 array at (3, m) fractional
-    indices, exactly 0 outside [0, n - 1] on any axis, through ``corners``, in chunks
-    of ``SPLAT_CHUNK_BYTES // 32`` points: a cubic chunk stays in cache over 64 corners."""
-    out = np.empty(idx.shape[1], dtype=window[0].dtype)
-    for start in range(0, len(out), SPLAT_CHUNK_BYTES // 32):
-        block = idx[:, start : start + SPLAT_CHUNK_BYTES // 32]
-        inside = np.all((block >= 0.0) & (block <= n - 1), axis=0)
-        gathered = _gather(window, 0, list(block), corners)
-        out[start : start + block.shape[1]] = np.where(inside, gathered, 0.0)
+    indices through ``corners``, exactly 0 and unread outside [0, n - 1] on any axis;
+    the others are read in chunks of ``SPLAT_CHUNK_BYTES // 32`` that stay in cache."""
+    out = np.zeros(idx.shape[1], dtype=window[0].dtype)
+    inside = np.flatnonzero(np.all((idx >= 0.0) & (idx <= n - 1), axis=0))
+    for start in range(0, inside.size, SPLAT_CHUNK_BYTES // 32):
+        part = inside[start : start + SPLAT_CHUNK_BYTES // 32]
+        out[part] = _gather(window, 0, list(idx[:, part]), corners)
     return out
 
 

@@ -219,23 +219,24 @@ def _default_band_limit(dtheta: float, dphi: float, freq_spacing: float) -> floa
     return 2.0 * freq_spacing / max(dtheta, dphi)
 
 
-def _splat_coverage(geometry: DirectionChart, freq_spacing: float, n: int) -> np.ndarray:
+def _splat_coverage(geom: DirectionChart, freq_spacing: float, n: int, band: float) -> np.ndarray:
     """Trilinear splat weight of the projection-slice points on the n^3 frequency grid.
 
-    The points are the geometry's ``slice_frequencies``, one azimuth row at a
-    time.  They are scattered into a grid with ``GATHER_GUARD`` zero cells
-    past each end of every axis through the linear gather's corners
-    (:mod:`simrad.grid`'s ``_linear_corners``, each floor cell clamped to
-    [-GATHER_GUARD, n]), each corner weighted ``(w0 * w1) * w2`` and
-    scattered by one ``bincount`` per row.  Returns the (n, n, n) interior.
+    The points are the geometry's ``slice_frequencies`` within ``band + 2 *
+    freq_spacing`` of 0, one azimuth row at a time; no point farther out has a
+    corner in the band.  They are scattered into a grid with ``GATHER_GUARD``
+    zero cells past each end of every axis through ``grid._linear_corners``
+    (each floor cell clamped to [-GATHER_GUARD, n]), each corner weighted ``(w0
+    * w1) * w2`` by one ``bincount`` per row.  Returns the (n, n, n) interior.
     """
     shape = (n + 2 * GATHER_GUARD,) * 3
     size = int(np.prod(shape))
     wsum = np.zeros(size)
-    for i in range(geometry.n_theta):
-        pos = geometry.slice_frequencies(slice(i, i + 1)).reshape(-1, 3) / freq_spacing + n // 2
-        k, corners = _linear_corners(shape, (-GATHER_GUARD,) * 3, list(pos.T))
-        for off, weights in corners:
+    for i in range(geom.n_theta):
+        w = geom.slice_frequencies(slice(i, i + 1)).reshape(-1, 3)
+        pos = w[np.einsum("ij,ij->i", w, w) <= (band + 2.0 * freq_spacing) ** 2] / freq_spacing
+        k, corners = _linear_corners(shape, (-GATHER_GUARD,) * 3, list(pos.T + n // 2))
+        for off, weights, _ in corners:
             wsum[off:] += np.bincount(k, weights=reduce(np.multiply, weights), minlength=size - off)
     core = slice(GATHER_GUARD, GATHER_GUARD + n)
     return wsum.reshape(shape)[core, core, core]
@@ -277,7 +278,7 @@ def invert_direct_fourier(
     mag = np.linalg.norm(W, axis=-1)
     in_band = mag <= band_limit
     # the samples sit where the projection-slice property puts them
-    hit = _splat_coverage(geom, freq_spacing, n).reshape(-1) > SPLAT_WEIGHT_FLOOR
+    hit = _splat_coverage(geom, freq_spacing, n, band_limit).reshape(-1) > SPLAT_WEIGHT_FLOOR
     covered = float(np.count_nonzero(in_band & hit)) / float(np.count_nonzero(in_band))
     if 1.0 - covered > COVERAGE_TOL:
         raise InsufficientCoverage(
@@ -559,7 +560,8 @@ class _LatticeFrame:
     The atom at rotation ``R`` and scale ``a`` has spectrum ``a**1.5 *
     psi_hat(a R^T w)``: the wavelet's zero-padded spectrum read by Keys cubic
     convolution (:mod:`simrad.grid`'s ``_cubic_corners``), exactly zero where
-    ``a R^T w`` leaves the frequency cube of the wavelet's grid.  Atoms live
+    ``a R^T w`` leaves the frequency cube of the wavelet's grid, and read only
+    inside it (54-58% of a ladder level's box points, 11-32% at scales >= 1.45).  Atoms live
     on a grid ``SYNTHESIS_PAD`` times wider than the wavelet's, so their
     periodic copies stay clear of the volume, and shifts enter as a
     separable DFT over the lattice's shift axis.  Spectra are kept in

@@ -138,6 +138,10 @@ PLANE_COEF_PEAK_MIB = 80
 # h=0.2, 24x24 directions, 48x48 detector); measured 23 MiB, 129 MiB when the
 # spectra of every chart direction were built and windowed.
 LINE_DF_PEAK_MIB = 40
+# tracemalloc peak of the lattice atoms' build at the wavelet benchmark's
+# finest lattice (ladder level 2) with one rotation; measured 22.2 MiB, as
+# much as when every point of each scale's box was read.
+LATTICE_FRAME_PEAK_MIB = 32
 
 CENTER = np.array([0.4, -0.3, 0.2])
 PLANE16 = PlaneGeometry(16, 16, 65, 4.8)
@@ -385,7 +389,7 @@ def test_direct_fourier_insufficient_coverage_near_the_tolerance():
     axis = (np.arange(n) - n // 2) * freq_spacing
     W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     in_band = np.linalg.norm(W, axis=-1) <= band
-    hit = _splat_coverage(g, freq_spacing, n).reshape(-1) > SPLAT_WEIGHT_FLOOR
+    hit = _splat_coverage(g, freq_spacing, n, band).reshape(-1) > SPLAT_WEIGHT_FLOOR
     covered = np.count_nonzero(in_band & hit) / np.count_nonzero(in_band)
     assert 0.9 < covered < 1.0 - COVERAGE_TOL
     with pytest.raises(InsufficientCoverage):
@@ -401,7 +405,7 @@ def _full_chart_direct_fourier(s, n, spacing, band_limit):
     W = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     mag = np.linalg.norm(W, axis=-1)
     in_band = mag <= band_limit
-    hit = _splat_coverage(geom, freq_spacing, n).reshape(-1) > SPLAT_WEIGHT_FLOOR
+    hit = _splat_coverage(geom, freq_spacing, n, band_limit).reshape(-1) > SPLAT_WEIGHT_FLOOR
     covered = float(np.count_nonzero(in_band & hit)) / float(np.count_nonzero(in_band))
     spec, axes, _ = _padded_spectra(s, geom.spectral_pad)
     assert spec.shape[:2] == (geom.n_theta, geom.n_phi)
@@ -479,16 +483,25 @@ def _masked_coverage(geometry, freq_spacing, n):
 )
 def test_coverage_splat_matches_masked_bincount(geometry, n, spacing):
     # The guarded splat must give the masked one's weights bit for bit, so
-    # the covered voxels, and with them the reconstructions, cannot move.
+    # the covered voxels, and with them the reconstructions, cannot move:
+    # on the whole grid with no band limit, and inside the band with the
+    # route's default one, where the points that cannot reach it are left out.
     freq_spacing = 1.0 / (n * spacing)
     pos = geometry.slice_frequencies().reshape(-1, 3) / freq_spacing + n // 2
     if n == 16:
         # off both ends of every axis, so the floor clamp and the guard act
         assert np.all(pos.min(axis=0) < -3.0) and np.all(pos.max(axis=0) > n + 3.0)
-    got = _splat_coverage(geometry, freq_spacing, n)
     want = _masked_coverage(geometry, freq_spacing, n)
+    got = _splat_coverage(geometry, freq_spacing, n, np.inf)
     assert got.shape == (n, n, n)
     assert got.tobytes() == want.tobytes()
+    band = _default_band_limit(geometry.dtheta, geometry.dphi, freq_spacing)
+    axis = (np.arange(n) - n // 2) * freq_spacing
+    in_band = np.sqrt(axis[:, None, None] ** 2 + axis[:, None] ** 2 + axis**2) <= band
+    banded = _splat_coverage(geometry, freq_spacing, n, band)
+    assert 0 < np.count_nonzero(in_band) < n**3
+    assert banded[in_band].tobytes() == want[in_band].tobytes()
+    assert not np.array_equal(banded, want)
 
 
 # ---------------------------------------------------------------------------
@@ -959,3 +972,16 @@ def test_line_direct_fourier_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= LINE_DF_PEAK_MIB * 2**20
+
+
+def test_lattice_frame_peak_memory(psi):
+    # ladder level 2's eight scales, each read only inside the wavelet's
+    # spectrum cube
+    lattice = GroupLattice.build(2.1, 8, 0.8, 6.4, 8, rotations=[np.eye(3)])
+    tracemalloc.start()
+    try:
+        _LatticeFrame(psi, lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LATTICE_FRAME_PEAK_MIB * 2**20
