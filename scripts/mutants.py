@@ -242,28 +242,29 @@ MUTANTS = (
     Mutant(
         "backproject_s_origin_one_cell",
         "src/simrad/xform.py",
-        "[(s_i - s_grid[0]) / ds]",
-        "[(s_i - s_grid[1]) / ds]",
-        (
-            "tests/test_xform.py::"
-            "test_backproject_plane_converges_to_the_one_stage_sum[filtered_gaussian]",
-        ),
+        "cy * np.sin(theta) - s_grid[0]) / step_s",
+        "cy * np.sin(theta) - s_grid[1]) / step_s",
+        ("tests/test_xform.py::test_backproject_plane_is_the_transpose_of_radon_plane[33_voxels]",),
     ),
     Mutant(
         "backproject_s_cos_sin_swapped",
         "src/simrad/xform.py",
-        "x[:, None, None] * np.cos(theta) + x[None, :, None] * np.sin(theta)",
-        "x[:, None, None] * np.sin(theta) + x[None, :, None] * np.cos(theta)",
-        (
-            "tests/test_xform.py::"
-            "test_backproject_plane_converges_to_the_one_stage_sum[filtered_gaussian]",
-        ),
+        "cx * np.cos(theta) + cy * np.sin(theta)",
+        "cx * np.sin(theta) + cy * np.cos(theta)",
+        ("tests/test_xform.py::test_backproject_plane_is_the_transpose_of_radon_plane[33_voxels]",),
+    ),
+    Mutant(
+        "backproject_t_gather_one_cell",
+        "src/simrad/xform.py",
+        "prof[k_t + off]",
+        "prof[k_t + off + 1]",
+        ("tests/test_xform.py::test_backproject_plane_is_the_transpose_of_radon_plane[33_voxels]",),
     ),
     Mutant(
         "radon_plane_s_origin_one_cell",
         "src/simrad/xform.py",
-        "- s_grid[0]) / step_s",
-        "- s_grid[1]) / step_s",
+        "pts[:, 1] * np.sin(theta) - s_grid[0]) / step_s",
+        "pts[:, 1] * np.sin(theta) - s_grid[1]) / step_s",
         (
             "tests/test_xform.py::"
             "test_radon_plane_converges_to_the_voxel_driven_reference[centered]",

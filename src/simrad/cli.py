@@ -10,8 +10,8 @@ Every command finishes by printing a metrics block of ``key=value`` lines
 to standard output.  Exit codes: 0 on success, 2 on argument errors (with
 usage text), 1 on runtime errors with the bare error name on standard
 error.  Reruns with identical flags produce byte-identical output files at
-one BLAS thread count (OpenBLAS rounds ``radon_plane``'s products by it);
-nothing is seeded from the clock or the environment.
+one BLAS thread count (OpenBLAS may round the products of ``radon_plane`` and
+``backproject_plane`` by it); nothing is seeded from the clock or the environment.
 
 The numerical modules are imported inside the command handlers, not at the
 top of this file, so that ``--threads`` can cap the BLAS/FFT worker pools

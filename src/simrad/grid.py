@@ -19,7 +19,7 @@ constant offsets from one flat index per point (``_linear_corners``,
 ``_cubic_corners``), read by one loop (``_gather``) from a zero-guarded copy
 (``_guard_window``), the cubic taps one axis at a time.  The resampling, the
 chart sampler and the coverage splat use the linear taps; the Fourier-slice
-reference, the backprojection's table read and the lattice atoms the cubic.
+reference and the lattice atoms the cubic.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ N_act deposits, not n_theta * n_phi * N_act, plus per-direction work on the
 table.  A projection refuses a field whose nonzero voxels reach farther from
 the coordinate origin than the detector does, so every cubic tap lands on an
 axis or in the guard cells just past its ends, which the matrices ignore.
+``backproject_plane`` is ``radon_plane``'s transpose: its stages run backwards.
 
 The two transforms are two instances of one construction, and everything
 that differs by kind, short of the math itself, is a fact of the geometry:
@@ -93,7 +94,6 @@ import numpy as np
 
 from .errors import GeometryMismatch
 from .grid import (
-    GATHER_GUARD,
     SPLAT_CHUNK_BYTES,
     Spectrum3D,
     Volume,
@@ -121,13 +121,6 @@ CUTOFF_FRACTION = 0.9
 # The low-pass rolls off smoothly (raised cosine) over this fraction of the
 # cutoff to avoid ringing for fields with slow spectral decay.
 ROLLOFF_FRACTION = 0.15
-# Steps of the plane backprojection's per-row s axis per voxel spacing
-# (``backproject_plane``).  Against one np.interp per direction at every
-# voxel (n=33, 16x16 directions, 65 offsets) its cubic table read differs by
-# 1.9e-2 / 8.6e-3 / 2.9e-3 at 2 / 4 / 8 steps.  At 4 the N=64 FBP interior
-# errors fall slightly (Gaussian 9.45e-3 -> 9.38e-3, mixture 1.664e-2 ->
-# 1.647e-2) in a tenth of the one-stage sum's time.
-BACKPROJECT_REFINE = 4
 # Internal refinement of projector detector grids.  Splatted samples taken at
 # the output rate alias voxel-lattice harmonics (at radii |m| / voxel, where
 # the projected comb carries O(1) energy for directions nearly aligned with a
@@ -516,6 +509,28 @@ def _row_tables(
     return z, np.arange(-half, half + 1) * h, plane
 
 
+def _plane_stages(v: Volume, pts: np.ndarray, g: PlaneGeometry) -> tuple:
+    """``radon_plane``'s per-call set-up, shared with its transpose: ``_row_tables``, the
+    s and t deconvolutions (t widened by the table's reach past ``t_max``), and per
+    (direction, table point) its lowest t tap's flat index on a row's axes and its taps."""
+    h = v.spacing
+    z, s_grid, plane = _row_tables(v, pts, g.t_max)
+    step_s = h / SPLAT_REFINE
+    mat_s = _deconvolution_matrix(s_grid.size, step_s, CUTOFF_FRACTION * 0.5 / h)
+    mat_s *= h * h / step_s
+    step_t = g.dt / SPLAT_REFINE
+    reach = np.hypot(s_grid[-1], np.abs(z).max(initial=0.0))  # of the table's t positions
+    widen = max(0, int(np.ceil((reach - g.t_max) / step_t)))
+    mat_t = _deconvolution_matrix(g.n_t, step_t, CUTOFF_FRACTION * min(0.5 / h, 0.5 / g.dt))
+    mat_t = np.pad(mat_t, ((0, 0), (widen, widen))) * (h * h / step_t)
+    t = np.sin(g.phis)[:, None, None] * s_grid + np.cos(g.phis)[:, None, None] * z[:, None]
+    t_pos = (t + g.t_max) / step_t + widen
+    t_cell = np.floor(t_pos)
+    k_t = np.arange(g.n_phi)[:, None, None] * mat_t.shape[1] + t_cell.astype(np.int64)
+    taps_t = [(off + 1, tap) for off, tap in _cubic_taps(t_pos - t_cell)]
+    return z, s_grid, plane, mat_s, mat_t, (k_t + SPLAT_GUARD - 1).ravel(), taps_t
+
+
 def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
     """Plane-integral transform of a volume, one azimuth row at a time.
 
@@ -524,38 +539,20 @@ def radon_plane(v: Volume, geometry: PlaneGeometry) -> PlaneSinogram:
     along s into the row's table ``T_i(z, s)`` (at the voxel z planes, s at
     step ``h``) and deconvolves it; stage B splats the table along each
     normal's t and deconvolves the offset axis.  The table points' t do not
-    depend on the row, so their cells and taps are computed once.  The table
-    spans the grid's extents within ``t_max``, not the data's, so the
-    transform is linear; stage B's offset axis is widened by the table's
+    depend on the row, so their taps are computed once (``_plane_stages``).
+    The table spans the grid's extents within ``t_max``, not the data's, so
+    the transform is linear; stage B's offset axis is widened by the table's
     reach past ``t_max``, and zero columns of its matrix drop those taps.
     Raises :class:`GeometryMismatch` when a nonzero voxel lies farther than
     ``t_max`` from the coordinate origin.
     """
     g = geometry
-    h = v.spacing
     pts, f = _reached_voxels(v, g)
-    z, s_grid, plane = _row_tables(v, pts, g.t_max)
-
-    step_s = h / SPLAT_REFINE
-    mat_s = _deconvolution_matrix(s_grid.size, step_s, CUTOFF_FRACTION * 0.5 / h)
-    mat_s *= h * h / step_s
-    width_s = mat_s.shape[1]
+    z, s_grid, plane, mat_s, mat_t, k_t, taps_t = _plane_stages(v, pts, g)
+    step_s = v.spacing / SPLAT_REFINE
+    width_s, width_t = mat_s.shape[1], mat_t.shape[1]
     # lowest tap of each voxel on its z plane's row of the refined s table
     k_z = plane * width_s + SPLAT_GUARD - 1
-
-    step_t = g.dt / SPLAT_REFINE
-    reach = np.hypot(s_grid[-1], np.abs(z).max(initial=0.0))  # of the table's t positions
-    widen = max(0, int(np.ceil((reach - g.t_max) / step_t)))
-    mat_t = _deconvolution_matrix(g.n_t, step_t, CUTOFF_FRACTION * min(0.5 / h, 0.5 / g.dt))
-    mat_t = np.pad(mat_t, ((0, 0), (widen, widen))) * (h * h / step_t)
-    width_t = mat_t.shape[1]
-    t = np.sin(g.phis)[:, None, None] * s_grid + np.cos(g.phis)[:, None, None] * z[:, None]
-    t_pos = (t + g.t_max) / step_t + widen
-    t_cell = np.floor(t_pos)
-    # lowest tap of each (direction, table point) on its direction's refined t axis
-    k_t = np.arange(g.n_phi)[:, None, None] * width_t + t_cell.astype(np.int64) + SPLAT_GUARD - 1
-    k_t = k_t.ravel()
-    taps_t = [(off + 1, tap) for off, tap in _cubic_taps(t_pos - t_cell)]
 
     out = np.empty(g.shape)
     for i, theta in enumerate(g.thetas):
@@ -836,15 +833,16 @@ def sample_chart(
 
 
 def backproject_plane(s: PlaneSinogram, n: int, spacing: float) -> Volume:
-    """Adjoint-style sum over directions: ``integral of F(n, n . x) dn`` (half-sphere).
+    """The transpose of ``radon_plane``: ``integral of F(n, n . x) dn`` over the half-sphere.
 
-    Row i's normals meet a voxel at ``n . x = sin(phi) s_i + cos(phi) z``, with
-    ``s_i = x cos(theta_i) + y sin(theta_i)``, so the row's sum is a table
-    ``G_i(z, s)``.  Stage 1 fills it at the voxel z and on an s grid of step
-    ``spacing / BACKPROJECT_REFINE`` that reaches ``sqrt(2) max|x|`` plus the
-    Keys guard cells, by one ``np.interp`` per direction (zero off the offset
-    axis); stage 2 reads it at every voxel's ``s_i`` through ``grid._gather``
-    on ``_cubic_corners``, which never clamps there.  Raises
+    ``h^3 sum(f * b) = sinogram_inner(radon_plane(f), s)`` for the result ``b``
+    and every ``f`` the projector accepts: ``_plane_stages`` run backwards on
+    ``F`` times the label-space measure over ``h^3``.  Per row, each table
+    point gathers its t taps from the transposed offset deconvolution; after
+    the transposed s deconvolution, every (x, y) column reads the table at ``s
+    = x cos(theta_i) + y sin(theta_i)`` with its own cubic taps, on all z
+    planes at once.  Columns whose s leaves the table, and z planes past
+    ``t_max``, read 0: the projector refuses voxels there.  Raises
     :class:`GeometryMismatch` for line data or an empty grid.
     """
     g = s.geometry
@@ -852,22 +850,24 @@ def backproject_plane(s: PlaneSinogram, n: int, spacing: float) -> Volume:
         raise GeometryMismatch(
             "filtered backprojection needs plane data; use invert-fourier for lines"
         )
-    x = Volume(np.zeros((n, n, n)), spacing).axis_coords(0)  # every axis's coordinates
-    ds = spacing / BACKPROJECT_REFINE
-    half = int(np.ceil(np.sqrt(2.0) * np.abs(x).max() / ds)) + GATHER_GUARD
-    s_grid = np.arange(-half, half + 1) * ds
-    table = np.zeros((g.n_theta, n, s_grid.size))
-    for i, j in itertools.product(range(g.n_theta), range(g.n_phi)):
-        t = np.cos(g.phis[j]) * x[:, None] + np.sin(g.phis[j]) * s_grid
-        table[i] += g.direction_weights[i, j] * np.interp(
-            t, g.ts, s.data[i, j], left=0.0, right=0.0
-        )
-    window = _guard_window(table.reshape(-1, s_grid.size), [(0, s_grid.size)])
-    acc = np.zeros((n, n, n))
+    grid = Volume(np.zeros((n, n, n)), spacing)
+    x = grid.axis_coords(0)  # every axis's coordinates
+    z, s_grid, _, mat_s, mat_t, k_t, taps_t = _plane_stages(grid, np.empty((0, 3)), g)
+    step_s = spacing / SPLAT_REFINE
+    data = s.data * (g.direction_weights[:, :, None] * g.dt / spacing**3)
+    out = np.zeros((n * n, n))  # (x, y) columns by z
+    held = out[:, np.searchsorted(x, z[0]) :][:, : z.size]
+    cx, cy = (c.ravel() for c in np.meshgrid(x, x, indexing="ij"))
     for i, theta in enumerate(g.thetas):
-        s_i = x[:, None, None] * np.cos(theta) + x[None, :, None] * np.sin(theta)
-        acc += _gather(window, i * n + np.arange(n), [(s_i - s_grid[0]) / ds], _cubic_corners)
-    return Volume(acc, spacing)
+        prof = (data[i] @ mat_t).ravel()
+        table = sum(prof[k_t + off] * tap.ravel() for off, tap in taps_t)
+        table = (table.reshape(g.n_phi, z.size, s_grid.size).sum(axis=0) @ mat_s).T
+        pos = (cx * np.cos(theta) + cy * np.sin(theta) - s_grid[0]) / step_s
+        cell = np.floor(pos)
+        # off the table, the four taps read its first or last four columns: guard zeros
+        k = np.clip(cell.astype(np.int64) + SPLAT_GUARD - 1, 0, table.shape[0] - 4)
+        held += sum(table[k + off + 1] * tap[:, None] for off, tap in _cubic_taps(pos - cell))
+    return Volume(out.reshape(n, n, n), spacing)
 
 
 def _padded_axes(g: DirectionChart, pad: float) -> list[tuple]:

@@ -88,7 +88,7 @@ COMPOSITION_LINE_TOL = 8e-2
 INTERTWINE_PLANE_TOL = 1.2e-1
 INTERTWINE_LINE_TOL = 1.3e-1
 # Filtered backprojection of a unit Gaussian, 32 directions per axis;
-# measured 1.1e-2.
+# measured 8.0e-3.
 FBP_TOL = 3e-2
 # Direct Fourier regridding on the same data; measured 5.0e-3 (plane) and
 # 5.1e-3 (line).

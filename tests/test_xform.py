@@ -23,7 +23,6 @@ import pytest
 import simrad
 import simrad.xform as xform
 from simrad.errors import GeometryMismatch
-from simrad.filters import MultiplierSpec, apply_multiplier
 from simrad.grid import Spectrum3D, Volume, gaussian_mixture_phantom, gaussian_phantom
 from simrad.group import LineLabel, PlaneLabel, rotation_from_angles, unit_normal
 from simrad.xform import (
@@ -69,8 +68,8 @@ SPECTRUM_ORACLE_TOL = 5e-3
 # Spectrum interpolation on a pad-2 grid leaves ~9e-3 of phase error for the
 # shifted bump (the verify harness uses pad 4 for its 1e-2 budget).
 SLICE_ORACLE_TOL = 2e-2
-# Forward splat and interpolating backprojection are adjoint only up to their
-# separate discretizations; measured 4.3e-4.
+# backproject_plane is the transpose of radon_plane: measured 6.3e-16.  The
+# bound predates the transpose; TRANSPOSE_TOL holds the pairing to rounding.
 ADJOINT_TOL = 2e-3
 # Chart gluing bookkeeping is pure index arithmetic.
 GLUING_TOL = 1e-12
@@ -99,16 +98,14 @@ XRAY_REFERENCE_HALVING_GAIN = 4.0
 # voxel-driven splat it replaced, 577 MiB for deconvolving the whole refined
 # grid at once).
 XRAY_PEAK_MIB = 150
-# The two-stage plane backprojection against the one-stage sum on filtered
-# data of the CENTER bump (n=33, 16x16 directions, 65 offsets): measured
-# 1.94e-2 / 8.60e-3 / 2.93e-3 at refine 2 / 4 / 8, and 9.8e-3 at refine 4 on
-# the five-voxel case.  Each halving of the s step cuts the difference
-# 2.2-3.4x, not 4x: the one-stage sum itself reads F piecewise-linearly.
-BACKPROJECT_REFINE_TOL = 1.5e-2
-BACKPROJECT_HALVING_GAIN = 2.0
+# backproject_plane runs radon_plane's stages transposed, so the two pair to
+# rounding.  For a random in-reach field and a random sinogram the pairing is
+# small, 2.0e-2 (n=33) and 0.16 (n=5) against norm products of 130 and 22,
+# and the two sides differ by 3.5e-14 and 2.4e-15 of it; a backprojection
+# that interpolated each direction's profile on its own read 51 and 15.
+TRANSPOSE_TOL = 1e-12
 # tracemalloc peak of one plane backprojection at the demo sizes (N=48,
-# h=0.2, 24x24 directions, 97 offsets); measured 9.4 MiB, 44.7 MiB for the
-# one-stage sum's per-row (N^3, n_phi) offset block.
+# h=0.2, 24x24 directions, 97 offsets); measured 7.6 MiB.
 BACKPROJECT_PEAK_MIB = 16
 # tracemalloc peak of one radon_plane call at the demo sizes (N=48, h=0.2,
 # 24x24 directions, 97 offsets); measured 5.2 MiB, where filling every row's
@@ -424,11 +421,29 @@ def test_xray_peak_memory_at_demo_sizes():
     assert peak <= XRAY_PEAK_MIB * 2**20
 
 
+def _digests_at_one_and_two_blas_threads(lines: list[str]) -> list[str]:
+    # what the script of ``lines`` prints, run with one and with two BLAS threads
+    package_root = Path(simrad.__file__).resolve().parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", "\n".join(lines)],
+            cwd=package_root,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    return digests
+
+
 def test_xray_bytes_do_not_depend_on_the_blas_thread_count():
     # Most of xray is one matrix product per azimuth row; the continuous
     # integration, the benchmark and the recorded timings run it with one or
     # two BLAS threads and must see the same sinogram bytes.
-    code = "\n".join(
+    digests = _digests_at_one_and_two_blas_threads(
         [
             "import hashlib",
             "from simrad.grid import gaussian_mixture_phantom",
@@ -439,15 +454,6 @@ def test_xray_bytes_do_not_depend_on_the_blas_thread_count():
             "print(hashlib.sha256(xray(v, LineGeometry(24, 24, 48, 48, 4.8)).data).hexdigest())",
         ]
     )
-    package_root = Path(simrad.__file__).resolve().parents[1]
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], cwd=package_root, env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
 
 
@@ -812,56 +818,46 @@ def test_backproject_plane_is_adjoint(volume, plane_sinogram, plane_geometry):
     assert abs(lhs - rhs) / abs(lhs) <= ADJOINT_TOL
 
 
-def _whole_block_backprojection(s: PlaneSinogram, n: int, spacing: float) -> np.ndarray:
-    # The one-stage sum: each direction's np.interp reads its column of the
-    # row's whole (N^3, n_phi) block of plane offsets.
-    g = s.geometry
-    pts = Volume(np.zeros((n, n, n)), spacing).coordinate_grid().reshape(-1, 3)
-    acc = np.zeros(pts.shape[0])
-    for i in range(g.n_theta):
-        block = pts @ g.normals[i].T
-        for j in range(g.n_phi):
-            acc += g.direction_weights[i, j] * np.interp(
-                block[:, j], g.ts, s.data[i, j], left=0.0, right=0.0
-            )
-    return acc.reshape(n, n, n)
-
-
-def _filtered_gaussian(n: int, spacing: float, g: PlaneGeometry) -> PlaneSinogram:
-    # what invert_fbp_plane backprojects
-    sinogram = radon_plane(gaussian_phantom(n, spacing, CENTER), g)
-    return apply_multiplier(sinogram, MultiplierSpec(2.0))
-
-
-def _smooth_profiles(n: int, spacing: float, g: PlaneGeometry) -> PlaneSinogram:
-    data = np.exp(-np.pi * g.ts[None, None, :] ** 2) * (
-        1.0 + 0.3 * np.sin(g.thetas)[:, None, None] * np.sin(g.phis)[None, :, None]
-    )
-    return PlaneSinogram(data, g)
-
-
 @pytest.mark.parametrize(
-    "n, spacing, geometry, data",
-    [
-        (33, 0.3, PlaneGeometry(16, 16, 65, 4.8), _filtered_gaussian),
-        (5, 0.9, PlaneGeometry(3, 4, 9, 1.5), _smooth_profiles),
-    ],
-    ids=["filtered_gaussian", "five_voxels"],
+    "n, spacing, geometry",
+    [(33, 0.3, PlaneGeometry(16, 16, 65, 4.8)), (5, 0.9, PlaneGeometry(3, 4, 9, 1.5))],
+    ids=["33_voxels", "five_voxels"],
 )
-def test_backproject_plane_converges_to_the_one_stage_sum(n, spacing, geometry, data, monkeypatch):
-    s = data(n, spacing, geometry)
-    pts = Volume(np.zeros((n, n, n)), spacing).coordinate_grid().reshape(-1, 3)
-    # the cube's corners overrun the offset axis: they must read its zero ends
-    assert np.abs(pts @ geometry.normals.reshape(-1, 3).T).max() > geometry.t_max
-    ref = _whole_block_backprojection(s, n, spacing)
-    diffs = {}
-    for refine in (2, 4, 8):
-        monkeypatch.setattr(xform, "BACKPROJECT_REFINE", refine)
-        bp = backproject_plane(s, n, spacing).data
-        diffs[refine] = np.linalg.norm(bp - ref) / np.linalg.norm(ref)
-    assert diffs[4] <= BACKPROJECT_REFINE_TOL
-    assert diffs[2] >= BACKPROJECT_HALVING_GAIN * diffs[4]
-    assert diffs[4] >= BACKPROJECT_HALVING_GAIN * diffs[8]
+def test_backproject_plane_is_the_transpose_of_radon_plane(n, spacing, geometry):
+    rng = np.random.default_rng(29)
+    grid = Volume(np.zeros((n, n, n)), spacing)
+    pts = grid.coordinate_grid()
+    # the cube's corners overrun the offset axis: the projector refuses them
+    assert np.abs(pts.reshape(-1, 3) @ geometry.normals.reshape(-1, 3).T).max() > geometry.t_max
+    in_reach = np.linalg.norm(pts, axis=-1) <= geometry.t_max
+    f = Volume(rng.standard_normal(in_reach.shape) * in_reach, spacing)
+    y = PlaneSinogram(rng.standard_normal(geometry.shape), geometry)
+    bp = backproject_plane(y, n, spacing).data
+    lhs = sinogram_inner(radon_plane(f, geometry), y)
+    rhs = float(spacing**3 * np.sum(f.data * bp))
+    assert abs(lhs - rhs) <= TRANSPOSE_TOL * abs(lhs)
+    # the five-voxel grid has z planes past t_max, and they read exactly 0
+    past = np.abs(grid.axis_coords(2)) > geometry.t_max
+    assert past.any() == (n == 5)
+    assert not bp[:, :, past].any()
+
+
+def test_backproject_plane_bytes_do_not_depend_on_the_blas_thread_count():
+    # backproject_plane is two matrix products per azimuth row, as radon_plane
+    # is; its input is built in closed form, the plane transform of a Gaussian
+    # bump, because radon_plane's own bytes depend on the thread count.
+    digests = _digests_at_one_and_two_blas_threads(
+        [
+            "import hashlib",
+            "import numpy as np",
+            "from simrad.xform import PlaneGeometry, PlaneSinogram, backproject_plane",
+            "g = PlaneGeometry(24, 24, 97, 4.8)",
+            "t = g.normals @ np.array([0.6, -0.45, 0.3])",
+            "s = PlaneSinogram(np.exp(-np.pi * (g.ts - t[:, :, None]) ** 2), g)",
+            "print(hashlib.sha256(backproject_plane(s, 48, 0.2).data).hexdigest())",
+        ]
+    )
+    assert digests[0] == digests[1]
 
 
 def test_backproject_plane_peak_memory_at_demo_sizes():
