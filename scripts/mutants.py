@@ -54,6 +54,13 @@ MUTANTS = (
         ("tests/test_verify.py::test_evenness_element_of_run_all_moves_the_field",),
     ),
     Mutant(
+        "ablated_factor_is_the_character",
+        "src/simrad/verify.py",
+        "return entry, residual(1.0)",
+        "return entry, residual(geometry.characters.chi(g))",
+        ("tests/test_verify.py::test_intertwining_and_ablation_checks",),
+    ),
+    Mutant(
         "coverage_tol_0.5",
         "src/simrad/invert.py",
         "COVERAGE_TOL = 0.01",

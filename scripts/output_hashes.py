@@ -13,7 +13,9 @@ criterion-7 ladder at the ``wavelet`` benchmark workload's sizes, the
 line-data synthesis and a second line ``invert_direct_fourier`` run at the
 sizes of the unit test ``test_wavelet_line_synthesis``, and ``run_all`` and
 the action on the doubled sphere of its evenness check at the ``verify``
-benchmark workload's sizes; the Fourier-slice lines read the mixture's
+benchmark workload's sizes.  ``run_all.sweep`` is the report of the
+intertwining sweep with the controls at those sizes, two of whose line
+entries fail there; the Fourier-slice lines read the mixture's
 spectrum zero-padded as ``run_all`` pads it.  The hashes depend on the
 machine's BLAS and FFT, so compare only runs from one machine, library build
 and BLAS thread count.  Two runs of one
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -138,6 +141,9 @@ def main() -> int:
     pushed = apply_pi_hat(EVENNESS_ELEMENT, doubled)
     lines.append(("apply_pi_hat.plane.doubled", digest(pushed.data)))
     lines.append(("run_all.verify", digest(run_all(config).to_json())))
+    # the intertwining sweep and the ablation control that reads its residuals
+    sweep_report = run_all(replace(config, checks=("intertwining", "controls")))
+    lines.append(("run_all.sweep", digest(sweep_report.to_json())))
     for name, value in lines:
         print(name, value)
     return 0

@@ -72,7 +72,6 @@ _EXPORTS = {
         "MultiplierSpec",
         "admissibility_constant",
         "apply_multiplier",
-        "check_semi_invariance",
     ),
     "invert": (
         "FourierCoverage",

@@ -71,6 +71,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
@@ -430,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--umax", type=_positive_float, default=4.8, help="detector half-extent"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampled fields")
+    p.add_argument(
+        "--seed", type=_nonnegative_int, default=0, help="seed for the sampled fields"
+    )
     p.add_argument(
         "--summary-out", default=None, help="write the report as JSON to this path"
     )

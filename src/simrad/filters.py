@@ -11,8 +11,7 @@ term would break the isometry.
 
 Conjugating the multiplier by the label-space representation rescales it by
 ``a ** power`` (the filter picks up one factor of the scale character per
-power of frequency); ``check_semi_invariance`` measures that relation on a
-concrete sinogram.
+power of frequency).
 
 ``admissibility_constant`` evaluates the Calderon integral
 ``int |psi_hat(w)|^2 |w|^-3 dw`` of a candidate wavelet; finiteness (enforced
@@ -28,8 +27,7 @@ import numpy as np
 
 from .errors import NotAdmissible
 from .grid import Volume, dft3
-from .group import GroupElement
-from .xform import Sinogram, sinogram_norm
+from .xform import Sinogram
 
 # A wavelet's spectrum must vanish at DC to this fraction of its peak for the
 # scale integral to be treated as convergent on the grid.
@@ -78,28 +76,6 @@ def apply_multiplier(s: Sinogram, spec: MultiplierSpec) -> Sinogram:
     sym = spec.symbol(mag, min(0.5 / step for _, _, step in g.detector))
     out = np.fft.ifftn(np.fft.fftn(s.data, axes=axes) * sym, axes=axes).real
     return type(s)(out, g)
-
-
-def check_semi_invariance(s: Sinogram, g: GroupElement, spec: MultiplierSpec) -> float:
-    """Relative residual of the multiplier's scale-covariance under conjugation.
-
-    Compares ``pihat(g) J pihat(g^-1)`` applied to ``s`` against
-    ``a ** power * J`` applied to ``s``, in the label-space norm relative to
-    ``|| J s ||``.  Exact in the continuum; on grids the residual reflects the
-    resampling quality of the two conjugating actions.
-    """
-    from .invert import apply_pi_hat  # local import to avoid a module cycle
-
-    from .group import inverse
-
-    filtered = apply_multiplier(s, spec)
-    conjugated = apply_pi_hat(g, apply_multiplier(apply_pi_hat(inverse(g), s), spec))
-    scaled = g.a**spec.power
-    diff = type(s)(conjugated.data - scaled * filtered.data, s.geometry)
-    denom = scaled * sinogram_norm(filtered)
-    if denom == 0.0:
-        return 0.0
-    return sinogram_norm(diff) / denom
 
 
 def admissibility_constant(psi: Volume) -> float:

@@ -5,16 +5,18 @@ whose pass flag is literally ``residual <= tolerance``.  A check is a pure
 function of the data it tests: it takes sinograms, spectra and volumes that
 its caller computed and reads the geometry from the sinograms.  `run_all` is
 the one place that builds those inputs, each once, and shares them between
-checks; it assembles a deterministic report from a config: analytic
-phantoms, a fixed group-element sweep, and two negative controls (character
-ablation, non-admissible wavelet) that are required to break their nominal
-identity.
+checks; `check_intertwining` pulls each projection back by its element once
+and hands the ablation control its character-ablated residual.  `run_all`
+assembles a deterministic report from a config: analytic phantoms, a fixed
+group-element sweep, and two negative controls (character ablation,
+non-admissible wavelet) that are required to break their nominal identity.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,40 +198,48 @@ def check_fourier_slice(sinogram: Sinogram, spectrum: Spectrum3D) -> ReportEntry
 
 
 def check_intertwining(
-    g: GroupElement,
-    reference: Sinogram,
-    moved: Sinogram,
-    ablate_character: bool = False,
-    label: str = "",
-) -> ReportEntry:
+    g: GroupElement, reference: Sinogram, moved: Sinogram, label: str = ""
+) -> tuple[ReportEntry, float]:
     """Residual of forward(pi(g) v) against chi(g) * pi_hat(g) forward(v).
 
     ``reference`` is forward(v) and ``moved`` is forward(pi(g) v), on the
-    same geometry.  With ``ablate_character`` the scale factor is replaced by
-    1; for pure dilations that must push the residual above
-    `ABLATION_FLOOR`, encoded as residual = floor - measured against
-    tolerance 0.
+    same geometry.  Returns the entry and the residual with the scale factor
+    replaced by 1, which `check_character_ablation` reads; both residuals
+    are 0 for a zero reference.
     """
     geometry = reference.geometry
-    kind = geometry.kind
-    factor = 1.0 if ablate_character else geometry.characters.chi(g)
-    context = describe_element(g) + (f" {label}" if label else "")
+    name = f"intertwining_{geometry.kind}" + (f"_{label}" if label else "")
     norm = sinogram_norm(reference)
     if norm == 0.0:
-        residual, context = 0.0, "zero input"
-    else:
-        pushed = apply_pi_hat(g, reference)
-        diff = type(reference)(moved.data - factor * pushed.data, geometry)
-        residual = sinogram_norm(diff) / norm
-    if ablate_character:
-        return make_entry(
-            f"control_character_ablation_{kind}",
-            ABLATION_FLOOR - residual,
-            0.0,
-            context + f" ablated residual={residual:.4g}, must be >= {ABLATION_FLOOR}",
-        )
-    name = f"intertwining_{kind}" + (f"_{label}" if label else "")
-    return make_entry(name, residual, INTERTWINING_TOL, context)
+        return make_entry(name, 0.0, INTERTWINING_TOL, "zero input"), 0.0
+    pushed = apply_pi_hat(g, reference).data
+
+    def residual(factor: float) -> float:
+        return sinogram_norm(type(reference)(moved.data - factor * pushed, geometry)) / norm
+
+    context = describe_element(g) + (f" {label}" if label else "")
+    entry = make_entry(name, residual(geometry.characters.chi(g)), INTERTWINING_TOL, context)
+    return entry, residual(1.0)
+
+
+def check_character_ablation(ablated: Iterable[float]) -> ReportEntry:
+    """The control that the scale character is needed, from ablated residuals.
+
+    ``ablated`` holds the character-ablated residuals of `check_intertwining`
+    at `ABLATION_DILATION`, one per geometry.  They are pooled: the plane
+    character a separates from 1 by 25% at a = 1.25, the line character
+    sqrt(a) only by 12%, so the largest carries the control.  It must
+    exceed `ABLATION_FLOOR`, encoded as residual = floor - largest against
+    tolerance 0.
+    """
+    worst = max(ablated)
+    context = "zero input" if worst == 0.0 else describe_element(ABLATION_DILATION)
+    return make_entry(
+        "control_character_ablation",
+        ABLATION_FLOOR - worst,
+        0.0,
+        context + f" ablated residual={worst:.4g}, must be >= {ABLATION_FLOOR}",
+    )
 
 
 def check_isometry(sinogram: Sinogram, v: Volume) -> ReportEntry:
@@ -428,12 +438,13 @@ def run_all(
     """Execute the configured checks; per-check errors become failed entries.
 
     Each phantom, its projection on each geometry, the compact phantom's
-    image under each sweep element (one element at a time), the dilated
-    image's projection and the padded spectrum are computed once here and
-    handed to every check that reads them.  With ``volume`` the built-in
-    phantoms are replaced by the given field everywhere a check consumes
-    one; reach violations for expanding group elements then surface as
-    failed ``*_error`` entries rather than aborts.
+    image under each sweep element (one element at a time) and its
+    projections, the pull-back of the reference projections by each element
+    and the padded spectrum are computed once here and handed to every check
+    that reads them.  With ``volume`` the built-in phantoms are replaced by
+    the given field everywhere a check consumes one; reach violations for
+    expanding group elements then surface as failed ``*_error`` entries
+    rather than aborts.
     A phantom that does not fit the configured grid, or a reference
     transform that cannot be taken, fails the checks that need it the same
     way.
@@ -472,11 +483,15 @@ def run_all(
             held.update(g=g, moved=apply_pi(g, phantom(compact_phantom)))
         return kind_steps(geom).forward(held["moved"], geom)
 
-    # The intertwining sweep and the ablation control share the projection
-    # of the dilated compact phantom.
-    @functools.cache
-    def dilated(geom):
-        return forward_moved(ABLATION_DILATION, geom)
+    ablated = {}  # per kind, the ablation dilation's ablated residual
+
+    def intertwining(g: GroupElement, geom, label: str = "") -> ReportEntry:
+        entry, ablated_residual = check_intertwining(
+            g, forward(compact_phantom, geom), forward_moved(g, geom), label
+        )
+        if g is ABLATION_DILATION:
+            ablated[geom.kind] = ablated_residual
+        return entry
 
     if {"fourier_slice", "isometry"} & set(config.checks):
         for geom in (plane_geom, line_geom):
@@ -510,12 +525,7 @@ def run_all(
             for geom in (plane_geom, line_geom):
                 guarded(
                     f"intertwining_{idx:02d}",
-                    lambda g=g, geom=geom: check_intertwining(
-                        g,
-                        forward(compact_phantom, geom),
-                        dilated(geom) if g is ABLATION_DILATION else forward_moved(g, geom),
-                        label=f"{idx:02d}",
-                    ),
+                    lambda g=g, geom=geom: intertwining(g, geom, f"{idx:02d}"),
                 )
     if "fiber" in config.checks:
         guarded("fiber_constancy", lambda: check_fiber_constancy(phantom(mixture_phantom)))
@@ -524,20 +534,11 @@ def run_all(
         guarded("evenness", lambda: check_evenness_subspace(F, EVENNESS_ELEMENT))
     if "controls" in config.checks:
         def ablation_control() -> ReportEntry:
-            # Pooled over geometries: the plane character a separates from 1
-            # by 25% at a = 1.25, the line character sqrt(a) only by 12%, so
-            # the pooled maximum carries the control.
-            results = [
-                check_intertwining(
-                    ABLATION_DILATION,
-                    forward(compact_phantom, geom),
-                    dilated(geom),
-                    ablate_character=True,
-                )
-                for geom in (plane_geom, line_geom)
-            ]
-            best = min(results, key=lambda e: e.residual)
-            return make_entry("control_character_ablation", best.residual, 0.0, best.context)
+            # The sweep records the residuals of the kinds it ran.
+            for geom in (plane_geom, line_geom):
+                if geom.kind not in ablated:
+                    intertwining(ABLATION_DILATION, geom)
+            return check_character_ablation(ablated.values())
 
         guarded("control_character_ablation", ablation_control)
 

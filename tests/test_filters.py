@@ -6,19 +6,16 @@ import numpy as np
 import pytest
 
 from simrad.errors import NotAdmissible
-from simrad.filters import (
-    MultiplierSpec,
-    admissibility_constant,
-    apply_multiplier,
-    check_semi_invariance,
-)
+from simrad.filters import MultiplierSpec, admissibility_constant, apply_multiplier
 from simrad.grid import gaussian_phantom, log_wavelet
-from simrad.group import GroupElement, random_rotation
+from simrad.group import GroupElement, inverse, random_rotation
+from simrad.invert import apply_pi_hat
 from simrad.xform import (
     LineGeometry,
     LineSinogram,
     PlaneGeometry,
     PlaneSinogram,
+    Sinogram,
     radon_plane,
     sinogram_norm,
     xray,
@@ -133,12 +130,30 @@ def bump():
     return gaussian_phantom(40, 0.24, center=[0.4, -0.3, 0.2])
 
 
+def semi_invariance(s: Sinogram, g: GroupElement, spec: MultiplierSpec) -> float:
+    """Relative residual of the multiplier's scale covariance under conjugation.
+
+    Compares ``pihat(g) J pihat(g^-1)`` applied to ``s`` against
+    ``a ** power * J`` applied to ``s``, in the label-space norm relative to
+    ``|| J s ||``.  Exact in the continuum; on grids the residual reflects the
+    resampling quality of the two conjugating actions.
+    """
+    filtered = apply_multiplier(s, spec)
+    conjugated = apply_pi_hat(g, apply_multiplier(apply_pi_hat(inverse(g), s), spec))
+    scaled = g.a**spec.power
+    diff = type(s)(conjugated.data - scaled * filtered.data, s.geometry)
+    denom = scaled * sinogram_norm(filtered)
+    if denom == 0.0:
+        return 0.0
+    return sinogram_norm(diff) / denom
+
+
 def test_semi_invariance_plane(bump):
     s = radon_plane(bump, PlaneGeometry(32, 32, 129, 6.0))
     rng = np.random.default_rng(3)
     mixed = GroupElement(np.array([0.3, -0.2, 0.1]), random_rotation(rng), 0.9)
     for g in (GroupElement(np.zeros(3), np.eye(3), 1.25), mixed):
-        assert check_semi_invariance(s, g, MultiplierSpec(1.0)) <= SEMI_INVARIANCE_PLANE_TOL
+        assert semi_invariance(s, g, MultiplierSpec(1.0)) <= SEMI_INVARIANCE_PLANE_TOL
 
 
 def test_semi_invariance_line(bump):
@@ -146,7 +161,7 @@ def test_semi_invariance_line(bump):
     rng = np.random.default_rng(3)
     mixed = GroupElement(np.array([0.3, -0.2, 0.1]), random_rotation(rng), 0.9)
     for g in (GroupElement(np.zeros(3), np.eye(3), 1.25), mixed):
-        assert check_semi_invariance(s, g, MultiplierSpec(0.5)) <= SEMI_INVARIANCE_LINE_TOL
+        assert semi_invariance(s, g, MultiplierSpec(0.5)) <= SEMI_INVARIANCE_LINE_TOL
 
 
 def test_unitarization_power_matches_norm(bump):

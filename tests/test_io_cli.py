@@ -660,6 +660,7 @@ def test_cli_usage_errors_exit_2(workdir, vol_path):
             ["filter", "--in", str(vol_path), "--power", token, "--out", str(workdir / "x.sgm")]
             for token in ("-1", "nan", "inf")
         ),
+        ["verify", "--check", "fiber", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -32,6 +32,7 @@ from simrad.verify import (
     check_evenness_subspace,
     check_fiber_constancy,
     check_fourier_slice,
+    check_character_ablation,
     check_intertwining,
     check_isometry,
     compact_phantom,
@@ -333,23 +334,23 @@ def test_intertwining_and_ablation_checks():
         "plane": (radon_plane(compact, plane_geom), radon_plane(moved, plane_geom)),
         "line": (xray(compact, line_geom), xray(moved, line_geom)),
     }
+    ablated = {}
     for kind, (reference, moved_sino) in pairs.items():
-        entry = check_intertwining(dilation, reference, moved_sino)
+        entry, ablated[kind] = check_intertwining(dilation, reference, moved_sino)
         assert entry.name == f"intertwining_{kind}"
         assert entry.tolerance == INTERTWINING_TOL
         assert entry.residual <= COARSE_INTERTWINE_TOL
     # With the character ablated, the plane residual must clear the floor
     # (chi = a separates from 1 by 25%); the line character sqrt(a) moves only
     # 12% at a = 1.25, below the floor, which is why the harness pools the two.
-    ablated_plane = check_intertwining(dilation, *pairs["plane"], ablate_character=True)
-    assert ablated_plane.name == "control_character_ablation_plane"
+    ablated_plane = check_character_ablation([ablated["plane"]])
+    assert ablated_plane.name == "control_character_ablation"
     assert ablated_plane.residual == pytest.approx(
         ABLATION_FLOOR - 0.2078, abs=5e-3
     )
     assert ablated_plane.passed
-    ablated_line = check_intertwining(dilation, *pairs["line"], ablate_character=True)
-    assert ablated_line.name == "control_character_ablation_line"
-    assert not ablated_line.passed
+    assert not check_character_ablation([ablated["line"]]).passed
+    assert check_character_ablation(ablated.values()) == ablated_plane
 
 
 def test_intertwining_reports_a_zero_reference_as_zero_input():
@@ -357,10 +358,12 @@ def test_intertwining_reports_a_zero_reference_as_zero_input():
     # and the ablation control, which needs the character to show, fails.
     geometry = COARSE.plane_geometry()
     zero = radon_plane(Volume(np.zeros((32, 32, 32)), 0.3), geometry)
-    entry = check_intertwining(standard_intertwining_sweep()[3], zero, zero)
+    entry, ablated_residual = check_intertwining(standard_intertwining_sweep()[3], zero, zero)
     assert (entry.residual, entry.context, entry.passed) == (0.0, "zero input", True)
-    ablated = check_intertwining(ABLATION_DILATION, zero, zero, ablate_character=True)
+    assert ablated_residual == 0.0
+    ablated = check_character_ablation([check_intertwining(ABLATION_DILATION, zero, zero)[1]])
     assert ablated.residual == ABLATION_FLOOR
+    assert ablated.context.startswith("zero input")
     assert not ablated.passed
     report = run_all(
         replace(COARSE, checks=("controls",)), volume=Volume(np.zeros((32, 32, 32)), 0.3)
@@ -568,13 +571,41 @@ def test_run_all_projects_the_shared_dilation_once(monkeypatch):
     v = compact_phantom(config)
     kinds = ((config.plane_geometry(), radon_plane), (config.line_geometry(), xray))
     pairs = [(forward(v, geom), forward(apply_pi(dilation, v), geom)) for geom, forward in kinds]
+    ablated = []
     for reference, moved_sino in pairs:
-        entry = check_intertwining(dilation, reference, moved_sino, label="00")
+        entry, ablated_residual = check_intertwining(dilation, reference, moved_sino, label="00")
         assert by_name[entry.name].residual == entry.residual
-    ablated = min(
-        check_intertwining(dilation, *pair, ablate_character=True).residual for pair in pairs
+        ablated.append(ablated_residual)
+    assert by_name["control_character_ablation"] == check_character_ablation(ablated)
+
+
+def test_run_all_pulls_back_each_element_once(monkeypatch):
+    # The sweep records the ablated residuals of its a = 1.25 dilation, so the
+    # control pulls nothing back again; without the sweep the control pulls
+    # each reference projection back once itself.  Either way the control
+    # reads the residuals of unshared checks.
+    dilation = verify.ABLATION_DILATION
+    monkeypatch.setattr(verify, "standard_intertwining_sweep", lambda: [dilation])
+    pulled = []
+    pull_back = verify.apply_pi_hat
+    monkeypatch.setattr(
+        verify, "apply_pi_hat", lambda g, s: pulled.append(s.geometry.kind) or pull_back(g, s)
     )
-    assert by_name["control_character_ablation"].residual == ablated
+    config = replace(COARSE, n_theta=8, n_phi=8, n_t=33, n_u=24)
+    controls = []
+    for checks in (("intertwining", "controls"), ("controls",)):
+        pulled.clear()
+        by_name = {e.name: e for e in run_all(replace(config, checks=checks)).entries}
+        assert sorted(pulled) == ["line", "plane"]
+        controls.append(by_name["control_character_ablation"])
+    v = compact_phantom(config)
+    kinds = ((config.plane_geometry(), radon_plane), (config.line_geometry(), xray))
+    ablated = [
+        check_intertwining(dilation, forward(v, geom), forward(apply_pi(dilation, v), geom))[1]
+        for geom, forward in kinds
+    ]
+    assert controls[0] == controls[1]
+    assert controls[0].residual == ABLATION_FLOOR - max(ablated)
 
 
 def test_checks_are_pure_functions_of_their_inputs(monkeypatch):
@@ -603,8 +634,8 @@ def test_checks_are_pure_functions_of_their_inputs(monkeypatch):
     for kind, (mix_sino, reference, moved) in inputs.items():
         assert check_fourier_slice(mix_sino, spectrum) == by_name[f"fourier_slice_{kind}"]
         assert check_isometry(mix_sino, mix) == by_name[f"isometry_{kind}"]
-        ablated.append(check_intertwining(dilation, reference, moved, ablate_character=True))
-    assert min(e.residual for e in ablated) == by_name["control_character_ablation"].residual
+        ablated.append(check_intertwining(dilation, reference, moved)[1])
+    assert check_character_ablation(ablated) == by_name["control_character_ablation"]
     assert check_fiber_constancy(mix) == by_name["fiber_constancy"]
 
 
