@@ -233,6 +233,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "coverage_subcube_one_cell_short",
+        "src/simrad/invert.py",
+        "int(np.floor(n // 2 + cells)) + 2)",
+        "int(np.floor(n // 2 + cells)) + 1)",
+        ("tests/test_invert.py::test_coverage_splat_matches_masked_bincount",),
+    ),
+    Mutant(
         "group_element_finiteness_guard_dropped",
         "src/simrad/group.py",
         "if not (np.isfinite(b).all() and np.isfinite(R).all() and np.isfinite(self.a)):",

@@ -39,15 +39,9 @@ from .group import GroupElement, act_point, inverse
 # default grids.
 SUPPORT_DECAY_RADII = 3.5
 # Scratch budget of chunked loops: a chunk holds as many chart-sampler
-# directions as fit one float64 per query, or as many z planes of the line
-# projector's refined (s, v) table as fit one float64 per cell (at least one
-# of either), or a quarter as many gathered points.  The slab size sets the
-# line projector's memory more than its time: at the demo sizes (N=48, h=0.2,
-# 24x24 directions, 48x48 detector; one plane per slab) its tracemalloc peak
-# reads 22.9 / 25.2 / 30.6 MiB for slabs of 256 KiB / 2 MiB / every plane,
-# and its time 0.22-0.23 / 0.18-0.22 / 0.17-0.21 s; at N=64 the peak reads
-# 70.8 / 72.6 / 88.9 MiB and the time 0.94-1.00 / 0.94-0.98 / 1.02-1.10 s
-# (best of 3, one BLAS thread, 2-core machine).
+# directions as fit one float64 per query (at least one), or a quarter as many
+# gathered points.  The line projector's slabs have their own budget,
+# ``xform.XRAY_SLAB_BYTES``.
 SPLAT_CHUNK_BYTES = 256 << 10
 # Zero cells past each end of every axis of a guarded copy (``_guard_window``)
 # or scatter grid: a linear floor cell is clamped to [-GATHER_GUARD, n], so

@@ -162,7 +162,7 @@ def apply_pi_hat_line(g: GroupElement, s: LineSinogram) -> LineSinogram:
     """
     geom = s.geometry
     dirs = geom.normals @ g.R
-    w = _detector_points(*geom.detector_directions, geom.us, geom.vs)
+    w = _detector_points(*geom.detector_directions, geom.us[:, None], geom.vs)
     moved = ((w - g.b) @ g.R) / g.a
     vals = sample_chart(s.data, geom, dirs, moved, geom.detector)
     return LineSinogram(vals / g.a, geom)
@@ -222,24 +222,37 @@ def _default_band_limit(dtheta: float, dphi: float, freq_spacing: float) -> floa
 def _splat_coverage(geom: DirectionChart, freq_spacing: float, n: int, band: float) -> np.ndarray:
     """Trilinear splat weight of the projection-slice points on the n^3 frequency grid.
 
-    The points are the geometry's ``slice_frequencies`` within ``band + 2 *
+    The points are the geometry's ``slice_frequencies`` within ``r = band + 2 *
     freq_spacing`` of 0, one azimuth row at a time; no point farther out has a
-    corner in the band.  They are scattered into a grid with ``GATHER_GUARD``
-    zero cells past each end of every axis through ``grid._linear_corners``
-    (each floor cell clamped to [-GATHER_GUARD, n]), each corner weighted ``(w0
-    * w1) * w2`` by one ``bincount`` per row.  Returns the (n, n, n) interior.
+    corner in the band, and ``r`` is capped at ``sqrt(3) * (n // 2 + 1)`` cells,
+    past which no point has a corner on the grid.  The geometry builds only the
+    points whose detector frequency, and so whose norm, lies within ``r``
+    (widened for rounding), and a norm test keeps those within ``r``.  They are
+    scattered into the sub-cube their corners reach of a grid with
+    ``GATHER_GUARD`` zero cells past each end of every axis, through
+    ``grid._linear_corners`` (each floor cell clamped into it), each corner
+    weighted ``(w0 * w1) * w2`` by one ``bincount`` per row, so every cell gets
+    a whole-grid splat's additions in the same order.  Returns the (n, n, n)
+    interior.
     """
-    shape = (n + 2 * GATHER_GUARD,) * 3
+    reach = min(band + 2.0 * freq_spacing, np.sqrt(3.0) * (n // 2 + 1) * freq_spacing)
+    wide = reach * (1.0 + 1e-9)  # a point's norm is its detector frequency's up to rounding
+    cells = wide / freq_spacing
+    lo = max(-GATHER_GUARD, int(np.floor(n // 2 - cells)))
+    hi = min(n + GATHER_GUARD, int(np.floor(n // 2 + cells)) + 2)
+    shape = (hi - lo,) * 3
     size = int(np.prod(shape))
     wsum = np.zeros(size)
     for i in range(geom.n_theta):
-        w = geom.slice_frequencies(slice(i, i + 1)).reshape(-1, 3)
-        pos = w[np.einsum("ij,ij->i", w, w) <= (band + 2.0 * freq_spacing) ** 2] / freq_spacing
-        k, corners = _linear_corners(shape, (-GATHER_GUARD,) * 3, list(pos.T + n // 2))
+        w = geom.slice_frequencies(slice(i, i + 1), wide).reshape(-1, 3)
+        pos = np.compress(np.einsum("ij,ij->i", w, w) <= reach**2, w.T, axis=1) / freq_spacing
+        k, corners = _linear_corners(shape, (lo,) * 3, list(pos + n // 2))
         for off, weights, _ in corners:
             wsum[off:] += np.bincount(k, weights=reduce(np.multiply, weights), minlength=size - off)
-    core = slice(GATHER_GUARD, GATHER_GUARD + n)
-    return wsum.reshape(shape)[core, core, core]
+    out = np.zeros((n, n, n))
+    core = slice(max(lo, 0), min(hi, n))
+    out[core, core, core] = wsum.reshape(shape)[(slice(core.start - lo, core.stop - lo),) * 3]
+    return out
 
 
 def invert_direct_fourier(
@@ -543,7 +556,7 @@ def _line_coefficients(
         e1r = e1 @ R
         e2r = e2 @ R
         for ia, a in enumerate(lattice.scales):
-            vecs = a * _detector_points(e1r, e2r, nu_u, nu_v)
+            vecs = a * _detector_points(e1r, e2r, nu_u[:, None], nu_v)
             temp_spec = sample_chart(psihat, geom, dirs, vecs, axes)
             prod = shat * np.conj(temp_spec) * phase0
             corr = (

@@ -141,6 +141,18 @@ SPLAT_GUARD = 4
 # Voxels with |f| below this fraction of the field's maximum are skipped by
 # the projectors; the dropped mass is below double rounding noise.
 PROJECTOR_DROP = 1e-16
+# Scratch budget of ``xray``'s stage A: a slab holds as many z planes of the
+# refined (s, v) table as fit one float64 per cell (at least one), and each
+# slab costs 16 ``np.add.at`` calls per azimuth row.  A plane takes 0.18 MiB
+# at the demo sizes (N=48, h=0.2, 24x24 directions, 48x48 detector) and
+# 0.30 MiB at N=64 (h=0.15, 32x32, 64x64), so 1 MiB holds 5 and 3 planes.
+# For budgets of 0.25 / 1 / 2 / 4 / 64 MiB the median of 5 calls reads, at
+# the demo sizes, 0.28 / 0.21 / 0.22 / 0.21 / 0.22 s, and at N=64 1.13 / 1.00
+# / 1.00 / 1.09 / 1.25 s (two BLAS threads, 2-core machine); the tracemalloc
+# peak reads 22.8 / 23.6 / 25.1 / 27.0 / 30.5 MiB at the demo sizes, and at
+# N=64 70.8 / 71.5 / 72.4 MiB up to 2 MiB and 88.8 MiB at 64 MiB.  The bytes
+# are the same at every budget.
+XRAY_SLAB_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -292,10 +304,15 @@ class PlaneGeometry(DirectionChart):
     def cell_measure(self) -> np.ndarray:
         return self.direction_weights[:, :, None] * self.dt
 
-    def slice_frequencies(self, rows: slice = slice(None)) -> np.ndarray:
-        """Frequencies of the centered offset spectra of azimuth ``rows``, (..., n_t, 3)."""
+    def slice_frequencies(
+        self, rows: slice = slice(None), radius: float | None = None
+    ) -> np.ndarray:
+        """Frequencies of the centered offset spectra of azimuth ``rows``, (..., n_t, 3);
+        given a ``radius``, of the offset frequencies ``|tau| <= radius`` only, (..., m, 3)."""
         dtau = 1.0 / (self.n_t * self.dt)
         taus = (np.arange(self.n_t) - self.n_t // 2) * dtau
+        if radius is not None:
+            taus = taus[np.abs(taus) <= radius]
         return self.normals[rows][:, :, None, :] * taus[None, None, :, None]
 
     def slice_query(self, W: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,12 +394,19 @@ class LineGeometry(DirectionChart):
     def cell_measure(self) -> np.ndarray:
         return self.direction_weights[:, :, None, None] * self.du * self.dv / np.pi
 
-    def slice_frequencies(self, rows: slice = slice(None)) -> np.ndarray:
-        """Frequencies of the centered detector spectra of azimuth ``rows``, (..., n_u, n_v, 3)."""
+    def slice_frequencies(
+        self, rows: slice = slice(None), radius: float | None = None
+    ) -> np.ndarray:
+        """Frequencies of the centered detector spectra of azimuth ``rows``, (..., n_u, n_v, 3);
+        given a ``radius``, of the detector frequencies ``hypot(nu_u, nu_v) <= radius``
+        only, in C order, (..., m, 3)."""
         nu_u = (np.arange(self.n_u) - self.n_u // 2) / (self.n_u * self.du)
         nu_v = (np.arange(self.n_v) - self.n_v // 2) / (self.n_v * self.dv)
         e1, e2 = (d[rows] for d in self.detector_directions)
-        return _detector_points(e1, e2, nu_u, nu_v)
+        if radius is None:
+            return _detector_points(e1, e2, nu_u[:, None], nu_v)
+        ku, kv = np.nonzero(np.hypot(nu_u[:, None], nu_v) <= radius)
+        return _detector_points(e1, e2, nu_u[ku], nu_v[kv])
 
     def slice_query(self, W: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Directions and queries that read frequencies ``W`` (norms ``mag``): ``W`` itself.
@@ -411,8 +435,10 @@ GEOMETRY_KINDS = {g.kind: g for g in (PlaneGeometry, LineGeometry)}
 
 
 def _detector_points(e1, e2, us, vs) -> np.ndarray:
-    """``u e1 + v e2`` for each ``(u, v)`` in ``us x vs`` on (..., 3) axes: (..., n_u, n_v, 3)."""
-    return e1[..., None, None, :] * us[:, None, None] + e2[..., None, None, :] * vs[:, None]
+    """``u e1 + v e2`` on (..., 3) axes for each pair of ``us`` and ``vs`` broadcast to one
+    shape: (..., *shape, 3).  Axes ``us[:, None]`` and ``vs`` give the (n_u, n_v) detector."""
+    lead = (..., *(None,) * np.broadcast(us, vs).ndim, slice(None))
+    return e1[lead] * us[..., None] + e2[lead] * vs[..., None]
 
 
 def _lowpass(freq_abs: np.ndarray, cutoff: float) -> np.ndarray:
@@ -581,9 +607,11 @@ def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
     a 2-D Radon transform per plane.  Stage A splats the active voxels along
     s and v into the row's table ``T_i(z, s, v)`` (at the voxel z planes, s
     at step ``h``, v on the detector), one slab of z planes at a time through
-    one buffer.  Stage B carries the table to every polar angle: a table
-    point's u does not depend on the row, so its cubic taps, folded into the
-    u deconvolution, make one matrix ``Q_j`` per angle, built once per call.
+    one buffer of ``XRAY_SLAB_BYTES``; each cell receives its additions in
+    the points' order, so the bytes do not depend on the slab size.  Stage B
+    carries the table to every polar angle: a table point's u does not depend
+    on the row, so its cubic taps, folded into the u deconvolution, make one
+    matrix ``Q_j`` per angle, built once per call.
     ``Q_j`` also divides out the table's s low-pass as the line sees it,
     ``_lowpass(|cos(phi_j)| tau)``, so the band is cut once.  Since ``u(pi -
     phi, z, s) = u(phi, z, -s)``, ``Q`` holds the first half of the angles,
@@ -610,7 +638,7 @@ def xray(v: Volume, geometry: LineGeometry) -> LineSinogram:
     mat_v = _deconvolution_matrix(n_v, dv_f, CUTOFF_FRACTION * min(0.5 / h, 0.5 / dv))
     width_s, width_v = mat_s.shape[1], mat_v.shape[1]
     size = width_s * width_v
-    slab = max(1, SPLAT_CHUNK_BYTES // (8 * size))
+    slab = max(1, XRAY_SLAB_BYTES // (8 * size))
     order = np.argsort(plane, kind="stable")
     pts, f, plane = pts[order], f[order], plane[order]
     edges = np.searchsorted(plane, np.arange(0, z.size + slab, slab))

@@ -455,11 +455,13 @@ def test_direct_fourier_matches_full_chart_gather(volume, monkeypatch):
             assert np.any((cj < 0.0) | (cj > geom.n_phi - 1))
 
 
-def _masked_coverage(geometry, freq_spacing, n):
-    # Per row, eight masked corners, each scattered by a full-grid bincount.
+def _masked_coverage(geometry, freq_spacing, n, radius=np.inf):
+    # Per row, eight masked corners of the points within ``radius`` of 0,
+    # each scattered by a full-grid bincount.
     wsum = np.zeros(n * n * n)
     for i in range(geometry.n_theta):
-        pos = geometry.slice_frequencies(slice(i, i + 1)).reshape(-1, 3) / freq_spacing + n // 2
+        w = geometry.slice_frequencies(slice(i, i + 1)).reshape(-1, 3)
+        pos = w[np.einsum("ij,ij->i", w, w) <= radius**2] / freq_spacing + n // 2
         base = np.floor(pos).astype(np.int64)
         frac = pos - base
         for corner in range(8):
@@ -473,19 +475,26 @@ def _masked_coverage(geometry, freq_spacing, n):
 
 
 @pytest.mark.parametrize(
-    "geometry, n, spacing",
+    "geometry, n, spacing, band_cells",
     [
-        (LineGeometry(24, 24, 48, 48, 4.8), 48, 0.2),  # the demo line data
-        (PlaneGeometry(24, 24, 97, 4.8), 48, 0.2),  # the demo plane data
-        (LineGeometry(8, 8, 40, 40, 4.8), 16, 0.6),  # samples far off the grid
+        (LineGeometry(24, 24, 48, 48, 4.8), 48, 0.2, None),  # the demo line data
+        (PlaneGeometry(24, 24, 97, 4.8), 48, 0.2, None),  # the demo plane data
+        (LineGeometry(8, 8, 40, 40, 4.8), 16, 0.6, None),  # samples far off the grid
+        # just inside the corner frequency: the sub-cube is clipped by the guard
+        (LineGeometry(24, 24, 48, 48, 4.8), 48, 0.2, 0.98 * np.sqrt(3.0) * 24),
+        (LineGeometry(24, 24, 48, 48, 4.8), 48, 0.2, 1.0),  # a band of one cell
+        (PlaneGeometry(24, 24, 97, 4.8), 48, 0.2, 1.0),
     ],
-    ids=["demo_line", "demo_plane", "off_grid"],
+    ids=["demo_line", "demo_plane", "off_grid", "near_corner", "one_cell_line", "one_cell_plane"],
 )
-def test_coverage_splat_matches_masked_bincount(geometry, n, spacing):
+def test_coverage_splat_matches_masked_bincount(geometry, n, spacing, band_cells):
     # The guarded splat must give the masked one's weights bit for bit, so
     # the covered voxels, and with them the reconstructions, cannot move:
     # on the whole grid with no band limit, and inside the band with the
-    # route's default one, where the points that cannot reach it are left out.
+    # route's default one or a given one, where the points that cannot reach
+    # it are left out.  On the whole grid the banded splat must also equal the
+    # masked splat of the points it keeps, those within two cells of the band,
+    # so its sub-cube holds every cell they reach.
     freq_spacing = 1.0 / (n * spacing)
     pos = geometry.slice_frequencies().reshape(-1, 3) / freq_spacing + n // 2
     if n == 16:
@@ -495,13 +504,37 @@ def test_coverage_splat_matches_masked_bincount(geometry, n, spacing):
     got = _splat_coverage(geometry, freq_spacing, n, np.inf)
     assert got.shape == (n, n, n)
     assert got.tobytes() == want.tobytes()
-    band = _default_band_limit(geometry.dtheta, geometry.dphi, freq_spacing)
+    if band_cells is None:
+        band = _default_band_limit(geometry.dtheta, geometry.dphi, freq_spacing)
+    else:
+        band = band_cells * freq_spacing
     axis = (np.arange(n) - n // 2) * freq_spacing
     in_band = np.sqrt(axis[:, None, None] ** 2 + axis[:, None] ** 2 + axis**2) <= band
     banded = _splat_coverage(geometry, freq_spacing, n, band)
     assert 0 < np.count_nonzero(in_band) < n**3
     assert banded[in_band].tobytes() == want[in_band].tobytes()
-    assert not np.array_equal(banded, want)
+    if band_cells is None or band_cells < n // 2:
+        # the band drops points; near the corner it drops none, since the line
+        # detector's frequencies reach only 24 * sqrt(2) cells
+        assert not np.array_equal(banded, want)
+    kept = _masked_coverage(geometry, freq_spacing, n, band + 2.0 * freq_spacing)
+    assert banded.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("sinogram", ["plane_sino16", "line_sino16"])
+def test_direct_fourier_band_past_the_grid_is_the_corner_band(sinogram, request):
+    # Every band past the grid's corner frequency selects every voxel and the
+    # same coverage points, however large it is.
+    s = request.getfixturevalue(sinogram)
+    n, spacing = 8, 1.2
+    corner = np.sqrt(3.0) * (n // 2) / (n * spacing)
+    rec, cov = invert_direct_fourier(s, n, spacing, band_limit=1.001 * corner)
+    assert cov.covered_fraction == 1.0
+    for band in (1e200, 1e300, np.finfo(float).max):
+        far, far_cov = invert_direct_fourier(s, n, spacing, band_limit=band)
+        assert far_cov.band_limit == band
+        assert far_cov.covered_fraction == cov.covered_fraction
+        assert far.data.tobytes() == rec.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

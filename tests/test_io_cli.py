@@ -521,6 +521,19 @@ def test_cli_fourier_pipeline_line(workdir, line_path, vol_path, capsys):
     assert metrics["coverage"] >= 0.99
 
 
+@pytest.mark.parametrize("data", ["plane_path", "line_path"])
+def test_cli_fourier_takes_a_band_limit_past_the_grid(data, workdir, request, capsys):
+    # Every voxel is in such a band, and its radius must not overflow.
+    out = workdir / f"rec_df_far_{data}.svol"
+    rc = cli.main(
+        ["invert-fourier", "--in", str(request.getfixturevalue(data)), "--n", "8",
+         "--h", "1.0", "--band-limit", "1e200", "--out", str(out)]
+    )
+    assert rc == 0, capsys.readouterr().err
+    assert _metrics(capsys.readouterr().out)["coverage"] == 1.0
+    assert read_volume(out).data.shape == (8, 8, 8)
+
+
 def test_cli_filter_applies_default_power(workdir, plane_path):
     out = workdir / "filtered.sgm"
     assert cli.main(["filter", "--in", str(plane_path), "--out", str(out)]) == 0

@@ -457,6 +457,20 @@ def test_xray_bytes_do_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+def test_xray_bytes_do_not_depend_on_the_slab_size(monkeypatch):
+    # Stage A fills its buffer one slab of z planes at a time, and every cell
+    # gets the same additions in the same order however many planes a slab
+    # holds: one, the default budget's (five at these sizes) or all of them.
+    v = gaussian_mixture_phantom(
+        48, 0.2, [[0.6, -0.45, 0.3], [-0.75, 0.3, -0.6]], [0.7, 0.9], [1.0, 0.7]
+    )
+    g = LineGeometry(24, 24, 48, 48, 4.8)
+    want = xray(v, g).data.tobytes()
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(xform, "XRAY_SLAB_BYTES", budget)
+        assert xray(v, g).data.tobytes() == want
+
+
 def test_radon_plane_peak_memory_at_demo_sizes():
     v = gaussian_mixture_phantom(
         48, 0.2, [[0.6, -0.45, 0.3], [-0.75, 0.3, -0.6]], [0.7, 0.9], [1.0, 0.7]
